@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,11 +32,12 @@ from .discgeom import (
     sing_decomposition,
 )
 from .fixtures import FixtureError, _parse_stratum, _split_top, fixture_names, load_fixture
-from .milnorprobe import milnor_scan, tube_verdict
+from .milnorprobe import DEFAULT_SAMPLES, milnor_scan, tube_verdict
 from .parsing import ParseError, format_mixed, format_scalar, parse
-from .polar import solve_polar
+from .polar import DEFAULT_BOUND, solve_polar
 from .thomprobe import (
     COMPAT_TOL,
+    DEFAULT_SEED,
     FAIL_TOL,
     THOM_CONV_TOL,
     CurveGerm,
@@ -91,6 +93,19 @@ def _emit(report: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _report(command: str, loaded=None, **sections) -> dict:
+    """A report under the common header; loaded is what _load_input returned."""
+    report = {
+        "schema": SCHEMA,
+        "tool": {"name": "mixedsing", "version": __version__},
+        "command": command,
+    }
+    if loaded is not None:
+        report["input"] = _input_echo(*loaded)
+    report.update(sections)
+    return report
 
 
 def _error_report(kind: str, message: str, out: str | None, code: int) -> int:
@@ -191,9 +206,9 @@ def _probe_sections(F, strata, curves, *, seed):
     probes = []
     rows = []
     for stratum in strata:
-        probe = thom_test(F, stratum, curves=curves or None, seed=seed)
-        probes.append(probe)
         used = curves or default_curve_battery(stratum.base_point, seed=seed)
+        probe = thom_test(F, stratum, curves=used)
+        probes.append(probe)
         rows.append(
             {
                 "stratum": stratum.label or "stratum",
@@ -289,7 +304,8 @@ def _strata_from_args(args):
 
 
 def _cmd_analyze(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
+    loaded = _load_input(args)
+    fixture, F, pair, _ = loaded
     polar_sol, polar_sec = _polar_section(
         F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k
     )
@@ -325,65 +341,55 @@ def _cmd_analyze(args) -> int:
         probes=tuple(probes),
     )
 
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "analyze",
-        "input": _input_echo(fixture, F, pair, variables),
-        "seed": args.seed,
-        "tolerances": {
+    report = _report(
+        "analyze",
+        loaded,
+        seed=args.seed,
+        tolerances={
             "thom_conv_tol": THOM_CONV_TOL,
             "fail_tol": FAIL_TOL,
             "compat_tol": COMPAT_TOL,
             "polar_bound": args.k_bound,
         },
-        "polar": polar_sec,
-        "discriminant": disc_sec,
-        "sing_decomposition": sing_sec,
-        "thom_probes": probe_rows,
-        "milnor": _scan_section(scan),
-        "verdict": _verdict_section(verdict),
-        "expected": dict(fixture.expect) if fixture else None,
-    }
+        polar=polar_sec,
+        discriminant=disc_sec,
+        sing_decomposition=sing_sec,
+        thom_probes=probe_rows,
+        milnor=_scan_section(scan),
+        verdict=_verdict_section(verdict),
+        expected=dict(fixture.expect) if fixture else None,
+    )
     _emit(report, args.out)
     return 0
 
 
 def _cmd_wirtinger(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
+    loaded = _load_input(args)
+    _, F, _, _ = loaded
     grad = F.wirtinger()
     fam = normal_family_symbolic(F)
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "wirtinger",
-        "input": _input_echo(fixture, F, pair, variables),
-        "dF": list(grad.dF),
-        "dbarF": list(grad.dbarF),
-        "normal_family": {"a": list(fam.a), "b": list(fam.b)},
-    }
+    report = _report(
+        "wirtinger",
+        loaded,
+        dF=list(grad.dF),
+        dbarF=list(grad.dbarF),
+        normal_family={"a": list(fam.a), "b": list(fam.b)},
+    )
     _emit(report, args.out)
     return 0
 
 
 def _cmd_polar(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
-    sol, sec = _polar_section(
-        F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k
-    )
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "polar",
-        "input": _input_echo(fixture, F, pair, variables),
-        "polar": sec,
-    }
-    _emit(report, args.out)
+    loaded = _load_input(args)
+    _, F, _, _ = loaded
+    _, sec = _polar_section(F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k)
+    _emit(_report("polar", loaded, polar=sec), args.out)
     return 0
 
 
 def _cmd_disc(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
+    loaded = _load_input(args)
+    fixture, F, pair, _ = loaded
     if pair is None:
         raise ParseError(0, "disc needs a holomorphic pair (--pair or a pair fixture)")
     f, g = pair
@@ -391,17 +397,15 @@ def _cmd_disc(args) -> int:
     if fixture and fixture.branches:
         branches.extend(fixture.branches)
     isolated = isolated_value_verdict(*pair, branches=branches or None)
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "disc",
-        "input": _input_echo(fixture, F, pair, variables),
-        "jacobian_det": jacobian_det(f, g) if F.n_vars == 2 else None,
-        "isolated": _isolated_section(isolated),
-        "lines": _line_report_section(line_components(isolated.discriminant))
+    report = _report(
+        "disc",
+        loaded,
+        jacobian_det=jacobian_det(f, g) if F.n_vars == 2 else None,
+        isolated=_isolated_section(isolated),
+        lines=_line_report_section(line_components(isolated.discriminant))
         if isolated.discriminant is not None
         else None,
-        "branches": [
+        branches=[
             {
                 "p": b.p,
                 "terms": [[c, e] for c, e in b.terms],
@@ -409,78 +413,74 @@ def _cmd_disc(args) -> int:
             }
             for b in branches
         ],
-        "sing_decomposition": _sing_section(sing_decomposition(f, g)),
-    }
+        sing_decomposition=_sing_section(sing_decomposition(f, g)),
+    )
     _emit(report, args.out)
     return 0
 
 
 def _cmd_thom_probe(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
+    loaded = _load_input(args)
+    fixture, F, _, _ = loaded
     strata = fixture.strata if fixture else _strata_from_args(args)
     curves = fixture.curves if fixture else _curves_from_args(args)
     if not strata:
         raise ParseError(0, "thom-probe needs at least one stratum")
-    probes, rows = _probe_sections(F, strata, curves, seed=args.seed)
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "thom-probe",
-        "input": _input_echo(fixture, F, pair, variables),
-        "seed": args.seed,
-        "tolerances": {
+    _, rows = _probe_sections(F, strata, curves, seed=args.seed)
+    report = _report(
+        "thom-probe",
+        loaded,
+        seed=args.seed,
+        tolerances={
             "conv_tol": THOM_CONV_TOL,
             "fail_tol": FAIL_TOL,
             "compat_tol": COMPAT_TOL,
         },
-        "thom_probes": rows,
-    }
+        thom_probes=rows,
+    )
     _emit(report, args.out)
     return 0
 
 
+def _shell_radii(text: str) -> tuple[float, ...]:
+    try:
+        shells = tuple(float(s) for s in text.split(","))
+    except ValueError:
+        shells = ()
+    if not shells or not all(math.isfinite(r) and r > 0 for r in shells):
+        raise ParseError(0, f"--shells must be comma-separated positive numbers, got {text!r}")
+    return shells
+
+
 def _cmd_milnor_scan(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
-    shells = tuple(float(s) for s in args.shells.split(",")) if args.shells else None
+    loaded = _load_input(args)
+    _, F, pair, _ = loaded
     kwargs = {"pair": pair, "seed": args.seed, "samples_per_shell": args.samples}
-    if shells:
-        kwargs["shells"] = shells
+    if args.shells:
+        kwargs["shells"] = _shell_radii(args.shells)
     scan = milnor_scan(F, **kwargs)
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "milnor-scan",
-        "input": _input_echo(fixture, F, pair, variables),
-        "milnor": _scan_section(scan),
-    }
-    _emit(report, args.out)
+    _emit(_report("milnor-scan", loaded, milnor=_scan_section(scan)), args.out)
     return 0
 
 
 def _cmd_shear(args) -> int:
-    fixture, F, pair, variables = _load_input(args)
+    loaded = _load_input(args)
+    _, _, pair, _ = loaded
     if pair is None:
         raise ParseError(0, "shear needs a holomorphic pair (--pair or a pair fixture)")
-    base = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "shear",
-        "input": _input_echo(fixture, F, pair, variables),
-    }
     try:
         res = shear_search(*pair, k_min=args.k_min, k_max=args.k_max)
     except ShearSearchExhausted as exc:
-        base["shear"] = {"found": False, "reason": str(exc),
-                        "k_min": args.k_min, "k_max": args.k_max}
-        _emit(base, args.out)
-        return 0
-    base["shear"] = {
-        "found": True,
-        "k": res.k,
-        "pair": [res.f_sheared, res.g],
-        "isolated": _isolated_section(res.verdict),
-    }
-    _emit(base, args.out)
+        shear = {"found": False, "reason": str(exc),
+                 "k_min": args.k_min, "k_max": args.k_max}
+    else:
+        shear = {
+            "found": True,
+            "k": res.k,
+            "pair": [res.f_sheared, res.g],
+            "isolated": _isolated_section(res.verdict),
+        }
+    _emit(_report("shear", loaded, shear=shear), args.out)
     return 0
 
 
@@ -512,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stratum 'base = (...); tangent = (...), (...); label = ...'")
     p.add_argument("--curve", action="append",
                    help="probe curve components, e.g. 't, 1, 0'")
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--k-bound", type=int, default=64)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--allow-zero-k", action="store_true",
                    help="accept polar weights with degree k = 0")
     p.add_argument("--assert-icis", action="store_true",
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polar", help="polar weight solver")
     _add_input_flags(p)
-    p.add_argument("--k-bound", type=int, default=64)
+    p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--allow-zero-k", action="store_true")
     p.set_defaults(func=_cmd_polar)
 
@@ -541,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--stratum", action="append")
     p.add_argument("--curve", action="append")
-    p.add_argument("--seed", type=int, default=2026)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_thom_probe)
 
     p = sub.add_parser("milnor-scan", help="hunt Milnor-set points off the fibre")
     _add_input_flags(p)
     p.add_argument("--shells", help="comma-separated shell radii")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=2026)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_milnor_scan)
 
     p = sub.add_parser("shear", help="search k with (f + g^k, g) isolated")
@@ -565,20 +565,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list_fixtures(args) -> int:
-    report = {
-        "schema": SCHEMA,
-        "tool": {"name": "mixedsing", "version": __version__},
-        "command": "list-fixtures",
-        "fixtures": list(fixture_names()),
-    }
-    _emit(report, args.out)
+    _emit(_report("list-fixtures", fixtures=list(fixture_names())), args.out)
     return 0
+
+
+def _check_counts(args) -> None:
+    """Reject out-of-range --seed and --samples before any work starts."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ParseError(0, f"--seed must be a non-negative integer, got {seed}")
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        raise ParseError(0, f"--samples must be a positive integer, got {samples}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
+        _check_counts(args)
         return args.func(args)
     except (DegenerateEliminationError, DegreeBoundError) as exc:
         return _error_report("degeneracy", str(exc), out, 3)

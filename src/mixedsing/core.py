@@ -9,6 +9,11 @@ Treating z and zbar as independent coordinates makes F a polynomial map
 R^{2n} -> R^2, and the two Wirtinger gradients (d/dz_j and d/dzbar_j)
 carry all first-order real information.
 
+Polynomials live in sympy's sparse polynomial ring over the Gaussian
+rationals QQ_I, in 2n generators z1..zn, z1~..zn~; ring arithmetic and
+differentiation do the symbolic work, and the ExponentPair/ComplexRational
+term view is built from the ring element on demand.
+
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
 coefficients survive every symbolic operation; floats only appear when
@@ -20,8 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
+
+import sympy as sp
+from sympy.polys.domains import QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyRing, ring
 
 __all__ = [
     "ComplexRational",
@@ -131,6 +142,21 @@ CR_ONE = ComplexRational(Fraction(1))
 CR_I = ComplexRational(Fraction(0), Fraction(1))
 
 
+def _from_gaussian(c) -> ComplexRational:
+    """A QQ_I element as a ComplexRational."""
+    return ComplexRational(
+        Fraction(int(c.x.numerator), int(c.x.denominator)),
+        Fraction(int(c.y.numerator), int(c.y.denominator)),
+    )
+
+
+@cache
+def _ring(n_vars: int) -> PolyRing:
+    """QQ_I[z1..zn, z1~..zn~] in graded-lex order, the canonical term order."""
+    names = [f"z{j + 1}" for j in range(n_vars)] + [f"z{j + 1}~" for j in range(n_vars)]
+    return ring([sp.Symbol(s) for s in names], QQ_I, order=grlex)[0]
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """Multi-index pair (nu, mu): exponents of z and of conj(z)."""
@@ -176,19 +202,21 @@ class WirtingerGradient:
 
 
 class MixedPolynomial:
-    """Immutable sparse mixed polynomial keyed by ExponentPair.
+    """Immutable sparse mixed polynomial.
 
-    The term map never stores a zero coefficient; the zero polynomial is
-    the empty map together with an explicit n_vars.
+    The polynomial is one element of sympy's sparse ring over Q(i) in 2n
+    generators, z1..zn then z1~..zn~, so the ring monomial m is the exponent
+    pair (m[:n], m[n:]).  The ring never stores a zero coefficient; the zero
+    polynomial is the empty element, and n_vars is the ring's half rank.
     """
 
-    __slots__ = ("n_vars", "_terms")
+    __slots__ = ("_poly", "_terms")
 
     def __init__(self, n_vars: int, terms: Mapping[ExponentPair, ComplexRational] | Iterable = ()):
         if not isinstance(n_vars, int) or n_vars < 1:
             raise ValueError(f"n_vars must be a positive integer, got {n_vars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[ExponentPair, ComplexRational] = {}
+        acc: dict[tuple[int, ...], object] = {}
         for pair, coeff in items:
             if not isinstance(pair, ExponentPair):
                 pair = ExponentPair(*pair)
@@ -199,13 +227,18 @@ class MixedPolynomial:
             c = _coerce_scalar(coeff)
             if c is NotImplemented:
                 raise TypeError(f"bad coefficient {coeff!r}")
-            c = acc.get(pair, CR_ZERO) + c
-            if c.is_zero:
-                acc.pop(pair, None)
-            else:
-                acc[pair] = c
-        object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_terms", acc)
+            monom = pair.nu + pair.mu
+            acc[monom] = acc.get(monom, QQ_I.zero) + QQ_I(c.re, c.im)
+        object.__setattr__(self, "_poly", _ring(n_vars).from_dict(acc))
+        object.__setattr__(self, "_terms", None)
+
+    @classmethod
+    def _from_poly(cls, poly) -> "MixedPolynomial":
+        """Wrap an element of _ring(n) without copying or re-validating it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_poly", poly)
+        object.__setattr__(self, "_terms", None)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MixedPolynomial is immutable")
@@ -236,10 +269,7 @@ class MixedPolynomial:
     @classmethod
     def conj_variable(cls, j: int, n_vars: int) -> "MixedPolynomial":
         """The coordinate conj(z_j) (0-based j)."""
-        if not 0 <= j < n_vars:
-            raise ValueError(f"variable index {j} out of range for n_vars={n_vars}")
-        mu = tuple(1 if i == j else 0 for i in range(n_vars))
-        return cls(n_vars, {ExponentPair((0,) * n_vars, mu): CR_ONE})
+        return cls.variable(j, n_vars).conjugate()
 
     @classmethod
     def monomial(cls, nu: Sequence[int], mu: Sequence[int], coeff=1) -> "MixedPolynomial":
@@ -249,47 +279,63 @@ class MixedPolynomial:
     # -- structure ------------------------------------------------------------
 
     @property
+    def n_vars(self) -> int:
+        return self._poly.ring.ngens // 2
+
+    @property
     def terms(self) -> Mapping[ExponentPair, ComplexRational]:
-        return MappingProxyType(self._terms)
+        """Read-only {ExponentPair: ComplexRational} view, in canonical order.
+
+        Built on first access from the ring element's graded-lex terms.
+        """
+        if self._terms is None:
+            n = self.n_vars
+            view = {
+                ExponentPair(m[:n], m[n:]): _from_gaussian(c) for m, c in self._poly.terms()
+            }
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+        return self._terms
 
     def sorted_terms(self) -> list[tuple[ExponentPair, ComplexRational]]:
         """Terms in canonical order: descending graded lex on (nu, mu)."""
-        return sorted(self._terms.items(), key=lambda t: t[0].key(), reverse=True)
+        return list(self.terms.items())
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._poly
 
     @property
     def is_holomorphic(self) -> bool:
-        return all(not any(p.mu) for p in self._terms)
+        n = self.n_vars
+        return not any(any(m[n:]) for m in self._poly)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention here."""
-        return max((p.degree for p in self._terms), default=-1)
+        return max(map(sum, self._poly), default=-1)
 
     def variables_used(self) -> frozenset[int]:
+        n = self.n_vars
         used = set()
-        for p in self._terms:
-            for j in range(self.n_vars):
-                if p.nu[j] or p.mu[j]:
-                    used.add(j)
+        for m in self._poly:
+            used.update(j for j in range(n) if m[j] or m[n + j])
         return frozenset(used)
 
     def constant_term(self) -> ComplexRational:
         zeros = (0,) * self.n_vars
-        return self._terms.get(ExponentPair(zeros, zeros), CR_ZERO)
+        return self.coefficient(zeros, zeros)
 
     def coefficient(self, nu: Sequence[int], mu: Sequence[int]) -> ComplexRational:
-        return self._terms.get(ExponentPair(tuple(nu), tuple(mu)), CR_ZERO)
+        pair = ExponentPair(tuple(nu), tuple(mu))
+        c = self._poly.get(pair.nu + pair.mu)
+        return CR_ZERO if c is None else _from_gaussian(c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MixedPolynomial):
             return NotImplemented
-        return self.n_vars == other.n_vars and self._terms == other._terms
+        return self.n_vars == other.n_vars and self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash((self.n_vars, frozenset(self._terms.items())))
+        return hash(self._poly)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -300,121 +346,79 @@ class MixedPolynomial:
 
     # -- ring operations -------------------------------------------------------
 
-    def _check_same_space(self, other: "MixedPolynomial"):
-        if self.n_vars != other.n_vars:
-            raise ValueError(
-                f"mixed polynomials over different variable counts: {self.n_vars} != {other.n_vars}"
-            )
+    def _operand(self, other):
+        """other as an element of this polynomial's ring, or NotImplemented."""
+        if isinstance(other, MixedPolynomial):
+            if self.n_vars != other.n_vars:
+                raise ValueError(
+                    "mixed polynomials over different variable counts: "
+                    f"{self.n_vars} != {other.n_vars}"
+                )
+            return other._poly
+        c = _coerce_scalar(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self._poly.ring.ground_new(QQ_I(c.re, c.im))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        q = self._operand(other)
+        if q is NotImplemented:
             return NotImplemented
-        self._check_same_space(other)
-        acc = dict(self._terms)
-        for pair, c in other._terms.items():
-            s = acc.get(pair, CR_ZERO) + c
-            if s.is_zero:
-                acc.pop(pair, None)
-            else:
-                acc[pair] = s
-        return MixedPolynomial(self.n_vars, acc)
+        return MixedPolynomial._from_poly(self._poly + q)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MixedPolynomial":
-        return MixedPolynomial(self.n_vars, {p: -c for p, c in self._terms.items()})
+        return MixedPolynomial._from_poly(-self._poly)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        q = self._operand(other)
+        if q is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return MixedPolynomial._from_poly(self._poly - q)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        q = self._operand(other)
+        if q is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return MixedPolynomial._from_poly(q - self._poly)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        q = self._operand(other)
+        if q is NotImplemented:
             return NotImplemented
-        self._check_same_space(other)
-        acc: dict[ExponentPair, ComplexRational] = {}
-        for p1, c1 in self._terms.items():
-            for p2, c2 in other._terms.items():
-                pair = ExponentPair(
-                    tuple(a + b for a, b in zip(p1.nu, p2.nu)),
-                    tuple(a + b for a, b in zip(p1.mu, p2.mu)),
-                )
-                s = acc.get(pair, CR_ZERO) + c1 * c2
-                if s.is_zero:
-                    acc.pop(pair, None)
-                else:
-                    acc[pair] = s
-        return MixedPolynomial(self.n_vars, acc)
+        return MixedPolynomial._from_poly(self._poly * q)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MixedPolynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        out = MixedPolynomial.one(self.n_vars)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def _coerce(self, x):
-        if isinstance(x, MixedPolynomial):
-            return x
-        c = _coerce_scalar(x)
-        if c is NotImplemented:
-            return NotImplemented
-        return MixedPolynomial.constant(c, self.n_vars)
+        return MixedPolynomial._from_poly(self._poly ** e)
 
     # -- the operations that matter --------------------------------------------
 
     def conjugate(self) -> "MixedPolynomial":
         """Complex conjugate: swaps nu <-> mu and conjugates coefficients."""
-        return MixedPolynomial(
-            self.n_vars, {p.swap(): c.conjugate() for p, c in self._terms.items()}
+        n = self.n_vars
+        return MixedPolynomial._from_poly(
+            self._poly.ring.from_dict(
+                {m[n:] + m[:n]: c.new(c.x, -c.y) for m, c in self._poly.items()}
+            )
         )
 
     def wirtinger(self) -> WirtingerGradient:
         """Both Wirtinger gradients, treating z and conj(z) as independent."""
         n = self.n_vars
-        dF = []
-        dbarF = []
-        for j in range(n):
-            dj: dict[ExponentPair, ComplexRational] = {}
-            bj: dict[ExponentPair, ComplexRational] = {}
-            for p, c in self._terms.items():
-                if p.nu[j]:
-                    q = ExponentPair(
-                        p.nu[:j] + (p.nu[j] - 1,) + p.nu[j + 1:], p.mu
-                    )
-                    dj[q] = dj.get(q, CR_ZERO) + c * p.nu[j]
-                if p.mu[j]:
-                    q = ExponentPair(
-                        p.nu, p.mu[:j] + (p.mu[j] - 1,) + p.mu[j + 1:]
-                    )
-                    bj[q] = bj.get(q, CR_ZERO) + c * p.mu[j]
-            dF.append(MixedPolynomial(n, dj))
-            dbarF.append(MixedPolynomial(n, bj))
-        return WirtingerGradient(tuple(dF), tuple(dbarF))
+        d = [MixedPolynomial._from_poly(self._poly.diff(x)) for x in self._poly.ring.gens]
+        return WirtingerGradient(tuple(d[:n]), tuple(d[n:]))
 
     def evaluate(self, z: Sequence[complex]) -> complex:
         """Evaluate at a point; exact coefficients are complexified last."""
         pt = complex_point(z, self.n_vars)
         zb = tuple(w.conjugate() for w in pt)
         total = 0j
-        for p, c in self._terms.items():
+        for p, c in self.terms.items():
             m = 1 + 0j
             for j in range(self.n_vars):
                 if p.nu[j]:
@@ -436,8 +440,8 @@ def complex_point(coords: Sequence[complex], n_vars: int | None = None) -> tuple
     return pt
 
 
-def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
-    """Build the mixed product f * conj(g) from two holomorphic inputs."""
+def _check_holomorphic_pair(f: MixedPolynomial, g: MixedPolynomial) -> None:
+    """Reject anything but two holomorphic polynomials in the same variables."""
     if not isinstance(f, MixedPolynomial) or not isinstance(g, MixedPolynomial):
         raise TypeError("from_pair expects two MixedPolynomial values")
     if f.n_vars != g.n_vars:
@@ -446,4 +450,9 @@ def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
         raise ValueError("f must be holomorphic (no conj factors)")
     if not g.is_holomorphic:
         raise ValueError("g must be holomorphic (no conj factors)")
+
+
+def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
+    """Build the mixed product f * conj(g) from two holomorphic inputs."""
+    _check_holomorphic_pair(f, g)
     return f * g.conjugate()

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
-from .core import ComplexRational, ExponentPair, MixedPolynomial
+from .core import ComplexRational, MixedPolynomial, _from_gaussian, _ring
 from .parsing import format_mixed, parse
 
 __all__ = [
@@ -76,49 +77,16 @@ def _require_plane_pair(f: MixedPolynomial, g: MixedPolynomial, op: str):
         raise ValueError(f"{op}: both inputs must be holomorphic")
 
 
-def _cr_to_sympy(c: ComplexRational):
-    return sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
-        c.im.numerator, c.im.denominator
-    )
-
-
 def _holo_to_sympy(F: MixedPolynomial, syms):
-    if len(syms) != F.n_vars:
-        raise ValueError("symbol count mismatch")
-    total = sp.Integer(0)
-    for pair, c in F.terms.items():
-        mon = sp.Integer(1)
-        for j, e in enumerate(pair.nu):
-            if e:
-                mon *= syms[j] ** e
-        total += _cr_to_sympy(c) * mon
-    return sp.expand(total)
+    # F is holomorphic, so the z~ generators all carry exponent 0
+    return sp.expand(F._poly.as_expr(*syms, *syms))
 
 
-def _sympy_to_cr(expr) -> ComplexRational:
-    re_part, im_part = sp.simplify(expr).as_real_imag()
-    re_q = sp.Rational(re_part)
-    im_q = sp.Rational(im_part)
-    return ComplexRational(
-        Fraction(int(re_q.p), int(re_q.q)), Fraction(int(im_q.p), int(im_q.q))
-    )
-
-
-def _sympy_to_holo(expr, syms) -> MixedPolynomial:
-    n = len(syms)
-    poly = sp.Poly(sp.expand(expr), *syms, domain="QQ_I")
-    terms = {}
-    zeros = (0,) * n
-    for monom, coeff in poly.terms():
-        c = _sympy_to_cr(coeff)
-        terms[ExponentPair(tuple(int(e) for e in monom), zeros)] = c
-    return MixedPolynomial(n, terms)
-
-
-def _normalize_monic(h: MixedPolynomial) -> MixedPolynomial:
-    lead = h.sorted_terms()[0][1]
-    inv = ComplexRational(Fraction(1)) / lead
-    return MixedPolynomial(h.n_vars, {p: c * inv for p, c in h.terms.items()})
+def _monic_from_sympy(expr, syms) -> MixedPolynomial:
+    """The holomorphic polynomial expr in syms, divided by its leading coefficient."""
+    R = _ring(len(syms))
+    rep = sp.Poly(expr, *syms, *R.symbols[len(syms):], domain=QQ_I).rep
+    return MixedPolynomial._from_poly(R.from_dict(rep.to_dict()).monic())
 
 
 # jacobian and discriminant ------------------------------------------------------
@@ -191,7 +159,7 @@ def discriminant_curve(
                 f"elimination produced no relation for factor {fac}"
             )
         if len(elim) == 1:
-            h_i = _normalize_monic(_sympy_to_holo(elim[0], (u, v)))
+            h_i = _monic_from_sympy(elim[0], (u, v))
             if h_i.total_degree() == 0:
                 raise DegenerateEliminationError(
                     f"elimination collapsed to a unit for factor {fac}"
@@ -276,10 +244,9 @@ class LineReport:
 def _slope_coefficient_polys(h: MixedPolynomial, a):
     """Coefficients c_j(a) of u^j in h(u, a*u), as sympy expressions."""
     by_total: dict[int, object] = {}
-    for pair, c in h.terms.items():
-        eu, ev = pair.nu
+    for (eu, ev, _, _), c in h._poly.terms():
         j = eu + ev
-        by_total[j] = by_total.get(j, sp.Integer(0)) + _cr_to_sympy(c) * a ** ev
+        by_total[j] = by_total.get(j, sp.Integer(0)) + QQ_I.to_sympy(c) * a ** ev
     return [sp.expand(e) for e in by_total.values() if sp.expand(e) != 0]
 
 
@@ -312,9 +279,8 @@ def line_components(curve: PlaneCurve) -> LineReport:
             if deg == 0:
                 continue
             if deg == 1:
-                c1, c0 = p.all_coeffs()
-                root = sp.simplify(-c0 / c1)
-                cr = _sympy_to_cr(root)
+                c1, c0 = p.rep.to_list()
+                cr = _from_gaussian(QQ_I.quo(-c0, c1))
                 if cr.is_zero:
                     continue  # the a = 0 root is the u-axis, not a slope line
                 has_slopes = True
@@ -552,10 +518,10 @@ def _reduced_basis(gens, syms) -> tuple[MixedPolynomial, ...]:
     G = sp.groebner(exprs, *syms, order="grevlex", domain="QQ_I")
     out = []
     for e in G.exprs:
-        h = _sympy_to_holo(e, syms)
+        h = _monic_from_sympy(e, syms)
         if h.total_degree() == 0:
             return (MixedPolynomial.one(len(syms)),)  # unit ideal: empty set
-        out.append(_normalize_monic(h))
+        out.append(h)
     out.sort(key=format_mixed)
     return tuple(out)
 

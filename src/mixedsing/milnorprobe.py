@@ -30,7 +30,7 @@ import numpy as np
 from ._numeric import compile_frame, compile_poly, realify
 from .core import MixedPolynomial, complex_point
 from .polar import PolarSolution, solve_polar
-from .thomprobe import ProbeResult
+from .thomprobe import DEFAULT_SEED, ProbeResult
 
 __all__ = [
     "SingResidual",
@@ -82,6 +82,33 @@ def sing_residual(F: MixedPolynomial, z) -> SingResidual:
     return SingResidual(value=value, point=pt)
 
 
+def _frame_residual(a: np.ndarray, b: np.ndarray, radial: np.ndarray):
+    """Distance from unit radial rows to the real span of their normal frames.
+
+    Gram-Schmidt on n_1 = a + b and n_i = i(a - b), each row scaled by
+    max(|a|, |b|).  Returns (distance, full_rank) per row; a frame of rank < 2
+    is projected onto what it spans, and callers decide what such a row means.
+    """
+    scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+    scale_safe = np.where(scale > 0, scale, 1.0)[:, None]
+    n1 = realify((a + b) / scale_safe)
+    ni = realify(1j * (a - b) / scale_safe)
+    n1n = np.linalg.norm(n1, axis=1, keepdims=True)
+    nin = np.linalg.norm(ni, axis=1, keepdims=True)
+    q1ok = n1n > 0
+    # where n_1 = 0, n_i alone spans the frame
+    fn = np.where(q1ok, n1n, nin)
+    q1 = np.where(q1ok, n1, ni) / np.where(fn > 0, fn, 1.0)
+    w = ni - (ni * q1).sum(axis=1, keepdims=True) * q1
+    wn = np.linalg.norm(w, axis=1, keepdims=True)
+    full = (wn > 1e-12 * nin) & q1ok
+    q2 = w / np.where(wn > 0, wn, 1.0)
+    proj = (radial * q1).sum(axis=1, keepdims=True) * q1 + np.where(
+        full, (radial * q2).sum(axis=1, keepdims=True) * q2, 0.0
+    )
+    return np.linalg.norm(radial - proj, axis=1), full[:, 0]
+
+
 def milnor_residual(F: MixedPolynomial, z) -> MilnorResidual:
     """rho-nonregularity certificate at z != 0 (zero iff z in the Milnor set)."""
     pt = complex_point(z, F.n_vars)
@@ -89,32 +116,11 @@ def milnor_residual(F: MixedPolynomial, z) -> MilnorResidual:
     norm = float(np.linalg.norm(realify(x)))
     if norm == 0.0:
         raise ValueError("milnor_residual is undefined at the origin")
-    frame = compile_frame(F)
-    a, b = frame(x[None, :])
-    a, b = a[0], b[0]
-    scale = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    if scale == 0.0:
+    a, b = compile_frame(F)(x[None, :])
+    if not (a.any() or b.any()):
         return MilnorResidual(value=1.0, point=pt, degenerate=True)
-    n1 = realify((a + b) / scale)
-    ni = realify(1j * (a - b) / scale)
-    radial = realify(x) / norm
-    # orthonormalize the frame (rank may drop to 1 on the singular locus)
-    q1n = float(np.linalg.norm(n1))
-    basis = []
-    if q1n > 0:
-        q1 = n1 / q1n
-        basis.append(q1)
-        w = ni - (ni @ q1) * q1
-        wn = float(np.linalg.norm(w))
-        if wn > 1e-12 * float(np.linalg.norm(ni)):
-            basis.append(w / wn)
-    elif float(np.linalg.norm(ni)) > 0:
-        basis.append(ni / float(np.linalg.norm(ni)))
-    degenerate = len(basis) < 2
-    proj = sum((radial @ q) * q for q in basis) if basis else np.zeros_like(radial)
-    return MilnorResidual(
-        value=float(np.linalg.norm(radial - proj)), point=pt, degenerate=degenerate
-    )
+    value, full = _frame_residual(a, b, realify(x)[None, :] / norm)
+    return MilnorResidual(value=float(value[0]), point=pt, degenerate=not full[0])
 
 
 @dataclass(frozen=True)
@@ -140,46 +146,39 @@ class ScanResult:
 def _batch_residual(frame, Z: np.ndarray) -> np.ndarray:
     """Vectorized milnor_residual over rows of Z (N, n); degenerate rows -> 2."""
     a, b = frame(Z)
-    scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
-    ok = scale > 0
-    scale_safe = np.where(ok, scale, 1.0)
-    n1 = realify((a + b) / scale_safe[:, None])
-    ni = realify(1j * (a - b) / scale_safe[:, None])
     radial = realify(Z)
     radial = radial / np.linalg.norm(radial, axis=1, keepdims=True)
-    q1n = np.linalg.norm(n1, axis=1, keepdims=True)
-    q1ok = q1n[:, 0] > 0
-    q1 = np.where(q1n > 0, n1 / np.where(q1n > 0, q1n, 1.0), 0.0)
-    w = ni - (ni * q1).sum(axis=1, keepdims=True) * q1
-    wn = np.linalg.norm(w, axis=1, keepdims=True)
-    rank2 = (wn[:, 0] > 1e-12 * np.linalg.norm(ni, axis=1)) & q1ok
-    q2 = np.where(wn > 0, w / np.where(wn > 0, wn, 1.0), 0.0)
-    proj = (radial * q1).sum(axis=1, keepdims=True) * q1 + np.where(
-        rank2[:, None], (radial * q2).sum(axis=1, keepdims=True) * q2, 0.0
-    )
-    vals = np.linalg.norm(radial - proj, axis=1)
-    vals = np.where(ok & rank2, vals, 2.0)  # degenerate frames cannot certify
-    return vals
+    vals, full = _frame_residual(a, b, radial)
+    return np.where(full, vals, 2.0)  # degenerate frames cannot certify
 
 
-def _fibre_distance(F: MixedPolynomial, pair, Z: np.ndarray) -> np.ndarray:
-    """First-order distance estimate from rows of Z to the zero fibre."""
+def _fibre_distance(pair, frame, ev):
+    """Compiled first-order distance estimate from rows of Z to the zero fibre.
+
+    frame and ev are the scan's evaluators of F, reused when there is no pair.
+    """
     if pair is not None:
         f, g = pair
         ef, eg = compile_poly(f), compile_poly(g)
         dfs = [compile_poly(p) for p in f.wirtinger().dF]
         dgs = [compile_poly(p) for p in g.wirtinger().dF]
-        ndf = np.sqrt(sum(np.abs(e(Z)) ** 2 for e in dfs))
-        ndg = np.sqrt(sum(np.abs(e(Z)) ** 2 for e in dgs))
-        df_safe = np.where(ndf > 0, ndf, np.inf)
-        dg_safe = np.where(ndg > 0, ndg, np.inf)
-        return np.minimum(np.abs(ef(Z)) / df_safe, np.abs(eg(Z)) / dg_safe)
-    ev = compile_poly(F)
-    frame = compile_frame(F)
-    a, b = frame(Z)
-    g = np.sqrt((np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1))
-    g_safe = np.where(g > 0, g, np.inf)
-    return np.abs(ev(Z)) / g_safe
+
+        def pair_distance(Z):
+            ndf = np.sqrt(sum(np.abs(e(Z)) ** 2 for e in dfs))
+            ndg = np.sqrt(sum(np.abs(e(Z)) ** 2 for e in dgs))
+            df_safe = np.where(ndf > 0, ndf, np.inf)
+            dg_safe = np.where(ndg > 0, ndg, np.inf)
+            return np.minimum(np.abs(ef(Z)) / df_safe, np.abs(eg(Z)) / dg_safe)
+
+        return pair_distance
+
+    def distance(Z):
+        a, b = frame(Z)
+        g = np.sqrt((np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1))
+        g_safe = np.where(g > 0, g, np.inf)
+        return np.abs(ev(Z)) / g_safe
+
+    return distance
 
 
 def milnor_scan(
@@ -187,7 +186,7 @@ def milnor_scan(
     shells=DEFAULT_SHELLS,
     samples_per_shell: int = DEFAULT_SAMPLES,
     *,
-    seed: int = 2026,
+    seed: int = DEFAULT_SEED,
     pair=None,
     steps: int = 160,
     near_zero_tol: float = NEAR_ZERO_TOL,
@@ -206,6 +205,7 @@ def milnor_scan(
     rng = np.random.default_rng(seed)
     frame = compile_frame(F)
     ev = compile_poly(F)
+    fibre_distance = _fibre_distance(pair, frame, ev)
     shell_rows: list[ShellEvidence] = []
     found_points: list[tuple[complex, ...]] = []
     ratios: list[float] = []
@@ -234,7 +234,7 @@ def milnor_scan(
         hits = (vals < near_zero_tol) & (fv > off_fibre_tol)
         count = int(hits.sum())
         if count:
-            dists = _fibre_distance(F, pair, Z[hits])
+            dists = fibre_distance(Z[hits])
             min_d = float(dists.min())
             shell_rows.append(ShellEvidence(radius=float(r), count=count, min_distance=min_d))
             ratios.append(min_d / float(r))
@@ -402,7 +402,10 @@ def tube_verdict(
         probe_summary = "not-probed"
 
     # soundness guard: tube no and thom regular must never co-occur
-    assert not (tube_status == "no" and thom_status == "regular")
+    if tube_status == "no" and thom_status == "regular":
+        raise RuntimeError(
+            f"unsound verdict: tube no ({tube_route}) with thom regular ({thom_route})"
+        )
 
     return TubeVerdict(
         tube_status=tube_status,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numeric import compile_frame, grassmann_distance, real_span_basis, realify, unrealify
-from .core import MixedPolynomial, complex_point, from_pair
+from .core import MixedPolynomial, _check_holomorphic_pair, complex_point
 
 __all__ = [
     "NormalFamily",
@@ -39,6 +39,7 @@ __all__ = [
     "thom_test",
 ]
 
+DEFAULT_SEED = 2026  # seeds the curve battery here and the Milnor scan
 DEFAULT_T0 = 0.1
 DEFAULT_RHO = 0.5
 DEFAULT_MAX_SHELLS = 60
@@ -108,8 +109,7 @@ def pair_normal_family(f: MixedPolynomial, g: MixedPolynomial) -> NormalFamily:
     a = g * conj(df) and b = f * conj(dg); agrees exactly with
     normal_family_symbolic(from_pair(f, g)).
     """
-    F = from_pair(f, g)  # reuses the holomorphy/arity validation
-    del F
+    _check_holomorphic_pair(f, g)
     df = f.wirtinger().dF
     dg = g.wirtinger().dF
     return NormalFamily(
@@ -285,7 +285,7 @@ def limit_normal_plane(
 def default_curve_battery(
     base_point,
     *,
-    seed: int = 2026,
+    seed: int = DEFAULT_SEED,
     max_exponent: int = 3,
     t0: float = DEFAULT_T0,
     rho: float = DEFAULT_RHO,
@@ -329,7 +329,7 @@ def thom_test(
     conv_run: int = CONV_RUN,
     fail_tol: float = FAIL_TOL,
     compat_tol: float = COMPAT_TOL,
-    seed: int = 2026,
+    seed: int = DEFAULT_SEED,
 ) -> ProbeResult:
     """Probe whether limit normal planes along curves annihilate a stratum.
 
@@ -343,6 +343,7 @@ def thom_test(
     if curves is None:
         curves = default_curve_battery(stratum.base_point, seed=seed)
     T = stratum.tangent_basis()
+    frame = compile_frame(F)
     per: list[ProbeResult] = []
     worst_proj = 0.0
     all_converged = True
@@ -365,7 +366,6 @@ def thom_test(
             w_real = u[:, 0] @ Q
             w = unrealify(w_real)
             # express the witness direction in the last-shell frame to recover mu
-            frame = compile_frame(F)
             t_last = curve.t0 * curve.rho ** max(
                 0, len(probe.convergence)
             )

@@ -244,3 +244,20 @@ class TestErrorContract:
             code, out = run_cli(capsys, "analyze", name, "--samples", "40")
             assert code == 0
             assert "NaN" not in out and "Infinity" not in out
+
+    def _flag_error(self, capsys, *argv):
+        code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y", *argv)
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        return rep["error"]["message"]
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert "--seed" in self._flag_error(capsys, "--seed", "-1")
+
+    def test_nonpositive_samples_name_the_flag(self, capsys):
+        assert "--samples" in self._flag_error(capsys, "--samples", "-3")
+        assert "--samples" in self._flag_error(capsys, "--samples", "0")
+
+    def test_bad_shells_name_the_flag(self, capsys):
+        for shells in ("0.1,-0.2", "0", "0.1,abc", "inf"):
+            assert "--shells" in self._flag_error(capsys, "--shells", shells)

@@ -1,5 +1,8 @@
 """Expression syntax and the canonical formatter."""
 
+import time
+from math import comb, factorial
+
 import pytest
 
 from mixedsing import MixedPolynomial, ParseError, SourceExpr, format_mixed, format_scalar, parse, parse_mixed
@@ -114,3 +117,25 @@ def test_format_orders_terms_by_graded_lex():
 def test_constant_formatting():
     assert format_mixed(MixedPolynomial.constant(-1, 1)) == "-1"
     assert format_mixed(MixedPolynomial.constant(CR_I * -3, 2)) == "-3*i"
+
+
+@pytest.mark.parametrize(
+    "text,variables,n_terms,nu,mu,coeff",
+    [
+        # C(27, 3) monomials of degree <= 24 in three variables
+        ("(x+y+z+1)^24", XYZ, comb(27, 3), (8, 8, 8), (0, 0, 0),
+         factorial(24) // factorial(8) ** 3),
+        # x and x~ are independent generators: C(23, 3) monomials
+        ("(x+x~+y+1)^20", XY, comb(23, 3), (5, 5), (5, 0),
+         factorial(20) // factorial(5) ** 4),
+    ],
+)
+def test_powered_sum_expansion_scale(text, variables, n_terms, nu, mu, coeff):
+    """Large powers expand exactly, within a generous wall budget."""
+    budget = 5.0
+    t0 = time.perf_counter()
+    p = parse(text, variables)
+    elapsed = time.perf_counter() - t0
+    assert len(p.terms) == n_terms
+    assert p.coefficient(nu, mu) == ComplexRational(coeff)
+    assert elapsed < budget
