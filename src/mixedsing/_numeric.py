@@ -13,6 +13,7 @@ from .core import MixedPolynomial
 __all__ = [
     "compile_poly",
     "compile_frame",
+    "compile_hessian",
     "realify",
     "unrealify",
     "real_span_basis",
@@ -59,6 +60,31 @@ def compile_frame(F: MixedPolynomial):
         a = np.stack([np.conj(e(Z)) for e in d_evs], axis=-1)
         b = np.stack([e(Z) for e in b_evs], axis=-1)
         return a, b
+
+    return ev
+
+
+def compile_hessian(F: MixedPolynomial):
+    """Evaluator for the second Wirtinger derivatives: Z (..., n) -> (H, M, B).
+
+    Each is (..., n, n) with entry [..., j, k] equal to d_k d_j F (H),
+    dbar_k d_j F (M) and dbar_k dbar_j F (B).
+    """
+    grad = F.wirtinger()
+    d_grads = [p.wirtinger() for p in grad.dF]
+    b_grads = [p.wirtinger() for p in grad.dbarF]
+    tables = (
+        [[compile_poly(p) for p in g.dF] for g in d_grads],
+        [[compile_poly(p) for p in g.dbarF] for g in d_grads],
+        [[compile_poly(p) for p in g.dbarF] for g in b_grads],
+    )
+
+    def ev(Z):
+        Z = np.asarray(Z, dtype=complex)
+        return tuple(
+            np.stack([np.stack([e(Z) for e in row], axis=-1) for row in table], axis=-2)
+            for table in tables
+        )
 
     return ev
 

@@ -570,13 +570,15 @@ def _cmd_list_fixtures(args) -> int:
 
 
 def _check_counts(args) -> None:
-    """Reject out-of-range --seed and --samples before any work starts."""
+    """Reject out-of-range integer flags before any work starts."""
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ParseError(0, f"--seed must be a non-negative integer, got {seed}")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise ParseError(0, f"--samples must be a positive integer, got {samples}")
+    for flag in ("samples", "k_bound", "k_min"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            name = "--" + flag.replace("_", "-")
+            raise ParseError(0, f"{name} must be a positive integer, got {value}")
 
 
 def main(argv=None) -> int:

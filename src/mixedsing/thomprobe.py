@@ -18,6 +18,7 @@ numerics support.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,9 +230,18 @@ def limit_normal_plane(
     shell planes stays below conv_tol for conv_run consecutive steps (with
     stable dimension); otherwise the probe is inconclusive.
     """
+    _check_curve_arity(F, curve)
+    return _track_normal_plane(compile_frame(F), curve, max_shells, conv_tol, conv_run)
+
+
+def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
     if curve.n_vars != F.n_vars:
         raise ValueError("curve arity does not match the polynomial")
-    frame = compile_frame(F)
+
+
+def _track_normal_plane(frame, curve: CurveGerm, max_shells: int, conv_tol: float,
+                        conv_run: int) -> ProbeResult:
+    """limit_normal_plane on a frame evaluator compiled by the caller."""
     ts = _shell_schedule(curve, max_shells)
     planes: list[np.ndarray] = []
     dists: list[float] = []
@@ -292,17 +302,24 @@ def default_curve_battery(
 ) -> tuple[CurveGerm, ...]:
     """Monomial curves base + (w_1 t^{a_1}, ..., w_n t^{a_n}), a in {1..3}^n.
 
-    Directions w_j are random unit complex numbers from a seeded generator;
-    at most 27 curves (n <= 3 grids).
+    Directions w_j are random unit complex numbers from a seeded generator.
+    The battery is the whole exponent grid when it has at most 27 points
+    (n <= 3).  Otherwise it is 27 distinct grid points (max_exponent of them
+    if that is more) in lexicographic order: the diagonal (e, ..., e), so
+    that every coordinate takes every exponent, and a seeded sample of the
+    rest.
     """
     base = complex_point(base_point)
     n = len(base)
     rng = np.random.default_rng(seed)
-    grids: list[tuple[int, ...]] = [()]
-    for _ in range(n):
-        grids = [g + (e,) for g in grids for e in range(1, max_exponent + 1)]
-    if len(grids) > 27:
-        grids = grids[:27]
+    exponents = range(1, max_exponent + 1)
+    if max_exponent ** n <= 27:
+        grids = list(itertools.product(exponents, repeat=n))
+    else:
+        chosen = {(e,) * n for e in exponents}
+        while len(chosen) < 27:
+            chosen.add(tuple(int(e) for e in rng.integers(1, max_exponent + 1, size=n)))
+        grids = sorted(chosen)
     curves = []
     for exps in grids:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -349,9 +366,8 @@ def thom_test(
     all_converged = True
     witness = None
     for idx, curve in enumerate(curves):
-        probe = limit_normal_plane(
-            F, curve, max_shells=max_shells, conv_tol=conv_tol, conv_run=conv_run
-        )
+        _check_curve_arity(F, curve)
+        probe = _track_normal_plane(frame, curve, max_shells, conv_tol, conv_run)
         if probe.limit_plane is None:
             all_converged = False
             per.append(probe)

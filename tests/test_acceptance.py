@@ -333,6 +333,7 @@ def test_08_tube_verdict_headlines():
 
 
 def test_09_fixture_reports_deterministic(tmp_path, capsys):
+    budget = 8.0
     t0 = time.perf_counter()
     differing = []
     for name in fixture_names():
@@ -346,7 +347,8 @@ def test_09_fixture_reports_deterministic(tmp_path, capsys):
         json.loads(blobs[0])  # well-formed
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
-    ok = not differing
+    ok = not differing and elapsed < budget
     stamp(9, "repeated analysis is byte-identical", ok,
-          f"7 fixtures x 2 runs, same seed; {elapsed:.2f}s")
+          f"7 fixtures x 2 runs, same seed; {elapsed:.2f}s / {budget:.0f}s")
     assert not differing, differing
+    assert elapsed < budget

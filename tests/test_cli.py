@@ -261,3 +261,16 @@ class TestErrorContract:
     def test_bad_shells_name_the_flag(self, capsys):
         for shells in ("0.1,-0.2", "0", "0.1,abc", "inf"):
             assert "--shells" in self._flag_error(capsys, "--shells", shells)
+
+    def test_nonpositive_k_bound_names_the_flag(self, capsys):
+        for argv in (("polar", "--expr", "x*y~", "--vars", "x,y", "--k-bound", "0"),
+                     ("analyze", "xy-xbar", "--k-bound", "-5")):
+            code, rep = run_json(capsys, *argv)
+            assert code == 2 and rep["error"]["type"] == "parse"
+            assert "--k-bound" in rep["error"]["message"]
+
+    def test_nonpositive_k_min_names_the_flag(self, capsys):
+        code, rep = run_json(capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
+                             "--k-min", "0")
+        assert code == 2 and rep["error"]["type"] == "parse"
+        assert "--k-min" in rep["error"]["message"]

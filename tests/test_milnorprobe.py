@@ -1,5 +1,7 @@
 """Singular/Milnor-set residuals, shell scans, and the combined verdict."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from mixedsing import (
     thom_test,
     tube_verdict,
 )
+from mixedsing._numeric import compile_hessian
+from mixedsing.fixtures import fixture_names, load_fixture
+from mixedsing.milnorprobe import NEAR_ZERO_TOL, OFF_FIBRE_TOL
 from conftest import random_points
 from oracles import random_mixed
 
@@ -149,6 +154,49 @@ class TestMilnorScan:
         result = milnor_scan(Z1, shells=(0.1,), samples_per_shell=0)
         assert result.shells[0].count == 0
         assert result.fitted_c is None and result.supports_transversality
+
+
+class TestNewtonProjection:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_points_certified_and_shells_hit(self, name):
+        fixture = load_fixture(name)
+        F = fixture.expression
+        result = milnor_scan(F, pair=fixture.pair)
+        points = iter(result.points)
+        for shell in result.shells:
+            for _ in range(min(shell.count, 3)):
+                z = next(points)
+                res = milnor_residual(F, z)
+                assert not res.degenerate and res.value < NEAR_ZERO_TOL
+                assert abs(F.evaluate(z)) > OFF_FIBRE_TOL
+                r = shell.radius
+                assert abs(np.linalg.norm(z) - r) <= 1e-12 * r
+        hit = [shell.count > 0 for shell in result.shells]
+        # the two inner shells of x^2*conj(y^3) carry no off-fibre Milnor points
+        assert hit == ([True, True, False, False] if name == "separate-x2-y3" else [True] * 4)
+
+    def test_hessian_matches_exact_second_derivatives(self, rng):
+        for _ in range(20):
+            F = random_mixed(rng)
+            hessian = compile_hessian(F)
+            grad = F.wirtinger()
+            for pt in random_points(rng, F.n_vars, 3):
+                H, M, B = hessian(np.array(pt)[None, :])
+                for j in range(F.n_vars):
+                    dj, bj = grad.dF[j].wirtinger(), grad.dbarF[j].wirtinger()
+                    for k in range(F.n_vars):
+                        for got, exact in ((H, dj.dF[k]), (M, dj.dbarF[k]), (B, bj.dbarF[k])):
+                            want = exact.evaluate(pt)
+                            assert abs(got[0, j, k] - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_linear_case_converges_exactly(self):
+        assert abs(milnor_scan(Z1).fitted_c - 1.0) <= 1e-12
+
+    def test_scan_budget(self):
+        fixture = load_fixture("xz2y-xbar")
+        t0 = time.perf_counter()
+        milnor_scan(fixture.expression, pair=fixture.pair)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestTubeVerdict:

@@ -288,6 +288,14 @@ class TestDefaultBattery:
     def test_battery_capped_in_higher_dimension(self):
         assert len(default_curve_battery((0, 0, 1))) == 27
 
+    def test_four_variables_cover_every_exponent(self):
+        battery = default_curve_battery((0, 0, 0, 1))
+        assert len(battery) == 27
+        grids = [tuple(int(e) for e in c.label[2:].split(",")) for c in battery]
+        assert len(set(grids)) == 27
+        for j in range(4):
+            assert {g[j] for g in grids} == {1, 2, 3}
+
     def test_different_seeds_differ(self):
         a = default_curve_battery((0, 1), seed=1)
         b = default_curve_battery((0, 1), seed=2)
