@@ -2,9 +2,17 @@
 
 Complex n-vectors are identified with R^{2n} by stacking real parts then
 imaginary parts; "real span" always means span over R in that picture.
+
+The normal 2-plane of a mixed polynomial at z is the real span of the frame
+(a+b, i(a-b)), a = conj(dF)(z), b = dbarF(z).  normal_plane is the one
+routine that builds it, for the Milnor certificate and the Thom probes
+alike, with one rank rule: singular value s_i counts when
+s_i > s_0 * RANK_RTOL.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +25,9 @@ __all__ = [
     "realify",
     "unrealify",
     "real_span_basis",
+    "RANK_RTOL",
+    "NormalPlane",
+    "normal_plane",
     "grassmann_distance",
 ]
 
@@ -115,6 +126,55 @@ def real_span_basis(vectors, rtol: float = 1e-9) -> np.ndarray:
     _, s, vt = np.linalg.svd(M / scale, full_matrices=False)
     rank = int((s > s[0] * rtol).sum()) if s.size and s[0] > 0 else 0
     return vt[:rank]
+
+
+# frame vectors are exact products, so rank detection can sit far below the
+# probes' convergence tolerances; at 1e-9 the rank cut would collapse the plane
+# exactly when an asymmetric frame (|a| >> |b|) converges
+RANK_RTOL = 1e-13
+
+
+class NormalPlane(NamedTuple):
+    """SVD U (..., 2, 2), s (..., 2), Vt (..., 2, 2n) of the realified frame rows
+    (a+b, i(a-b)) over leading batch axes, and its rank (...): the first rank
+    rows of Vt are an orthonormal basis of the normal plane."""
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: np.ndarray
+
+    def _coords(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of real rows v (..., 2n) on the first rank rows of Vt."""
+        coords = (self.Vt @ v[..., None])[..., 0]
+        return np.where(np.arange(2) < self.rank[..., None], coords, 0.0)
+
+    def distance(self, v: np.ndarray) -> np.ndarray:
+        """Distance from real rows v (..., 2n) to the plane."""
+        return np.linalg.norm(v - (self._coords(v)[..., None] * self.Vt).sum(axis=-2), axis=-1)
+
+    def mu(self, w: np.ndarray) -> np.ndarray:
+        """Least-squares mu with w = mu*a + conj(mu)*b, for complex rows w (..., n)."""
+        coords = self._coords(realify(w)) / np.where(self.s > 0, self.s, 1.0)
+        coef = (self.U @ coords[..., None])[..., 0]
+        return coef[..., 0] + 1j * coef[..., 1]
+
+
+def normal_plane(a: np.ndarray, b: np.ndarray) -> NormalPlane:
+    """Batched normal plane of the frames a, b (..., n); see NormalPlane.
+
+    Each frame is divided by max(|a|, |b|), then by its largest realified
+    entry as real_span_basis does, before the SVD; s is returned unscaled.
+    A zero or non-finite frame has rank 0 and s of nan.
+    """
+    scale = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a zero frame
+        M = np.stack([realify((a + b) / scale), realify(1j * (a - b) / scale)], axis=-2)
+        entry = np.abs(M).max(axis=(-2, -1), keepdims=True)
+        ok = np.isfinite(entry) & (entry > 0)
+        U, s, Vt = np.linalg.svd(np.where(ok, M / entry, 0.0), full_matrices=False)
+        rank = (s > s[..., :1] * RANK_RTOL).sum(axis=-1)
+        return NormalPlane(U, s * entry[..., 0] * scale, Vt, rank)
 
 
 def grassmann_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:

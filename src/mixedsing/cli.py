@@ -3,7 +3,8 @@
 Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
 Every command emits a single JSON document (schema 1) on stdout or --out;
 reruns with the same seed are byte-identical.  Exit codes: 0 verdict
-produced, 2 parse/input error, 3 internal degeneracy.
+produced, 2 parse/input error, 3 internal degeneracy, 4 internal fault (any
+other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,6 @@ from .discgeom import (
     discriminant_curve,
     isolated_value_verdict,
     jacobian_det,
-    line_components,
     parse_branch,
     branch_restriction_singular,
     shear_search,
@@ -318,10 +319,8 @@ def _cmd_analyze(args) -> int:
         try:
             isolated = isolated_value_verdict(*pair, branches=branches)
             disc_sec = _isolated_section(isolated)
-            if F.n_vars == 2 and isolated.discriminant is not None:
-                disc_sec["lines"] = _line_report_section(
-                    line_components(isolated.discriminant)
-                )
+            if isolated.lines is not None:
+                disc_sec["lines"] = _line_report_section(isolated.lines)
         except (DegenerateEliminationError, DegreeBoundError) as exc:
             disc_sec = {"status": "unavailable", "reason": str(exc)}
         sing_sec = _sing_section(sing_decomposition(*pair))
@@ -402,9 +401,7 @@ def _cmd_disc(args) -> int:
         loaded,
         jacobian_det=jacobian_det(f, g) if F.n_vars == 2 else None,
         isolated=_isolated_section(isolated),
-        lines=_line_report_section(line_components(isolated.discriminant))
-        if isolated.discriminant is not None
-        else None,
+        lines=_line_report_section(isolated.lines) if isolated.lines is not None else None,
         branches=[
             {
                 "p": b.p,
@@ -591,6 +588,9 @@ def main(argv=None) -> int:
         return _error_report("degeneracy", str(exc), out, 3)
     except (ParseError, FixtureError, ValueError) as exc:
         return _error_report("parse", str(exc), out, 2)
+    except Exception as exc:  # a fault in the package, not in the input
+        traceback.print_exc(file=sys.stderr)
+        return _error_report("internal", f"{type(exc).__name__}: {exc}", out, 4)
 
 
 if __name__ == "__main__":

@@ -397,6 +397,7 @@ class IsolatedVerdict:
     witnesses: tuple[LineComponent, ...] = ()
     discriminant: PlaneCurve | None = None
     notes: tuple[str, ...] = ()
+    lines: LineReport | None = None  # line_components(discriminant) for plane pairs
 
 
 def _jacobian_minors(f: MixedPolynomial, g: MixedPolynomial) -> list[MixedPolynomial]:
@@ -439,7 +440,8 @@ def isolated_value_verdict(
         slope_witnesses = tuple(c for c in report if c.kind == "slope")
         if disc.origin_only or not report.has_slope_lines:
             return IsolatedVerdict(
-                status="isolated", route="discriminant-curve", discriminant=disc
+                status="isolated", route="discriminant-curve", discriminant=disc,
+                lines=report,
             )
         return IsolatedVerdict(
             status="not-isolated",
@@ -447,6 +449,7 @@ def isolated_value_verdict(
             witnesses=slope_witnesses,
             discriminant=disc,
             notes=("each non-axis line yields a half-line of critical values",),
+            lines=report,
         )
     minors = _jacobian_minors(f, g)
     if not minors:

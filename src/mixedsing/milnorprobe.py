@@ -9,7 +9,10 @@ Two scalar certificates drive the numerics:
 
 * milnor_residual: distance from the unit radial direction z/|z| to its
   projection onto the normal 2-plane; zero exactly at rho-nonregular
-  points (sphere tangent to the fibre), the Milnor set.
+  points (sphere tangent to the fibre), the Milnor set.  The plane comes
+  from _numeric.normal_plane, whose one rank rule (s_1 > s_0 * RANK_RTOL)
+  the Thom probes share; a frame of rank < 2 is degenerate and certifies
+  nothing.
 
 milnor_scan hunts for Milnor-set points away from the zero fibre on
 spheres of decreasing radius.  Seeded sphere points are projected onto
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import compile_frame, compile_hessian, compile_poly, realify, unrealify
+from ._numeric import compile_frame, compile_hessian, compile_poly, normal_plane, realify, unrealify
 from .core import MixedPolynomial, complex_point
 from .polar import PolarSolution, solve_polar
 from .thomprobe import DEFAULT_SEED, ProbeResult
@@ -75,42 +78,13 @@ class MilnorResidual:
 def sing_residual(F: MixedPolynomial, z) -> SingResidual:
     """Scalar singularity certificate at z (exact zero iff singular)."""
     pt = complex_point(z, F.n_vars)
-    grad = F.wirtinger()
-    a = np.array([np.conj(p.evaluate(pt)) for p in grad.dF])
-    b = np.array([p.evaluate(pt) for p in grad.dbarF])
+    a, b = compile_frame(F)(np.array(pt))
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     inner = abs(complex(np.vdot(b, a)))  # |<a, b>| hermitian
     # Cauchy-Schwarz guarantees na*nb >= inner; rounding can dip below by ~eps
     value = max(0.0, na * nb - inner) + (na - nb) ** 2
     return SingResidual(value=value, point=pt)
-
-
-def _frame_residual(a: np.ndarray, b: np.ndarray, radial: np.ndarray):
-    """Distance from unit radial rows to the real span of their normal frames.
-
-    Gram-Schmidt on n_1 = a + b and n_i = i(a - b), each row scaled by
-    max(|a|, |b|).  Returns (distance, full_rank) per row; a frame of rank < 2
-    is projected onto what it spans, and callers decide what such a row means.
-    """
-    scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
-    scale_safe = np.where(scale > 0, scale, 1.0)[:, None]
-    n1 = realify((a + b) / scale_safe)
-    ni = realify(1j * (a - b) / scale_safe)
-    n1n = np.linalg.norm(n1, axis=1, keepdims=True)
-    nin = np.linalg.norm(ni, axis=1, keepdims=True)
-    q1ok = n1n > 0
-    # where n_1 = 0, n_i alone spans the frame
-    fn = np.where(q1ok, n1n, nin)
-    q1 = np.where(q1ok, n1, ni) / np.where(fn > 0, fn, 1.0)
-    w = ni - (ni * q1).sum(axis=1, keepdims=True) * q1
-    wn = np.linalg.norm(w, axis=1, keepdims=True)
-    full = (wn > 1e-12 * nin) & q1ok
-    q2 = w / np.where(wn > 0, wn, 1.0)
-    proj = (radial * q1).sum(axis=1, keepdims=True) * q1 + np.where(
-        full, (radial * q2).sum(axis=1, keepdims=True) * q2, 0.0
-    )
-    return np.linalg.norm(radial - proj, axis=1), full[:, 0]
 
 
 def milnor_residual(F: MixedPolynomial, z) -> MilnorResidual:
@@ -120,11 +94,9 @@ def milnor_residual(F: MixedPolynomial, z) -> MilnorResidual:
     norm = float(np.linalg.norm(realify(x)))
     if norm == 0.0:
         raise ValueError("milnor_residual is undefined at the origin")
-    a, b = compile_frame(F)(x[None, :])
-    if not (a.any() or b.any()):
-        return MilnorResidual(value=1.0, point=pt, degenerate=True)
-    value, full = _frame_residual(a, b, realify(x)[None, :] / norm)
-    return MilnorResidual(value=float(value[0]), point=pt, degenerate=not full[0])
+    plane = normal_plane(*compile_frame(F)(x))
+    value = plane.distance(realify(x) / norm)
+    return MilnorResidual(value=float(value), point=pt, degenerate=bool(plane.rank < 2))
 
 
 @dataclass(frozen=True)
@@ -148,12 +120,12 @@ class ScanResult:
 
 
 def _batch_residual(frame, Z: np.ndarray) -> np.ndarray:
-    """Vectorized milnor_residual over rows of Z (N, n); degenerate rows -> 2."""
-    a, b = frame(Z)
+    """Vectorized milnor_residual over rows of Z (N, n); degenerate rows, which
+    certify nothing, -> 2."""
+    plane = normal_plane(*frame(Z))
     radial = realify(Z)
     radial = radial / np.linalg.norm(radial, axis=1, keepdims=True)
-    vals, full = _frame_residual(a, b, radial)
-    return np.where(full, vals, 2.0)  # degenerate frames cannot certify
+    return np.where(plane.rank == 2, plane.distance(radial), 2.0)
 
 
 def _fibre_distance(pair, frame, ev):

@@ -19,11 +19,12 @@ numerics support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._numeric import compile_frame, grassmann_distance, real_span_basis, realify, unrealify
+from ._numeric import compile_frame, grassmann_distance, normal_plane, real_span_basis
+from ._numeric import realify, unrealify
 from .core import MixedPolynomial, _check_holomorphic_pair, complex_point
 
 __all__ = [
@@ -50,9 +51,6 @@ FAIL_TOL = 1e-4
 COMPAT_TOL = 1e-8
 THOM_CONV_TOL = 1e-9  # tighter than standalone probes so compatible-verdict
                       # planes carry residual well below COMPAT_TOL
-RANK_RTOL = 1e-13  # frame vectors are exact products, so rank detection can sit
-                   # far below conv_tol; at 1e-9 the rank cut would collapse the
-                   # plane exactly when an asymmetric frame (|a| >> |b|) converges
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,6 @@ class ProbeResult:
     projection: float | None = None
 
 
-def _shell_schedule(curve: CurveGerm, max_shells: int) -> np.ndarray:
-    return curve.t0 * curve.rho ** np.arange(max_shells)
-
-
 def limit_normal_plane(
     F: MixedPolynomial,
     curve: CurveGerm,
@@ -242,52 +236,37 @@ def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
 def _track_normal_plane(frame, curve: CurveGerm, max_shells: int, conv_tol: float,
                         conv_run: int) -> ProbeResult:
     """limit_normal_plane on a frame evaluator compiled by the caller."""
-    ts = _shell_schedule(curve, max_shells)
-    planes: list[np.ndarray] = []
+    prev = None
     dists: list[float] = []
     dims: list[int] = []
     run = 0
-    for j, t in enumerate(ts):
-        z = curve.at(float(t))
-        a, b = frame(z[None, :])
-        a, b = a[0], b[0]
-        scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-        if scale == 0.0 or not np.isfinite(scale):
-            return ProbeResult(
-                verdict="inconclusive",
-                limit_plane=None,
-                convergence=tuple(dists),
-                plane_dims=tuple(dims),
-                reason=f"frame degenerate at shell {j} (t={t:.3e})",
-            )
-        n1 = (a + b) / scale
-        ni = 1j * (a - b) / scale
-        Q = real_span_basis([n1, ni], rtol=RANK_RTOL)
+
+    def result(verdict: str, reason: str, Q=None) -> ProbeResult:
+        return ProbeResult(
+            verdict=verdict,
+            limit_plane=None if Q is None else tuple(tuple(v) for v in unrealify(Q)),
+            convergence=tuple(dists),
+            plane_dims=tuple(dims),
+            reason=reason,
+        )
+
+    for j, t in enumerate(curve.t0 * curve.rho ** np.arange(max_shells)):
+        plane = normal_plane(*frame(curve.at(float(t))))
+        if plane.rank == 0:
+            return result("inconclusive", f"frame degenerate at shell {j} (t={t:.3e})")
+        Q = plane.Vt[: plane.rank]
         dims.append(Q.shape[0])
-        planes.append(Q)
-        if len(planes) >= 2:
-            prev = planes[-2]
-            if prev.shape[0] != Q.shape[0]:
-                run = 0
-                dists.append(float("nan"))
-            else:
-                d = grassmann_distance(prev, Q)
-                dists.append(d)
-                run = run + 1 if d < conv_tol else 0
+        if prev is not None:
+            # planes of different dimension are incomparable: nan restarts the run
+            d = grassmann_distance(prev, Q) if prev.shape == Q.shape else float("nan")
+            dists.append(d)
+            run = run + 1 if d < conv_tol else 0
+        prev = Q
         if run >= conv_run:
-            return ProbeResult(
-                verdict="compatible",
-                limit_plane=tuple(tuple(v) for v in unrealify(Q)),
-                convergence=tuple(dists),
-                plane_dims=tuple(dims),
-                reason=f"converged at shell {j}",
-            )
-    return ProbeResult(
-        verdict="inconclusive",
-        limit_plane=None,
-        convergence=tuple(dists),
-        plane_dims=tuple(dims),
-        reason=f"no convergence within {max_shells} shells"
+            return result("compatible", f"converged at shell {j}", Q)
+    return result(
+        "inconclusive",
+        f"no convergence within {max_shells} shells"
         + ("; plane dimension unstable" if len(set(dims)) > 1 else ""),
     )
 
@@ -373,25 +352,15 @@ def thom_test(
             per.append(probe)
             continue
         Q = np.stack([realify(np.asarray(v)) for v in probe.limit_plane])
-        M = Q @ T.T
-        u, s, _ = np.linalg.svd(M)
-        proj = float(s[0]) if s.size else 0.0
+        u, s, _ = np.linalg.svd(Q @ T.T)
+        proj = float(s[0])
         worst_proj = max(worst_proj, proj)
         cur_witness = None
         if proj > fail_tol:
-            w_real = u[:, 0] @ Q
-            w = unrealify(w_real)
+            w = unrealify(u[:, 0] @ Q)
             # express the witness direction in the last-shell frame to recover mu
-            t_last = curve.t0 * curve.rho ** max(
-                0, len(probe.convergence)
-            )
-            z = curve.at(float(t_last))
-            a, b = frame(z[None, :])
-            n1 = realify((a[0] + b[0]))
-            ni = realify(1j * (a[0] - b[0]))
-            A = np.stack([n1, ni], axis=1)
-            coef, *_ = np.linalg.lstsq(A, w_real, rcond=None)
-            mu = complex(coef[0], coef[1])
+            t_last = curve.t0 * curve.rho ** len(probe.convergence)
+            mu = complex(normal_plane(*frame(curve.at(float(t_last)))).mu(w))
             mu = mu / abs(mu) if abs(mu) > 0 else 1.0 + 0j
             cur_witness = {
                 "curve": curve.label or f"curve[{idx}]",
@@ -401,17 +370,12 @@ def thom_test(
             }
             if witness is None:
                 witness = cur_witness
-        per.append(
-            ProbeResult(
-                verdict=probe.verdict if cur_witness is None else "fail-witness",
-                limit_plane=probe.limit_plane,
-                convergence=probe.convergence,
-                plane_dims=probe.plane_dims,
-                reason=probe.reason,
-                witness=cur_witness,
-                projection=proj,
-            )
-        )
+        per.append(replace(
+            probe,
+            verdict=probe.verdict if cur_witness is None else "fail-witness",
+            witness=cur_witness,
+            projection=proj,
+        ))
     if witness is not None:
         verdict, reason = "fail-witness", "a limit normal direction lies in the stratum tangent"
     elif all_converged and worst_proj < compat_tol and per:

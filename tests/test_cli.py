@@ -238,6 +238,15 @@ class TestErrorContract:
         assert code == 3
         assert rep["error"]["type"] == "degeneracy"
 
+    def test_internal_fault_exit_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("mixedsing.cli.milnor_scan", broken)
+        code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y")
+        assert code == 4
+        assert rep["error"] == {"type": "internal", "message": "RuntimeError: boom"}
+
     def test_reports_never_contain_nan(self, capsys):
         # allow_nan=False would raise instead of printing Infinity/NaN
         for name in ALL_FIXTURES:

@@ -94,6 +94,14 @@ class TestMilnorResidual:
         with pytest.raises(ValueError):
             milnor_residual(Z1, (0, 0))
 
+    def test_noise_rank_frame_is_degenerate(self):
+        """On {y = 0} the shear pair's frame has rank 1 up to rounding noise:
+        the point is critical (sing_residual 0), so it certifies nothing."""
+        F = from_pair(parse("x", XY), parse("x + y^2", XY))
+        z = (0.2, 1e-20j)
+        assert sing_residual(F, z).value == 0.0
+        assert milnor_residual(F, z).degenerate is True
+
     def test_bounded_by_one(self, rng):
         checked = 0
         for _ in range(100):

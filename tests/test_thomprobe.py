@@ -16,7 +16,14 @@ from mixedsing import (
     parse,
     thom_test,
 )
-from mixedsing._numeric import grassmann_distance, real_span_basis, realify, unrealify
+from mixedsing._numeric import (
+    RANK_RTOL,
+    grassmann_distance,
+    normal_plane,
+    real_span_basis,
+    realify,
+    unrealify,
+)
 from conftest import random_points
 from oracles import random_mixed
 
@@ -139,6 +146,43 @@ class TestNumericHelpers:
         Q2 = real_span_basis([v, w])
         assert Q2.shape[0] == 2
         assert np.allclose(Q2 @ Q2.T, np.eye(2), atol=1e-12)
+
+    def test_normal_plane_basis_is_real_span_basis(self, rng):
+        """Bit for bit: real_span_basis of the frame scaled by max(|a|, |b|)."""
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            magnitudes = 10.0 ** rng.uniform(-5, 5, size=(2, 1))
+            a, b = (rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * magnitudes
+            plane = normal_plane(a, b)
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            want = real_span_basis([(a + b) / scale, 1j * (a - b) / scale], rtol=RANK_RTOL)
+            assert np.array_equal(plane.Vt[: plane.rank], want)
+
+    def test_normal_plane_batches_rows(self, rng):
+        a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        b = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        batched = normal_plane(a, b)
+        for k in range(5):
+            row = normal_plane(a[k], b[k])
+            assert np.array_equal(batched.Vt[k], row.Vt) and batched.rank[k] == row.rank
+
+    def test_normal_plane_mu_fit(self, rng):
+        for _ in range(100):
+            a = rng.normal(size=3) + 1j * rng.normal(size=3)
+            b = rng.normal(size=3) + 1j * rng.normal(size=3)
+            mu = complex(rng.normal(), rng.normal())
+            got = normal_plane(a, b).mu(mu * a + np.conj(mu) * b)
+            assert abs(got - mu) <= 1e-12 * max(1.0, abs(mu))
+
+    def test_normal_plane_rank_rule(self, rng):
+        a = rng.normal(size=3) + 1j * rng.normal(size=3)
+        for theta in (0.0, 0.7, np.pi):
+            # a = e^{i theta} b spans one real line: n_i is a real multiple of n_1
+            assert normal_plane(a, np.exp(-1j * theta) * a).rank == 1
+        zero = np.zeros(3, dtype=complex)
+        assert normal_plane(zero, zero).rank == 0
+        assert normal_plane(np.array([np.inf, 1, 0]), zero).rank == 0
+        assert normal_plane(a, rng.normal(size=3) + 1j * rng.normal(size=3)).rank == 2
 
     def test_grassmann_metric_values(self):
         e = np.eye(4)
