@@ -20,6 +20,7 @@ from .core import MixedPolynomial
 
 __all__ = [
     "compile_poly",
+    "compile_vector",
     "compile_frame",
     "compile_hessian",
     "realify",
@@ -56,6 +57,17 @@ def compile_poly(F: MixedPolynomial):
     return ev
 
 
+def compile_vector(polys):
+    """Vectorized evaluator of a tuple of m polynomials: Z (..., n) -> (..., m)."""
+    evs = [compile_poly(p) for p in polys]
+
+    def ev(Z):
+        Z = np.asarray(Z, dtype=complex)
+        return np.stack([e(Z) for e in evs], axis=-1)
+
+    return ev
+
+
 def compile_frame(F: MixedPolynomial):
     """Evaluator for the Wirtinger data: Z (..., n) -> (a, b) each (..., n).
 
@@ -63,14 +75,12 @@ def compile_frame(F: MixedPolynomial):
     b = dbarF evaluated; the normal 2-plane at z is span_R{a+b, i(a-b)}.
     """
     grad = F.wirtinger()
-    d_evs = [compile_poly(p) for p in grad.dF]
-    b_evs = [compile_poly(p) for p in grad.dbarF]
+    d_ev = compile_vector(grad.dF)
+    b_ev = compile_vector(grad.dbarF)
 
     def ev(Z):
         Z = np.asarray(Z, dtype=complex)
-        a = np.stack([np.conj(e(Z)) for e in d_evs], axis=-1)
-        b = np.stack([e(Z) for e in b_evs], axis=-1)
-        return a, b
+        return np.conj(d_ev(Z)), b_ev(Z)
 
     return ev
 

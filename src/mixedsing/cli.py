@@ -576,6 +576,9 @@ def _check_counts(args) -> None:
         if value is not None and value < 1:
             name = "--" + flag.replace("_", "-")
             raise ParseError(0, f"{name} must be a positive integer, got {value}")
+    k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
+    if k_max is not None and k_max < k_min:
+        raise ParseError(0, f"--k-max must be at least --k-min ({k_min}), got {k_max}")
 
 
 def main(argv=None) -> int:

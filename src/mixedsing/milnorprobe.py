@@ -17,9 +17,10 @@ Two scalar certificates drive the numerics:
 milnor_scan hunts for Milnor-set points away from the zero fibre on
 spheres of decreasing radius.  Seeded sphere points are projected onto
 {z = mu*a(z) + conj(mu)*b(z)} by damped minimum-norm Gauss-Newton in
-(z, mu), with the Jacobian from exact second Wirtinger derivatives and at
-most `steps` iterations per shell; a point counts only when the residual
-certificate above accepts it off the fibre, however it was found.  The
+(z, mu), with the Jacobian from exact second Wirtinger derivatives; each
+point stops on its own once converged, after at most `steps` iterations.
+A point counts only when the residual certificate above accepts it off the
+fibre, however it was found.  The
 evidence (per-shell minima of distance-to-fibre) supports or undermines the
 tube condition without ever claiming a proof.
 
@@ -164,20 +165,25 @@ def _project_to_milnor_set(frame, hessian, X: np.ndarray, r: float, steps: int) 
     E = z - mu*a(z) - conj(mu)*b(z) = 0 (the radial vector lies in the normal
     plane) plus the tangency row x.dx = 0.  The mu columns are scaled by
     r/|(a, b)|, the z-step is capped at r/2 and z returns to the sphere after
-    every step.  Stops once every z-step is <= 1e-15*r, or after steps
-    iterations.
+    every step.  Each row stops on its own: once its damped z-step is
+    <= 1e-15*r it leaves the active set and later iterations evaluate the
+    frame, the Hessian and pinv only on the rows still moving; no row takes
+    more than steps iterations.
     """
     S, n = X.shape[0], X.shape[1] // 2
     eye = np.eye(n)
+    X = X.copy()
     Z = unrealify(X)
     a, b = frame(Z)
     # start mu at the least-squares fit of x in the real span of (a+b, i(a-b))
     frame_cols = np.stack([realify(a + b), realify(1j * (a - b))], axis=-1)
     fit = np.linalg.pinv(frame_cols) @ X[..., None]
     mu = fit[:, 0, 0] + 1j * fit[:, 1, 0]
+    active = np.arange(S)
     for _ in range(steps):
-        H, M, B = hessian(Z)
-        m = mu[:, None, None]
+        Xa, Za, ma = X[active], Z[active], mu[active]
+        H, M, B = hessian(Za)
+        m = ma[:, None, None]
         # dE/dz and dE/dzbar from da/dz = conj(M), da/dzbar = conj(H),
         # db/dz = M^T, db/dzbar = B
         dEz = eye - m * M.conj() - m.conj() * M.swapaxes(-1, -2)
@@ -187,21 +193,23 @@ def _project_to_milnor_set(frame, hessian, X: np.ndarray, r: float, steps: int) 
         mu_cols = -np.stack([a + b, 1j * (a - b)], axis=-1) * scale[:, None, None]
         # d/dx = d/dz + d/dzbar and d/dy = i(d/dz - d/dzbar)
         J = np.concatenate([dEz + dEzb, 1j * (dEz - dEzb), mu_cols], axis=-1)
-        tangency = np.concatenate([X / r, np.zeros((S, 2))], axis=1)
+        tangency = np.concatenate([Xa / r, np.zeros((len(active), 2))], axis=1)
         J = np.concatenate([J.real, J.imag, tangency[:, None, :]], axis=1)
-        E = Z - mu[:, None] * a - mu.conj()[:, None] * b
-        G = np.concatenate([realify(E), np.zeros((S, 1))], axis=1)
+        E = Za - ma[:, None] * a - ma.conj()[:, None] * b
+        G = np.concatenate([realify(E), np.zeros((len(active), 1))], axis=1)
         step = -(np.linalg.pinv(J, rcond=1e-12) @ G[..., None])[..., 0]
         dz = np.linalg.norm(step[:, : 2 * n], axis=1)
         damp = 0.5 * r / np.maximum(dz, 0.5 * r)
         step *= damp[:, None]
-        X = X + step[:, : 2 * n]
-        X *= r / np.linalg.norm(X, axis=1, keepdims=True)
-        mu = mu + scale * (step[:, 2 * n] + 1j * step[:, 2 * n + 1])
-        Z = unrealify(X)
-        a, b = frame(Z)
-        if (dz * damp <= 1e-15 * r).all():
+        Xa = Xa + step[:, : 2 * n]
+        Xa *= r / np.linalg.norm(Xa, axis=1, keepdims=True)
+        X[active] = Xa
+        Z[active] = unrealify(Xa)
+        mu[active] = ma + scale * (step[:, 2 * n] + 1j * step[:, 2 * n + 1])
+        active = active[dz * damp > 1e-15 * r]
+        if not active.size:
             break
+        a, b = frame(Z[active])
     return Z
 
 
@@ -221,11 +229,14 @@ def milnor_scan(
 
     Newton projection: per shell, samples_per_shell seeded random sphere
     points are moved onto the Milnor set by damped minimum-norm Gauss-Newton
-    on z = mu*a(z) + conj(mu)*b(z), |z| = r, with at most steps iterations.
+    on z = mu*a(z) + conj(mu)*b(z), |z| = r; each point stops once its
+    z-step is <= 1e-15*r, after at most steps iterations.
     The certificate does not depend on how a point was found: a point counts
     when its residual is below near_zero_tol with a full-rank frame while
     |F| > off_fibre_tol.  Evidence per shell: count and minimum estimated
-    distance to the fibre.  Deterministic for a fixed seed.
+    distance to the fibre; the reported points are the shell's three hits
+    nearest the fibre, by distance to 12 significant digits, then by sample
+    order.  Deterministic for a fixed seed.
     """
     n = F.n_vars
     rng = np.random.default_rng(seed)
@@ -250,7 +261,10 @@ def milnor_scan(
             min_d = float(dists.min())
             shell_rows.append(ShellEvidence(radius=float(r), count=count, min_distance=min_d))
             ratios.append(min_d / float(r))
-            order = np.argsort(dists)[:3]
+            # hits on one circle orbit tie in distance up to rounding, so rank
+            # by the distance to 12 significant digits, then by row
+            rounded = np.array([float(f"{d:.12g}") for d in dists])
+            order = np.argsort(rounded, kind="stable")[:3]
             for idx in order:
                 found_points.append(tuple(Z[hits][idx]))
         else:

@@ -12,7 +12,10 @@ Detection is exact: the admissible (p, k) form a sublattice of Z^{n+1}
 (kernel of the term-difference matrix), computed by unimodular integer row
 reduction.  The canonical representative is searched inside a bounded ball
 sum |p_j| <= bound; failure to find one there is reported as "unknown",
-never as a false "no".
+never as a false "no".  The search walks a box of lattice coefficients that
+covers the ball, as numpy integer arrays in chunks of 2^13 rows: int64
+while no entry can reach 2^62, Python ints (object arrays) otherwise, and
+never floats.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .core import MixedPolynomial, complex_point
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "orbit_check", "integer_kernel"]
 
 DEFAULT_BOUND = 64
 _ENUM_CAP = 5_000_000
+_CHUNK_ROWS = 1 << 13
+_INT64_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,52 @@ def _candidate_key(p: tuple[int, ...], k: int):
     return (sum(abs(x) for x in p), abs(k), 0 if k > 0 else 1, tuple(-x for x in p))
 
 
+def _search_box(basis, boxes, n: int, bound: int, require_nonzero_k: bool):
+    """Canonical (p, k) among sum_i c_i * basis[i], |c_i| <= boxes[i], or None.
+
+    A point is admissible when every p_j != 0, k != 0 (if required) and
+    sum|p| <= bound; it is then divided by the gcd of its entries and ranked
+    by _candidate_key.  The box is walked in chunks of at most _CHUNK_ROWS
+    coefficient rows.  Entries stay int64 while neither a lattice point
+    (|entry| <= rank * max(boxes) * max|basis entry|) nor a kept sum|p|
+    (<= n * bound) can reach 2^62, and are Python ints otherwise; no float
+    is involved.
+    """
+    r = len(basis)
+    biggest = max(abs(x) for v in basis for x in v)
+    fits = max(r * max(boxes) * biggest, n * bound) < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    B = np.array(basis, dtype=dtype)
+    offsets = np.array(boxes, dtype=np.int64)
+    sizes = 2 * offsets + 1
+    total = int(np.prod(sizes))
+    best: tuple | None = None
+    best_pk: tuple[tuple[int, ...], int] | None = None
+    for start in range(0, total, _CHUNK_ROWS):
+        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+        C = np.stack(np.unravel_index(idx, sizes), axis=1) - offsets
+        V = C.astype(dtype) @ B
+        # |p_j| <= bound first, so the sums of |p| below stay within n * bound
+        keep = (V[:, :n] != 0).all(axis=1) & (np.abs(V[:, :n]) <= bound).all(axis=1)
+        if require_nonzero_k:
+            keep &= V[:, n] != 0
+        V = V[keep]
+        V = V[np.abs(V[:, :n]).sum(axis=1) <= bound]
+        if not len(V):
+            continue
+        V = V // np.gcd.reduce(np.abs(V), axis=1)[:, None]
+        p, k = V[:, :n], V[:, n]
+        # _candidate_key's columns, last to first: np.lexsort sorts by its last key first
+        order = np.lexsort(
+            [-p[:, j] for j in range(n - 1, -1, -1)] + [k <= 0, np.abs(k), np.abs(p).sum(axis=1)]
+        )
+        pk = (tuple(int(x) for x in p[order[0]]), int(k[order[0]]))
+        key = _candidate_key(*pk)
+        if best is None or key < best:
+            best, best_pk = key, pk
+    return best_pk
+
+
 def solve_polar(
     F: MixedPolynomial,
     *,
@@ -201,37 +254,7 @@ def solve_polar(
                 "enumeration box exceeds cap; no certificate either way",
             )
 
-    best: tuple | None = None
-    best_pk: tuple[tuple[int, ...], int] | None = None
-    r = len(basis)
-
-    def rec(i: int, acc: list[int]):
-        nonlocal best, best_pk
-        if i == r:
-            p = tuple(acc[:n])
-            k = acc[n]
-            if any(x == 0 for x in p):
-                return
-            if k == 0 and require_nonzero_k:
-                return
-            if sum(abs(x) for x in p) > bound:
-                return
-            g = 0
-            for x in p:
-                g = gcd(g, abs(x))
-            g = gcd(g, abs(k))
-            if g > 1:
-                p = tuple(x // g for x in p)
-                k //= g
-            key = _candidate_key(p, k)
-            if best is None or key < best:
-                best, best_pk = key, (p, k)
-            return
-        for c in range(-boxes[i], boxes[i] + 1):
-            nxt = [a + c * b for a, b in zip(acc, basis[i])] if i else [c * b for b in basis[i]]
-            rec(i + 1, nxt)
-
-    rec(0, [0] * (n + 1))
+    best_pk = _search_box(basis, boxes, n, bound, require_nonzero_k)
     if best_pk is None:
         return PolarSolution(
             None, basis_t, "unknown", bound,

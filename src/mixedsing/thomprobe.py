@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._numeric import compile_frame, grassmann_distance, normal_plane, real_span_basis
-from ._numeric import realify, unrealify
+from ._numeric import compile_frame, compile_vector, grassmann_distance, normal_plane
+from ._numeric import real_span_basis, realify, unrealify
 from .core import MixedPolynomial, _check_holomorphic_pair, complex_point
 
 __all__ = [
@@ -64,10 +65,15 @@ class NormalFamily:
     def n_vars(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def _evaluate(self):
+        """Compiled evaluator z -> (a(z), b(z)), built on first use."""
+        a_ev, b_ev = compile_vector(self.a), compile_vector(self.b)
+        return lambda Z: (a_ev(Z), b_ev(Z))
+
     def frame_at(self, z) -> "NormalFrame":
         pt = complex_point(z, self.n_vars)
-        av = np.array([p.evaluate(pt) for p in self.a])
-        bv = np.array([p.evaluate(pt) for p in self.b])
+        av, bv = self._evaluate(pt)
         return NormalFrame(
             point=pt,
             n_one=tuple(av + bv),
@@ -78,9 +84,7 @@ class NormalFamily:
         mu = complex(mu)
         if abs(abs(mu) - 1.0) > 1e-12:
             raise ValueError("mu must lie on the unit circle")
-        pt = complex_point(z, self.n_vars)
-        av = np.array([p.evaluate(pt) for p in self.a])
-        bv = np.array([p.evaluate(pt) for p in self.b])
+        av, bv = self._evaluate(complex_point(z, self.n_vars))
         return tuple(mu * av + np.conj(mu) * bv)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import sympy as sp
@@ -206,3 +207,44 @@ def random_mixed(rng: np.random.Generator, *, n_vars=None, max_terms=4,
             re = Fraction(1)
         terms[ExponentPair(nu, mu)] = ComplexRational(re, im)
     return MixedPolynomial(n, terms)
+
+
+def recursive_box_search(basis, boxes, n, bound, require_nonzero_k):
+    """Canonical (p, k) in the coefficient box, by recursive Python-int walk.
+
+    The reference for polar._search_box: visits every c with |c_i| <= boxes[i],
+    keeps sum_i c_i * basis[i] when every p_j != 0, k != 0 (if required) and
+    sum|p| <= bound, divides by the gcd and keeps the least canonical_key.
+    """
+    best = None
+    best_pk = None
+    r = len(basis)
+
+    def rec(i, acc):
+        nonlocal best, best_pk
+        if i == r:
+            p = tuple(acc[:n])
+            k = acc[n]
+            if any(x == 0 for x in p):
+                return
+            if k == 0 and require_nonzero_k:
+                return
+            if sum(abs(x) for x in p) > bound:
+                return
+            g = 0
+            for x in p:
+                g = gcd(g, abs(x))
+            g = gcd(g, abs(k))
+            if g > 1:
+                p = tuple(x // g for x in p)
+                k //= g
+            key = canonical_key(p, k)
+            if best is None or key < best:
+                best, best_pk = key, (p, k)
+            return
+        for c in range(-boxes[i], boxes[i] + 1):
+            nxt = [a + c * b for a, b in zip(acc, basis[i])] if i else [c * b for b in basis[i]]
+            rec(i + 1, nxt)
+
+    rec(0, [0] * (n + 1))
+    return best_pk

@@ -6,6 +6,7 @@ import pytest
 
 from mixedsing import format_mixed, from_pair
 from mixedsing.cli import main
+from mixedsing.discgeom import ShearSearchExhausted
 from mixedsing.fixtures import FixtureError, fixture_names, load_all, load_fixture
 
 ALL_FIXTURES = (
@@ -207,10 +208,14 @@ class TestSubcommands:
         assert rep["milnor"]["samples_per_shell"] == 50
         assert rep["milnor"]["supports_transversality"] is True
 
-    def test_shear_exhaustion_is_reported_not_raised(self, capsys):
+    def test_shear_exhaustion_is_reported_not_raised(self, capsys, monkeypatch):
+        def exhausted(*args, k_min, k_max, **kwargs):
+            raise ShearSearchExhausted(f"no shear exponent in [{k_min}, {k_max}]")
+
+        monkeypatch.setattr("mixedsing.cli.shear_search", exhausted)
         code, rep = run_json(
             capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
-            "--k-min", "2", "--k-max", "1",
+            "--k-min", "2", "--k-max", "3",
         )
         assert code == 0
         assert rep["shear"]["found"] is False
@@ -283,3 +288,9 @@ class TestErrorContract:
                              "--k-min", "0")
         assert code == 2 and rep["error"]["type"] == "parse"
         assert "--k-min" in rep["error"]["message"]
+
+    def test_empty_shear_range_names_the_flag(self, capsys):
+        code, rep = run_json(capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
+                             "--k-min", "5", "--k-max", "3")
+        assert code == 2 and rep["error"]["type"] == "parse"
+        assert "--k-max" in rep["error"]["message"]

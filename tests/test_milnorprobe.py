@@ -15,9 +15,9 @@ from mixedsing import (
     thom_test,
     tube_verdict,
 )
-from mixedsing._numeric import compile_hessian
+from mixedsing._numeric import compile_frame, compile_hessian
 from mixedsing.fixtures import fixture_names, load_fixture
-from mixedsing.milnorprobe import NEAR_ZERO_TOL, OFF_FIBRE_TOL
+from mixedsing.milnorprobe import NEAR_ZERO_TOL, OFF_FIBRE_TOL, _project_to_milnor_set
 from conftest import random_points
 from oracles import random_mixed
 
@@ -182,6 +182,46 @@ class TestNewtonProjection:
         hit = [shell.count > 0 for shell in result.shells]
         # the two inner shells of x^2*conj(y^3) carry no off-fibre Milnor points
         assert hit == ([True, True, False, False] if name == "separate-x2-y3" else [True] * 4)
+
+    @pytest.mark.parametrize(
+        "name,hits,fitted_c",
+        [
+            ("polar-k2", (189, 189, 197, 195), 0.0539899055028),
+            ("polar-k3", (196, 196, 199, 199), 0.408248290464),
+            ("separate-x2-y3", (200, 200, 0, 0), 0.258198889747),
+            ("shear-x-xy2", (96, 92, 72, 89), 0.143468868731),
+            ("x2zy2-ybar", (200, 200, 200, 200), 0.327326835354),
+            ("xy-xbar", (199, 199, 200, 200), 0.471404520791),
+            ("xz2y-xbar", (189, 189, 197, 195), 0.0747620463149),
+        ],
+    )
+    def test_fixture_evidence_pinned(self, name, hits, fitted_c):
+        fixture = load_fixture(name)
+        result = milnor_scan(fixture.expression, pair=fixture.pair)
+        assert tuple(shell.count for shell in result.shells) == hits
+        assert abs(result.fitted_c - fitted_c) <= 1e-9 * fitted_c
+
+    def test_converged_rows_stay_put(self):
+        F = load_fixture("shear-x-xy2").expression
+        frame, hessian = compile_frame(F), compile_hessian(F)
+        fed = []  # the rows each iteration evaluates
+
+        def spy(Z):
+            fed.append(Z.copy())
+            return hessian(Z)
+
+        r, steps = 0.1, 15
+        X = np.random.default_rng(5).normal(size=(60, 4))
+        X *= r / np.linalg.norm(X, axis=1, keepdims=True)
+        final = _project_to_milnor_set(frame, spy, X, r, steps)
+        # some rows stop while others still move
+        assert len(fed[-1]) < len(fed[0]) == len(X)
+        for k in range(1, len(fed)):
+            after_k = _project_to_milnor_set(frame, hessian, X, r, k)
+            moving = {row.tobytes() for row in fed[k]}
+            stopped = [j for j in range(len(X)) if after_k[j].tobytes() not in moving]
+            np.testing.assert_array_equal(final[stopped], after_k[stopped])
+        assert stopped
 
     def test_hessian_matches_exact_second_derivatives(self, rng):
         for _ in range(20):

@@ -1,12 +1,16 @@
 """Weighted circle-action detection: lattice solver against brute force."""
 
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from mixedsing import PolarWeights, orbit_check, parse, solve_polar
-from mixedsing.polar import integer_kernel
+from mixedsing import PolarWeights, from_pair, orbit_check, parse, solve_polar
+from mixedsing.core import ComplexRational, ExponentPair, MixedPolynomial
+from mixedsing.polar import _candidate_key, _search_box, integer_kernel
 from conftest import random_points
-from oracles import brute_polar_solutions, canonical_key, random_mixed
+from oracles import brute_polar_solutions, canonical_key, random_mixed, recursive_box_search
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -96,6 +100,60 @@ def test_brute_force_agreement(rng):
             # admissible exists inside the searched sum|p| ball
             assert not brute, f"brute force found weights the solver missed: {F!r}"
     assert checked >= 10, "generator should hit plenty of positive cases"
+
+
+def test_candidate_key_tie_breaks():
+    """sum|p| first, then |k|, then k > 0, then the lexicographically largest p."""
+    ranked = [
+        ((1, 1), 1),
+        ((1, -1), 1),   # p lexicographically smaller
+        ((-1, 1), 1),
+        ((1, 1), -1),   # k < 0 loses to every k > 0 of equal |k|
+        ((1, 1), 2),    # larger |k| loses to either sign of smaller |k|
+        ((2, 1), 1),    # larger sum|p| loses to everything above
+    ]
+    shuffled = [ranked[i] for i in (4, 2, 5, 0, 3, 1)]
+    assert sorted(shuffled, key=lambda pk: _candidate_key(*pk)) == ranked
+    assert all(_candidate_key(*pk) == canonical_key(*pk) for pk in ranked)
+
+
+def test_box_search_matches_recursive_reference(rng):
+    """The chunked numpy walk equals the recursive walk on random lattices."""
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        r = int(rng.integers(1, n + 2))
+        basis = rng.integers(-4, 5, size=(r, n + 1)).tolist()
+        if not any(any(v) for v in basis):
+            continue
+        boxes = rng.integers(0, 7, size=r).tolist()
+        bound = int(rng.integers(1, 12))
+        nonzero_k = bool(rng.integers(0, 2))
+        args = (basis, boxes, n, bound, nonzero_k)
+        assert _search_box(*args) == recursive_box_search(*args), args
+
+
+def test_large_lattice_entries_stay_exact(monkeypatch):
+    """Basis entries near 2^62 take the Python-int path and match the reference."""
+    one = ComplexRational(Fraction(1), Fraction(0))
+    e = 2**62
+    F = MixedPolynomial(3, {
+        ExponentPair((e, 0, 1), (0, 1, 0)): one,
+        ExponentPair((0, 2, 0), (0, 0, e + 3)): one,
+    })
+    sol = solve_polar(F, bound=12)
+    assert sol.status == "found"
+    assert sol.canonical.k > 2**63  # out of int64 range
+    monkeypatch.setattr("mixedsing.polar._search_box", recursive_box_search)
+    assert solve_polar(F, bound=12) == sol
+
+
+def test_solve_budget():
+    """The 80k-point box of x^2 * conj(y^3) is searched well inside 0.1 s."""
+    F = from_pair(parse("x^2", XY), parse("y^3", XY))
+    t0 = time.perf_counter()
+    sol = solve_polar(F)
+    assert time.perf_counter() - t0 < 0.1
+    assert sol.canonical == PolarWeights((-1, -1), 1)
 
 
 def test_orbit_residual_vanishes_on_found_weights(rng):
