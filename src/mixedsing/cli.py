@@ -1,7 +1,7 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
-Every command emits a single JSON document (schema 1) on stdout or --out;
+Every command emits a single JSON document (schema 2) on stdout or --out;
 reruns with the same seed are byte-identical.  Exit codes: 0 verdict
 produced, 2 parse/input error, 3 internal degeneracy, 4 internal fault (any
 other exception; its traceback goes to stderr).
@@ -24,7 +24,6 @@ from .discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
     ShearSearchExhausted,
-    discriminant_curve,
     isolated_value_verdict,
     jacobian_det,
     parse_branch,
@@ -47,7 +46,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 # serialization helpers ----------------------------------------------------------
@@ -199,6 +198,7 @@ def _isolated_section(verdict):
             "h": disc.h,
             "components": list(disc.components),
             "off_origin_components": list(disc.off_origin_components),
+            "non_line_factors": list(disc.non_line_factors),
         }
     return out
 
@@ -313,17 +313,14 @@ def _cmd_analyze(args) -> int:
 
     isolated = None
     disc_sec = None
-    sing_sec = None
     if pair is not None:
-        branches = fixture.branches if fixture and fixture.branches else None
         try:
-            isolated = isolated_value_verdict(*pair, branches=branches)
+            isolated = isolated_value_verdict(*pair)
             disc_sec = _isolated_section(isolated)
             if isolated.lines is not None:
                 disc_sec["lines"] = _line_report_section(isolated.lines)
         except (DegenerateEliminationError, DegreeBoundError) as exc:
             disc_sec = {"status": "unavailable", "reason": str(exc)}
-        sing_sec = _sing_section(sing_decomposition(*pair))
 
     strata = fixture.strata if fixture else _strata_from_args(args)
     curves = fixture.curves if fixture else _curves_from_args(args)
@@ -352,7 +349,6 @@ def _cmd_analyze(args) -> int:
         },
         polar=polar_sec,
         discriminant=disc_sec,
-        sing_decomposition=sing_sec,
         thom_probes=probe_rows,
         milnor=_scan_section(scan),
         verdict=_verdict_section(verdict),
@@ -395,7 +391,7 @@ def _cmd_disc(args) -> int:
     branches = [parse_branch(b) for b in (args.branch or [])]
     if fixture and fixture.branches:
         branches.extend(fixture.branches)
-    isolated = isolated_value_verdict(*pair, branches=branches or None)
+    isolated = isolated_value_verdict(f, g)
     report = _report(
         "disc",
         loaded,

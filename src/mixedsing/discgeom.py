@@ -1,20 +1,30 @@
 """Discriminant geometry for holomorphic pairs (f, g).
 
-The product f * conj(g) has isolated critical value exactly when the
-discriminant of the pair map (f, g): C^2 -> C^2 contains no line through
-the origin other than the coordinate axes; each extra line contributes a
-real half-line of critical values.  This module computes that discriminant
-exactly, detects its line components, decides the branch criterion (the
-restriction of u * conj(v) to a curve germ is non-submersive iff the germ
-is a line), and provides the shear (f + lam * g^k, g) that removes
-non-axis lines for large k.
+f * conj(g) has isolated critical value 0 exactly when the discriminant germ
+at 0 of (f, g): (C^2, 0) -> (C^2, 0) contains no line through 0 other than
+the axes; each extra line gives a half-line of critical values (Pichon-Seade,
+Fibred multilinks and singularities f g-bar, Math. Ann. 342 (2008)).
 
-Elimination works per irreducible factor of the Jacobian over the Gaussian
-rationals: the ideal (J_i, f - u, g - v) is prime, so its elimination
-ideal in (u, v) is either principal (a curve component, exactly one
-reduced Groebner element) or maximal (a point component).  No extraneous
-factors can arise, and point components or components missing the origin
-are flagged rather than silently dropped.
+That germ is the image of {J = 0} near the source origin, so only the
+Q(i)-irreducible Jacobian factors P with P(0, 0) = 0 count; the others are
+reported and dropped.  A test on the whole factor is germ-local: conjugate
+branches of P meet the rational origin together or not at all, and an
+irreducible curve maps into a line as soon as one of its germs does.  With
+Jac(h, P) = h_x P_y - h_y P_x, the derivative of h along {P = 0}, each P is
+one of, by exact division in QQ_I[x, y]:
+
+- origin: P | f and P | g;
+- axis: P divides only one of f, g, so its image is {u = 0} or {v = 0};
+- slope: P | f*Jac(g, P) - g*Jac(f, P), so g/f is constant on each branch;
+  the slopes are the roots of m(a), the squarefree part of
+  Res_t(P, g - a*f) with its content in the other variable removed;
+- not a line: none of these.  An irreducible curve that is not a line
+  contains no line germ, so P adds no line.
+
+line_components reads the lines off the product of the line forms (u, v,
+u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
+restricted to a curve germ is non-submersive iff the germ is a line) and
+provides the shear (f + lam * g^k, g) that removes non-axis lines.
 
 Everything here is exact; floats never decide a verdict.
 """
@@ -23,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import sympy as sp
 from sympy.polys.domains import QQ_I
+from sympy.polys.rings import ring
 
 from .core import ComplexRational, MixedPolynomial, _from_gaussian, _ring
 from .parsing import format_mixed, parse
@@ -54,13 +66,17 @@ __all__ = [
 
 DEGREE_BOUND = 8
 
+# QQ_I[x, y, a] and QQ_I[y, x, a]: a resultant eliminates the first generator
+_XYA = ring("x y a", QQ_I)[0]
+_YXA = ring("y x a", QQ_I)[0]
+
 
 class DegreeBoundError(ValueError):
     """Input degree beyond the desk-scale bound."""
 
 
 class DegenerateEliminationError(RuntimeError):
-    """The elimination is degenerate (e.g. identically singular Jacobian)."""
+    """The pair is degenerate (e.g. identically singular Jacobian)."""
 
 
 class ShearSearchExhausted(RuntimeError):
@@ -89,6 +105,19 @@ def _monic_from_sympy(expr, syms) -> MixedPolynomial:
     return MixedPolynomial._from_poly(R.from_dict(rep.to_dict()).monic())
 
 
+def _to_xya(F: MixedPolynomial):
+    """A holomorphic plane polynomial as an element of QQ_I[x, y, a]."""
+    return _XYA.from_dict({m[:2] + (0,): c for m, c in F._poly.items()})
+
+
+def _from_xya(p) -> MixedPolynomial:
+    """An element of QQ_I[x, y, a] free of a, divided by its leading coefficient."""
+    R = _ring(2)
+    return MixedPolynomial._from_poly(
+        R.from_dict({e[:2] + (0, 0): c for e, c in p.items()}).monic()
+    )
+
+
 # jacobian and discriminant ------------------------------------------------------
 
 
@@ -104,28 +133,52 @@ def jacobian_det(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """Discriminant curve germ at (0, 0) in critical-value coordinates (u, v).
+    """The lines through 0 of a plane pair's discriminant germ at 0.
 
-    h is the squarefree defining polynomial (canonical z1 = u, z2 = v in the
-    serialization), or None with origin_only=True when the critical set maps
-    into the origin alone.  Components that miss the origin are excluded
-    from the germ but reported in off_origin_components.
+    components are the distinct line forms in (u, v) = (z1, z2) and h is
+    their product, None when there is no line.  non_line_factors and
+    off_origin_components are the Jacobian factors in (x, y) = (z1, z2)
+    through the source origin whose image is not a line, and those that
+    miss the source origin.  origin_only: the germ is the point 0.
     """
 
     h: MixedPolynomial | None
     origin_only: bool
     components: tuple[MixedPolynomial, ...] = ()
-    off_origin_components: tuple[str, ...] = ()
+    off_origin_components: tuple[MixedPolynomial, ...] = ()
+    non_line_factors: tuple[MixedPolynomial, ...] = ()
 
     def __post_init__(self):
-        if (self.h is None) != self.origin_only:
-            raise ValueError("exactly one of h / origin_only must be set")
+        if self.origin_only != (self.h is None and not self.non_line_factors):
+            raise ValueError("origin_only must hold exactly without h and non-line factors")
+
+
+def _jac(h, P):
+    """Jac(h, P): the derivative of h along the curve {P = 0}."""
+    x, y, _ = _XYA.gens
+    return h.diff(x) * P.diff(y) - h.diff(y) * P.diff(x)
+
+
+def _slope_form(P, f, g) -> MixedPolynomial:
+    """u^d * m(v/u) for a slope factor P: the lines {v = a*u} of its image.
+
+    Along each branch of {P = 0}, g = a_j * f, so Res_t(P, g - a*f) is
+    c(s) * prod (a_j - a) with s the other variable; dividing out the
+    content c(s) leaves a polynomial in a alone.
+    """
+    a = _XYA.gens[2]
+    R = _XYA if P.degree(0) > 0 else _YXA  # eliminate a variable P involves
+    res = P.set_ring(R).resultant((g - a * f).set_ring(R))  # in QQ_I[s, a]
+    coeffs = (res.coeff_wrt(1, k) for k in range(res.degree(1) + 1))
+    m = res.exquo(reduce(lambda p, q: p.gcd(q), coeffs)).sqf_part()
+    d = m.degree(1)
+    return _from_xya(_XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
 
 
 def discriminant_curve(
     f: MixedPolynomial, g: MixedPolynomial, *, degree_bound: int = DEGREE_BOUND
 ) -> PlaneCurve:
-    """Exact closure of the critical values of (f, g): C^2 -> C^2 at (0,0)."""
+    """The lines through 0 in the discriminant germ of (f, g): (C^2, 0) -> (C^2, 0)."""
     _require_plane_pair(f, g, "discriminant_curve")
     if f.n_vars != 2:
         raise ValueError("discriminant_curve handles plane pairs (n = 2) only")
@@ -138,58 +191,36 @@ def discriminant_curve(
         raise DegenerateEliminationError(
             "jacobian determinant vanishes identically; the pair has generic rank < 2"
         )
-    if J.total_degree() == 0:
-        return PlaneCurve(h=None, origin_only=True)
 
-    x, y, u, v = sp.symbols("x y u v")
-    fs = _holo_to_sympy(f, (x, y))
-    gs = _holo_to_sympy(g, (x, y))
-    Js = _holo_to_sympy(J, (x, y))
-    _, factors = sp.factor_list(Js, x, y, gaussian=True)
-
-    kept: list[MixedPolynomial] = []
-    off_origin: list[str] = []
-    for fac, _mult in factors:
-        if not fac.free_symbols & {x, y}:
+    x, y, _ = _XYA.gens
+    fp, gp = _to_xya(f), _to_xya(g)
+    forms: list[MixedPolynomial] = []
+    off_origin: list[MixedPolynomial] = []
+    non_line: list[MixedPolynomial] = []
+    for P, _mult in _to_xya(J).factor_list()[1]:
+        if P.coeff(1):
+            off_origin.append(_from_xya(P))
             continue
-        G = sp.groebner([fs - u, gs - v, fac], x, y, u, v, order="lex", domain="QQ_I")
-        elim = [e for e in G.exprs if not e.free_symbols & {x, y}]
-        if not elim:
-            raise DegenerateEliminationError(
-                f"elimination produced no relation for factor {fac}"
-            )
-        if len(elim) == 1:
-            h_i = _monic_from_sympy(elim[0], (u, v))
-            if h_i.total_degree() == 0:
-                raise DegenerateEliminationError(
-                    f"elimination collapsed to a unit for factor {fac}"
-                )
-            if h_i.constant_term().is_zero:
-                if h_i not in kept:
-                    kept.append(h_i)
-            else:
-                off_origin.append(format_mixed(h_i))
+        on_u, on_v = not fp.rem(P), not gp.rem(P)  # f = 0, g = 0 on {P = 0}
+        if on_u and on_v:
+            continue  # the factor maps to the origin
+        if on_u or on_v:
+            form = _from_xya(x if on_u else y)  # the line {u = 0} or {v = 0}
+        elif not (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P):
+            form = _slope_form(P, fp, gp)
         else:
-            # zero-dimensional image: a point component
-            if G.contains(u) and G.contains(v):
-                continue  # the origin itself; nothing to add to the germ
-            off_origin.append(
-                "point component: " + "; ".join(str(e) for e in elim)
-            )
+            non_line.append(_from_xya(P))
+            continue
+        if form not in forms:
+            forms.append(form)
 
-    kept.sort(key=format_mixed)
-    if not kept:
-        return PlaneCurve(
-            h=None, origin_only=True, off_origin_components=tuple(off_origin)
-        )
-    h = MixedPolynomial.one(2)
-    for comp in kept:
-        h = h * comp
+    forms.sort(key=format_mixed)
     return PlaneCurve(
-        h=h,
-        origin_only=False,
-        components=tuple(kept),
-        off_origin_components=tuple(off_origin),
+        h=reduce(lambda p, q: p * q, forms) if forms else None,
+        origin_only=not forms and not non_line,
+        components=tuple(forms),
+        off_origin_components=tuple(sorted(off_origin, key=format_mixed)),
+        non_line_factors=tuple(sorted(non_line, key=format_mixed)),
     )
 
 
@@ -252,7 +283,7 @@ def _slope_coefficient_polys(h: MixedPolynomial, a):
 
 def line_components(curve: PlaneCurve) -> LineReport:
     """Exact line detection in a discriminant curve."""
-    if curve.origin_only:
+    if curve.h is None:
         return LineReport(components=(), has_slope_lines=False)
     h = curve.h
     comps: list[LineComponent] = []
@@ -393,7 +424,7 @@ class IsolatedVerdict:
     """Whether 0 is an isolated critical value of f * conj(g)."""
 
     status: str  # "isolated" | "not-isolated" | "unknown"
-    route: str  # "discriminant-curve" | "containment" | "supplied-branches" | "none"
+    route: str  # "discriminant-curve" (n = 2) | "containment" (n >= 3) | "none"
     witnesses: tuple[LineComponent, ...] = ()
     discriminant: PlaneCurve | None = None
     notes: tuple[str, ...] = ()
@@ -422,16 +453,13 @@ def _vanishes_on_critical_set(target: MixedPolynomial, minors, syms) -> bool:
     return list(G.exprs) == [sp.Integer(1)]
 
 
-def isolated_value_verdict(
-    f: MixedPolynomial, g: MixedPolynomial, *, branches=None
-) -> IsolatedVerdict:
+def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVerdict:
     """Decide isolation of the critical value 0 of f * conj(g).
 
     Plane pairs get the exact discriminant route.  In higher dimension the
     exact containment check (f and g vanish on the critical set of the
-    pair, hence the discriminant is the origin) is tried first, then
-    user-supplied discriminant branches (asserted complete) are classified
-    by the line criterion; otherwise the verdict is unknown.
+    pair, hence the discriminant is the origin) is tried; otherwise the
+    verdict is unknown.
     """
     _require_plane_pair(f, g, "isolated_value_verdict")
     if f.n_vars == 2:
@@ -464,32 +492,6 @@ def isolated_value_verdict(
             status="isolated",
             route="containment",
             notes=("critical set of the pair lies in {f = g = 0}",),
-        )
-    if branches is not None:
-        lines = tuple(b for b in branches if branch_restriction_singular(b))
-        if lines:
-            witnesses = tuple(
-                LineComponent(
-                    kind="slope",
-                    slope=complex(b.terms[0][0]),
-                    slope_exact=b.terms[0][0]
-                    if isinstance(b.terms[0][0], ComplexRational)
-                    else None,
-                    exact=isinstance(b.terms[0][0], ComplexRational),
-                    halfline_direction=_halfline(complex(b.terms[0][0])),
-                )
-                for b in lines
-            )
-            return IsolatedVerdict(
-                status="not-isolated",
-                route="supplied-branches",
-                witnesses=witnesses,
-                notes=("verdict relies on user-supplied branch list",),
-            )
-        return IsolatedVerdict(
-            status="isolated",
-            route="supplied-branches",
-            notes=("verdict relies on user-supplied branch list being complete",),
         )
     return IsolatedVerdict(status="unknown", route="none")
 

@@ -248,3 +248,42 @@ def recursive_box_search(basis, boxes, n, bound, require_nonzero_k):
 
     rec(0, [0] * (n + 1))
     return best_pk
+
+
+# ---- germ-local elimination reference for plane discriminants -------------------
+
+
+def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial):
+    """The discriminant germ at 0 of a plane pair, by lex elimination.
+
+    Each Gaussian-irreducible Jacobian factor P with P(0, 0) = 0 gives the
+    prime ideal (P, f - u, g - v).  Its elimination ideal in (u, v) is
+    principal when P maps onto a curve (the generator is kept) and maximal
+    when P maps to a point (the origin, which adds nothing to the germ).
+    The product of the kept curves comes back as a PlaneCurve, so that
+    line_components can read its lines.
+    """
+    from mixedsing import PlaneCurve
+    from mixedsing.core import ExponentPair
+
+    zs, ws = mixed_symbols(2)
+    x, y = zs
+    u, v = sp.symbols("u v")
+    fs, gs = to_sympy(f, zs, ws), to_sympy(g, zs, ws)
+    jac = sp.expand(sp.diff(fs, x) * sp.diff(gs, y) - sp.diff(fs, y) * sp.diff(gs, x))
+    _, factors = sp.factor_list(jac, x, y, gaussian=True)
+    h = sp.Integer(1)
+    for P, _mult in factors:
+        if not P.free_symbols & {x, y} or P.subs({x: 0, y: 0}) != 0:
+            continue
+        G = sp.groebner([fs - u, gs - v, P], x, y, u, v, order="lex", domain="QQ_I")
+        elim = [e for e in G.exprs if not e.free_symbols & {x, y}]
+        if len(elim) == 1:
+            h *= elim[0]
+    if h == 1:
+        return PlaneCurve(h=None, origin_only=True)
+    terms = expr_to_dict(h, (u, v), ws)
+    hp = MixedPolynomial(
+        2, {ExponentPair(nu, mu): ComplexRational(*c) for (nu, mu), c in terms.items()}
+    )
+    return PlaneCurve(h=hp, origin_only=False, components=(hp,))

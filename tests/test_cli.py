@@ -108,7 +108,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name, "--samples", "60")
     assert code == 0
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key, capsys, name)

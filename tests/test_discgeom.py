@@ -1,5 +1,6 @@
 """Exact target-space geometry: discriminants, lines, branches, verdicts."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from mixedsing.discgeom import (
     DegreeBoundError,
     ShearSearchExhausted,
 )
-from oracles import numeric_branch_singular
+from oracles import elimination_discriminant, numeric_branch_singular
 
 UV = ("u", "v")
 XY = ("x", "y")
@@ -118,6 +119,68 @@ class TestDiscriminantCurve:
         for z in crit_points:
             value = (fp.evaluate(z), gp.evaluate(z))
             assert abs(disc.h.evaluate(value)) <= 1e-10
+
+
+class TestGermLocalLines:
+    """The per-factor line test against germ-locality and the elimination."""
+
+    def test_factor_off_the_source_origin_is_dropped(self):
+        # J = (y - 1) * (2*x + 3*y - 1): neither factor passes through 0, so
+        # the image line of {y = 1} is no part of the germ
+        f, g = pair("x", "x*((y-1)^2+2) + y*(y-1)^2")
+        v = isolated_value_verdict(f, g)
+        assert v.status == "isolated"
+        assert parse("y - 1", XY) in v.discriminant.off_origin_components
+        assert v.discriminant.origin_only
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            ("x^3+y^4", "x*y+y^2"),
+            ("x^3+y^4", "x*y+y^3"),
+            ("x^3+y^4", "y+x^2"),
+            ("x^4+y^5", "x+y^2"),
+            ("x^2+y^3", "x*y+y^3"),
+        ],
+    )
+    def test_non_line_factors_decide_fast(self, f, g):
+        t0 = time.perf_counter()
+        v = isolated_value_verdict(*pair(f, g))
+        assert time.perf_counter() - t0 < 1.0
+        assert v.status == "isolated"
+        disc = v.discriminant
+        assert disc.h is None and disc.non_line_factors and not disc.origin_only
+        assert len(v.lines) == 0
+
+    def test_lines_match_elimination_on_seeded_binomial_pairs(self, rng):
+        monomials = ["x", "y", "x^2", "x*y", "y^2"]
+        coeffs = ["1", "2", "3", "-1", "-2", "1/2", "i", "2*i", "(1+i)", "(1-2*i)"]
+
+        def binomial():
+            m1, m2 = rng.choice(monomials, size=2, replace=False)
+            c1, c2 = rng.choice(coeffs, size=2)
+            return parse(f"{c1}*{m1} + {c2}*{m2}", XY)
+
+        reports = []
+        while len(reports) < 30:
+            f, g = binomial(), binomial()
+            if jacobian_det(f, g).is_zero:
+                continue
+            got = line_components(discriminant_curve(f, g))
+            assert got == line_components(elimination_discriminant(f, g)), (f, g)
+            reports.append(got)
+        # both verdicts occur in the draw
+        assert any(r.has_slope_lines for r in reports)
+        assert any(not r.has_slope_lines for r in reports)
+
+    def test_degree_four_minpolys_match_elimination(self):
+        f, g = pair(
+            "x^3 - x^2*y + 2*x*y^2 - y^3", "3*x^3 + 2*x^2*y + 3*x*y^2 + 2*y^3"
+        )
+        got = line_components(discriminant_curve(f, g))
+        assert got == line_components(elimination_discriminant(f, g))
+        assert len(got) == 4 and all(c.kind == "slope" and not c.exact for c in got)
+        assert len({c.minpoly for c in got}) == 1 and "a**4" in got.components[0].minpoly
 
 
 class TestLineComponents:
@@ -263,25 +326,11 @@ class TestIsolatedValueVerdict:
         v = isolated_value_verdict(*pair("y*(x + z^2)", "x", XYZ))
         assert v.status == "unknown" and v.route == "none"
 
-    def test_supplied_branches_line(self):
-        b = parse_branch("u = t; v = t")
-        v = isolated_value_verdict(
-            *pair("y*(x + z^2)", "x", XYZ), branches=(b,)
-        )
-        assert v.status == "not-isolated" and v.route == "supplied-branches"
-        assert v.witnesses[0].slope == 1 + 0j
-
-    def test_supplied_branches_all_transverse(self):
-        b = parse_branch("u = t^2; v = t^3")
-        v = isolated_value_verdict(
-            *pair("y*(x + z^2)", "x", XYZ), branches=(b,)
-        )
-        assert v.status == "isolated" and v.route == "supplied-branches"
-        assert any("complete" in note for note in v.notes)
-
-    def test_empty_branch_list_differs_from_none(self):
-        answered = isolated_value_verdict(*pair("y*(x + z^2)", "x", XYZ), branches=())
-        assert answered.status == "isolated" and answered.route == "supplied-branches"
+    def test_no_verdict_from_a_user_branch_list(self):
+        with pytest.raises(TypeError):
+            isolated_value_verdict(
+                *pair("y*(x + z^2)", "x", XYZ), branches=(parse_branch("u = t; v = t"),)
+            )
 
 
 class TestShear:
