@@ -1,8 +1,9 @@
 """mixedsing: singularity analysis for mixed polynomials f * conj(g).
 
 Exact mixed-polynomial arithmetic, polar weighted-homogeneity detection,
-discriminant geometry for holomorphic pairs, and numeric probes for Thom
-regularity and Milnor tube fibrations, with a deterministic JSON CLI.
+discriminant geometry for holomorphic pairs, exact limit normal planes for
+Thom probes along curves, and numeric Milnor scans for tube fibrations, with
+a deterministic JSON CLI.
 """
 
 from .core import (

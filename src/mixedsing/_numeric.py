@@ -4,10 +4,10 @@ Complex n-vectors are identified with R^{2n} by stacking real parts then
 imaginary parts; "real span" always means span over R in that picture.
 
 The normal 2-plane of a mixed polynomial at z is the real span of the frame
-(a+b, i(a-b)), a = conj(dF)(z), b = dbarF(z).  normal_plane is the one
-routine that builds it, for the Milnor certificate and the Thom probes
-alike, with one rank rule: singular value s_i counts when
-s_i > s_0 * RANK_RTOL.
+(a+b, i(a-b)), a = conj(dF)(z), b = dbarF(z).  normal_plane builds it for
+the Milnor certificate and scan with one rank rule: singular value s_i
+counts when s_i > s_0 * RANK_RTOL.  The Thom probes need none of this:
+they take limit planes exactly (thomprobe).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "RANK_RTOL",
     "NormalPlane",
     "normal_plane",
-    "grassmann_distance",
 ]
 
 
@@ -138,18 +137,18 @@ def real_span_basis(vectors, rtol: float = 1e-9) -> np.ndarray:
     return vt[:rank]
 
 
-# frame vectors are exact products, so rank detection can sit far below the
-# probes' convergence tolerances; at 1e-9 the rank cut would collapse the plane
-# exactly when an asymmetric frame (|a| >> |b|) converges
+# frame vectors are exact products evaluated in floats, so the rank cut can sit
+# near machine precision; a cut at 1e-9 would collapse the plane of an
+# asymmetric frame (|a| >> |b|), where the Milnor certificate still holds
 RANK_RTOL = 1e-13
 
 
 class NormalPlane(NamedTuple):
-    """SVD U (..., 2, 2), s (..., 2), Vt (..., 2, 2n) of the realified frame rows
-    (a+b, i(a-b)) over leading batch axes, and its rank (...): the first rank
-    rows of Vt are an orthonormal basis of the normal plane."""
+    """Singular values s (..., 2) and right singular vectors Vt (..., 2, 2n) of
+    the realified frame rows (a+b, i(a-b)) over leading batch axes, and its
+    rank (...): the first rank rows of Vt are an orthonormal basis of the
+    normal plane."""
 
-    U: np.ndarray
     s: np.ndarray
     Vt: np.ndarray
     rank: np.ndarray
@@ -162,12 +161,6 @@ class NormalPlane(NamedTuple):
     def distance(self, v: np.ndarray) -> np.ndarray:
         """Distance from real rows v (..., 2n) to the plane."""
         return np.linalg.norm(v - (self._coords(v)[..., None] * self.Vt).sum(axis=-2), axis=-1)
-
-    def mu(self, w: np.ndarray) -> np.ndarray:
-        """Least-squares mu with w = mu*a + conj(mu)*b, for complex rows w (..., n)."""
-        coords = self._coords(realify(w)) / np.where(self.s > 0, self.s, 1.0)
-        coef = (self.U @ coords[..., None])[..., 0]
-        return coef[..., 0] + 1j * coef[..., 1]
 
 
 def normal_plane(a: np.ndarray, b: np.ndarray) -> NormalPlane:
@@ -182,27 +175,7 @@ def normal_plane(a: np.ndarray, b: np.ndarray) -> NormalPlane:
         M = np.stack([realify((a + b) / scale), realify(1j * (a - b) / scale)], axis=-2)
         entry = np.abs(M).max(axis=(-2, -1), keepdims=True)
         ok = np.isfinite(entry) & (entry > 0)
-        U, s, Vt = np.linalg.svd(np.where(ok, M / entry, 0.0), full_matrices=False)
+        _, s, Vt = np.linalg.svd(np.where(ok, M / entry, 0.0), full_matrices=False)
         rank = (s > s[..., :1] * RANK_RTOL).sum(axis=-1)
-        return NormalPlane(U, s * entry[..., 0] * scale, Vt, rank)
+        return NormalPlane(s * entry[..., 0] * scale, Vt, rank)
 
-
-def grassmann_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:
-    """Geodesic distance on the Grassmannian: l2 norm of principal angles.
-
-    Both arguments must be orthonormal row bases of equal dimension; planes
-    of different dimension are incomparable and raise ValueError.
-    """
-    Q1 = np.asarray(Q1, dtype=float)
-    Q2 = np.asarray(Q2, dtype=float)
-    if Q1.shape != Q2.shape:
-        raise ValueError(f"incomparable subspace dimensions {Q1.shape[0]} != {Q2.shape[0]}")
-    if Q1.shape[0] == 0:
-        return 0.0
-    M = Q1 @ Q2.T
-    # cosines alone lose ~sqrt(eps) accuracy near angle 0 (arccos of 1 - eps),
-    # so pair them with sines of the projection residual and use atan2
-    cos = np.sort(np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0))[::-1]
-    resid = Q2 - M.T @ Q1
-    sin = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
-    return float(np.linalg.norm(np.arctan2(sin, cos)))

@@ -1,7 +1,7 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
-Every command emits a single JSON document (schema 2) on stdout or --out;
+Every command emits a single JSON document (schema 3) on stdout or --out;
 reruns with the same seed are byte-identical.  Exit codes: 0 verdict
 produced, 2 parse/input error, 3 internal degeneracy, 4 internal fault (any
 other exception; its traceback goes to stderr).
@@ -36,17 +36,14 @@ from .milnorprobe import DEFAULT_SAMPLES, milnor_scan, tube_verdict
 from .parsing import ParseError, format_mixed, format_scalar, parse
 from .polar import DEFAULT_BOUND, solve_polar
 from .thomprobe import (
-    COMPAT_TOL,
     DEFAULT_SEED,
-    FAIL_TOL,
-    THOM_CONV_TOL,
     CurveGerm,
     default_curve_battery,
     normal_family_symbolic,
     thom_test,
 )
 
-SCHEMA = 2
+SCHEMA = 3
 
 
 # serialization helpers ----------------------------------------------------------
@@ -227,6 +224,7 @@ def _probe_sections(F, strata, curves, *, seed):
                         "limit_plane": [list(v) for v in p.limit_plane]
                         if p.limit_plane is not None
                         else None,
+                        "plucker": p.plucker,
                     }
                     for curve, p in zip(used, probe.per_curve)
                 ],
@@ -307,6 +305,10 @@ def _strata_from_args(args):
 def _cmd_analyze(args) -> int:
     loaded = _load_input(args)
     fixture, F, pair, _ = loaded
+    strata = fixture.strata if fixture else _strata_from_args(args)
+    curves = fixture.curves if fixture else _curves_from_args(args)
+    if curves and not strata:
+        raise ParseError(0, "--curve needs at least one --stratum to probe against")
     polar_sol, polar_sec = _polar_section(
         F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k
     )
@@ -322,8 +324,6 @@ def _cmd_analyze(args) -> int:
         except (DegenerateEliminationError, DegreeBoundError) as exc:
             disc_sec = {"status": "unavailable", "reason": str(exc)}
 
-    strata = fixture.strata if fixture else _strata_from_args(args)
-    curves = fixture.curves if fixture else _curves_from_args(args)
     probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
 
     scan = milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
@@ -331,7 +331,6 @@ def _cmd_analyze(args) -> int:
     verdict = tube_verdict(
         F,
         pair=pair,
-        assert_icis=args.assert_icis,
         isolated=isolated,
         polar=polar_sol,
         probes=tuple(probes),
@@ -341,12 +340,7 @@ def _cmd_analyze(args) -> int:
         "analyze",
         loaded,
         seed=args.seed,
-        tolerances={
-            "thom_conv_tol": THOM_CONV_TOL,
-            "fail_tol": FAIL_TOL,
-            "compat_tol": COMPAT_TOL,
-            "polar_bound": args.k_bound,
-        },
+        tolerances={"polar_bound": args.k_bound},
         polar=polar_sec,
         discriminant=disc_sec,
         thom_probes=probe_rows,
@@ -424,11 +418,6 @@ def _cmd_thom_probe(args) -> int:
         "thom-probe",
         loaded,
         seed=args.seed,
-        tolerances={
-            "conv_tol": THOM_CONV_TOL,
-            "fail_tol": FAIL_TOL,
-            "compat_tol": COMPAT_TOL,
-        },
         thom_probes=rows,
     )
     _emit(report, args.out)
@@ -510,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--allow-zero-k", action="store_true",
                    help="accept polar weights with degree k = 0")
-    p.add_argument("--assert-icis", action="store_true",
-                   help="assert the pair is regular enough for the icis route")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("wirtinger", help="both Wirtinger gradients and the normal family")

@@ -16,7 +16,8 @@ geometry, and the expected verdict:
 Either "expression:" (a mixed polynomial) or the pair "f:"/"g:"
 (holomorphic) defines the input; "stratum:", "curve:" and "branch:" may
 repeat.  Vectors are parenthesized component lists; components and curve
-entries use the ordinary expression grammar ("i" is the imaginary unit).
+entries use the ordinary expression grammar ("i" is the imaginary unit)
+and stay exact Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..core import MixedPolynomial, from_pair
+from ..core import ComplexRational, MixedPolynomial, from_pair
 from ..discgeom import PuiseuxBranch, parse_branch
 from ..parsing import ParseError, parse
 from ..thomprobe import CurveGerm, Stratum
@@ -49,14 +50,14 @@ class Fixture:
     expect: dict = field(default_factory=dict)
 
 
-def _constant(text: str) -> complex:
+def _constant(text: str) -> ComplexRational:
     try:
         p = parse(text, ("t",))
     except ParseError as exc:
         raise FixtureError(f"bad scalar {text!r}: {exc}") from exc
     if p.variables_used():
         raise FixtureError(f"scalar {text!r} must not use variables")
-    return complex(p.constant_term())
+    return p.constant_term()
 
 
 def _split_top(text: str, sep: str = ",") -> list[str]:
@@ -80,7 +81,7 @@ def _split_top(text: str, sep: str = ",") -> list[str]:
     return [p.strip() for p in parts]
 
 
-def _vector(text: str) -> tuple[complex, ...]:
+def _vector(text: str) -> tuple[ComplexRational, ...]:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise FixtureError(f"vector must be parenthesized: {text!r}")

@@ -10,9 +10,8 @@ Two scalar certificates drive the numerics:
 * milnor_residual: distance from the unit radial direction z/|z| to its
   projection onto the normal 2-plane; zero exactly at rho-nonregular
   points (sphere tangent to the fibre), the Milnor set.  The plane comes
-  from _numeric.normal_plane, whose one rank rule (s_1 > s_0 * RANK_RTOL)
-  the Thom probes share; a frame of rank < 2 is degenerate and certifies
-  nothing.
+  from _numeric.normal_plane and its rank rule (s_1 > s_0 * RANK_RTOL);
+  a frame of rank < 2 is degenerate and certifies nothing.
 
 milnor_scan hunts for Milnor-set points away from the zero fibre on
 spheres of decreasing radius.  Seeded sphere points are projected onto
@@ -24,9 +23,9 @@ fibre, however it was found.  The
 evidence (per-shell minima of distance-to-fibre) supports or undermines the
 tube condition without ever claiming a proof.
 
-tube_verdict combines the exact routes (separate variables, asserted ICIS
-with clean discriminant, polar weights, discriminant lines) with probe
-evidence into a single classification that never overclaims.
+tube_verdict combines the exact routes (separate variables, polar weights,
+discriminant lines) with the Thom probes, whose fail witnesses are exact,
+into a single classification that never overclaims.
 """
 
 from __future__ import annotations
@@ -330,14 +329,13 @@ def tube_verdict(
     F: MixedPolynomial,
     *,
     pair=None,
-    assert_icis: bool = False,
     isolated=None,
     polar: PolarSolution | None = None,
     probes: tuple[ProbeResult, ...] = (),
 ) -> TubeVerdict:
     """Route-ordered classification: exact criteria first, probes after.
 
-    Route order: separate-variables, icis-flag, polar, disc-lines; then the
+    Route order: separate-variables, polar, disc-lines; then the
     probe-witness route may resolve Thom failure.  pair is (f, g) when F
     was built as f * conj(g); isolated is a discgeom verdict object when
     available; probes are stratified thom_test results.
@@ -366,23 +364,6 @@ def tube_verdict(
         tube_status, tube_route = "yes", "separate-variables"
         thom_status, thom_route = "regular", "separate-variables"
 
-    iso_status = getattr(isolated, "status", None)
-    if (
-        thom_status == "unknown"
-        and assert_icis
-        and pair is not None
-        and iso_status == "isolated"
-    ):
-        routes.append(
-            RouteRecord(
-                "icis-flag",
-                "tube yes; thom regular",
-                "user-asserted regular pair and no non-axis discriminant lines",
-            )
-        )
-        tube_status, tube_route = "yes", "icis-flag"
-        thom_status, thom_route = "regular", "icis-flag"
-
     if polar is None:
         polar = solve_polar(F)
     if tube_status == "unknown" and polar.status == "found":
@@ -395,7 +376,7 @@ def tube_verdict(
         )
         tube_status, tube_route = "yes", "polar"
 
-    if tube_status == "unknown" and iso_status == "not-isolated":
+    if tube_status == "unknown" and getattr(isolated, "status", None) == "not-isolated":
         routes.append(
             RouteRecord(
                 "disc-lines",

@@ -1,4 +1,4 @@
-"""Numeric probes for Thom-type regularity along strata.
+"""Exact limits of normal planes along curves, and stratified Thom probes.
 
 At a regular point z of a mixed polynomial F the fibre's normal space is
 the real 2-plane
@@ -6,27 +6,43 @@ the real 2-plane
     n_mu(z) = mu * conj(dF)(z) + conj(mu) * dbarF(z),   |mu| = 1,
 
 spanned over R by the frame n_1 = a + b and n_i = i(a - b), where
-a = conj(dF)(z), b = dbarF(z).  A stratum S is Thom-compatible with a
-family of curves approaching it when limits of these normal planes
-annihilate the stratum tangents; a unit tangent vector with a large
-projection onto a converged limit plane is a concrete failure witness.
+a = conj(dF)(z), b = dbarF(z) (Oka's mixed normal frame).  A stratum S is
+Thom-compatible with a family of curves approaching it when limits of these
+normal planes annihilate the stratum tangents.
 
-Probes are evidence, not proofs: the verdict vocabulary is "compatible",
-"fail-witness", "inconclusive", and reports never say more than the
-numerics support.
+Along a polynomial curve z(t), t >= 0 real, with Gaussian rational
+coefficients, the frame is polynomial in t: substituting the curve into the
+exact halves a, b in QQ_I[t] and realifying gives rows A = a+b, B = i(a-b)
+in Q[t]^(2n).  The Plucker coordinates p_ij = A_i B_j - A_j B_i of the plane
+are then polynomials too, and the limit plane's Plucker vector L is their
+lowest-order nonzero coefficient; it exists unless every p_ij vanishes, in
+which case the curve lies in the critical locus.  A stratum tangent tau
+fails exactly when the contraction iota_tau L is nonzero.
+
+So a per-curve verdict ("compatible", "fail-witness", "inconclusive") is
+decided by exact algebra, and a fail witness is a proof of Thom
+irregularity along that curve.  "compatible" over a finite battery of
+curves is still only evidence.  The witness's mu and the reported limit
+plane basis and projection are floats, derived from the exact data.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 import numpy as np
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
-from ._numeric import compile_frame, compile_vector, grassmann_distance, normal_plane
-from ._numeric import real_span_basis, realify, unrealify
-from .core import MixedPolynomial, _check_holomorphic_pair, complex_point
+from ._numeric import compile_vector, real_span_basis, unrealify
+from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _coerce_scalar
+from .core import complex_point
+from .parsing import format_scalar
 
 __all__ = [
     "NormalFamily",
@@ -43,15 +59,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 2026  # seeds the curve battery here and the Milnor scan
-DEFAULT_T0 = 0.1
-DEFAULT_RHO = 0.5
-DEFAULT_MAX_SHELLS = 60
-DEFAULT_CONV_TOL = 1e-6
-CONV_RUN = 3
-FAIL_TOL = 1e-4
-COMPAT_TOL = 1e-8
-THOM_CONV_TOL = 1e-9  # tighter than standalone probes so compatible-verdict
-                      # planes carry residual well below COMPAT_TOL
+
+_TI = ring("t", QQ_I)[0]  # a curve and the frame halves along it
+_TQ = ring("t", QQ)[0]  # the realified frame and its Plucker coordinates
 
 
 @dataclass(frozen=True)
@@ -126,110 +136,104 @@ def normal_family(F: MixedPolynomial, z) -> NormalFrame:
     return normal_family_symbolic(F).frame_at(z)
 
 
+def _exact(x) -> ComplexRational:
+    """x as a ComplexRational; a float or complex converts to its exact value."""
+    c = _coerce_scalar(x)
+    if c is NotImplemented:
+        (w,) = complex_point((x,))
+        c = ComplexRational(Fraction(w.real), Fraction(w.imag))
+    return c
+
+
+def _realify_exact(v) -> list[Fraction]:
+    """An exact vector of C^n in Q^(2n): real parts, then imaginary parts."""
+    return [c.re for c in v] + [c.im for c in v]
+
+
 @dataclass(frozen=True)
 class CurveGerm:
-    """Real-analytic probe curve t -> C^n with polynomial components.
+    """Polynomial probe curve t -> C^n in a real parameter t >= 0.
 
-    Each component is a tuple of (coefficient, exponent) pairs in a real
-    parameter t; the curve is approached along shells t_j = t0 * rho^j.
+    Each component is a tuple of (coefficient, exponent) pairs; coefficients
+    are kept exact (ints, Fractions and floats convert to ComplexRational).
     """
 
-    components: tuple[tuple[tuple[complex, int], ...], ...]
-    t0: float = DEFAULT_T0
-    rho: float = DEFAULT_RHO
+    components: tuple[tuple[tuple[ComplexRational, int], ...], ...]
     label: str = ""
 
     def __post_init__(self):
-        if not (0 < self.rho < 1):
-            raise ValueError("rho must lie in (0, 1)")
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
+        comps = tuple(tuple((_exact(c), e) for c, e in comp) for comp in self.components)
+        if any(not isinstance(e, int) or e < 0 for comp in comps for _, e in comp):
+            raise ValueError("curve exponents must be nonnegative integers")
+        object.__setattr__(self, "components", comps)
 
     @property
     def n_vars(self) -> int:
         return len(self.components)
 
-    def at(self, t: float) -> np.ndarray:
-        return np.array(
-            [sum(c * t ** e for c, e in comp) for comp in self.components],
-            dtype=complex,
-        )
-
-    def base_point(self) -> tuple[complex, ...]:
+    def base_point(self) -> tuple[ComplexRational, ...]:
+        """The exact point at t = 0."""
         return tuple(
-            complex(sum(c for c, e in comp if e == 0)) for comp in self.components
+            sum((c for c, e in comp if e == 0), ComplexRational()) for comp in self.components
         )
 
     @classmethod
-    def from_polynomials(cls, polys, t0: float = DEFAULT_T0, rho: float = DEFAULT_RHO,
-                         label: str = "") -> "CurveGerm":
+    def from_polynomials(cls, polys, label: str = "") -> "CurveGerm":
         """Build from univariate MixedPolynomial components in one variable t."""
         comps = []
         for p in polys:
             if p.n_vars != 1 or not p.is_holomorphic:
                 raise ValueError("curve components must be holomorphic in a single variable t")
-            comps.append(tuple((complex(c), pair.nu[0]) for pair, c in p.sorted_terms()))
-        return cls(tuple(comps), t0=t0, rho=rho, label=label)
+            comps.append(tuple((c, pair.nu[0]) for pair, c in p.sorted_terms()))
+        return cls(tuple(comps), label=label)
 
 
 @dataclass(frozen=True)
 class Stratum:
-    """A candidate stratum germ: base point plus real-independent tangents."""
+    """A candidate stratum germ: exact base point plus real-independent tangents."""
 
-    base_point: tuple[complex, ...]
-    tangent: tuple[tuple[complex, ...], ...]
+    base_point: tuple[ComplexRational, ...]
+    tangent: tuple[tuple[ComplexRational, ...], ...]
     label: str = ""
 
     def __post_init__(self):
-        base = complex_point(self.base_point)
+        base = tuple(_exact(w) for w in self.base_point)
+        tang = tuple(tuple(_exact(w) for w in v) for v in self.tangent)
         object.__setattr__(self, "base_point", base)
-        tang = tuple(complex_point(v, len(base)) for v in self.tangent)
         object.__setattr__(self, "tangent", tang)
         if not tang:
             raise ValueError("stratum needs at least one tangent vector")
-        basis = real_span_basis(tang)
-        if basis.shape[0] != len(tang):
+        if any(len(v) != len(base) for v in tang):
+            raise ValueError(f"tangent vectors must have {len(base)} coordinates")
+        rows = [[QQ(q.numerator, q.denominator) for q in _realify_exact(v)] for v in tang]
+        if DomainMatrix(rows, (len(rows), 2 * len(base)), QQ).rank() != len(tang):
             raise ValueError("tangent vectors must be linearly independent over R")
 
     def tangent_basis(self) -> np.ndarray:
-        return real_span_basis(self.tangent)
+        return real_span_basis([[complex(w) for w in v] for v in self.tangent])
 
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of a normal-plane limit probe (optionally against a stratum).
+    """Outcome of a limit normal plane probe (optionally against a stratum).
 
-    verdict is "compatible", "fail-witness" or "inconclusive".  For a
+    verdict is "compatible", "fail-witness" or "inconclusive".  plucker is
+    the exact Plucker vector L of the limit plane, one coordinate per pair
+    i < j of realified coordinates (lexicographic), and limit_plane a float
+    orthonormal basis of the same plane; plane_dims is (2,) when a limit
+    plane exists and () when the curve lies in the critical locus.  For a
     stratified test, witness carries the offending curve label, the unit mu
     selecting the failing normal direction, and that direction itself.
     """
 
     verdict: str
     limit_plane: tuple[tuple[complex, ...], ...] | None
-    convergence: tuple[float, ...]
     plane_dims: tuple[int, ...]
     reason: str = ""
     witness: dict | None = None
     per_curve: tuple["ProbeResult", ...] = field(default=())
     projection: float | None = None
-
-
-def limit_normal_plane(
-    F: MixedPolynomial,
-    curve: CurveGerm,
-    *,
-    max_shells: int = DEFAULT_MAX_SHELLS,
-    conv_tol: float = DEFAULT_CONV_TOL,
-    conv_run: int = CONV_RUN,
-) -> ProbeResult:
-    """Track the normal 2-plane along a curve and report its limit.
-
-    Convergence is declared when the Grassmann distance between consecutive
-    shell planes stays below conv_tol for conv_run consecutive steps (with
-    stable dimension); otherwise the probe is inconclusive.
-    """
-    _check_curve_arity(F, curve)
-    return _track_normal_plane(compile_frame(F), curve, max_shells, conv_tol, conv_run)
+    plucker: tuple[Fraction, ...] | None = None
 
 
 def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
@@ -237,164 +241,182 @@ def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
         raise ValueError("curve arity does not match the polynomial")
 
 
-def _track_normal_plane(frame, curve: CurveGerm, max_shells: int, conv_tol: float,
-                        conv_run: int) -> ProbeResult:
-    """limit_normal_plane on a frame evaluator compiled by the caller."""
-    prev = None
-    dists: list[float] = []
-    dims: list[int] = []
-    run = 0
+def _frame_along(family: NormalFamily, curve: CurveGerm):
+    """Realified frame rows A = a+b and B = i(a-b) along the curve, in Q[t]^(2n)."""
+    zs = [sum((_TI({(e,): QQ_I(c.re, c.im)}) for c, e in comp), _TI.zero)
+          for comp in curve.components]
+    # t is real, so conj(z(t)) conjugates the coefficients only
+    gens = zs + [_TI.from_dict({m: c.new(c.x, -c.y) for m, c in z.items()}) for z in zs]
 
-    def result(verdict: str, reason: str, Q=None) -> ProbeResult:
-        return ProbeResult(
-            verdict=verdict,
-            limit_plane=None if Q is None else tuple(tuple(v) for v in unrealify(Q)),
-            convergence=tuple(dists),
-            plane_dims=tuple(dims),
-            reason=reason,
-        )
+    def along(p: MixedPolynomial):
+        return sum((prod((g ** e for g, e in zip(gens, m) if e), start=_TI.ground_new(c))
+                    for m, c in p._poly.items()), _TI.zero)
 
-    for j, t in enumerate(curve.t0 * curve.rho ** np.arange(max_shells)):
-        plane = normal_plane(*frame(curve.at(float(t))))
-        if plane.rank == 0:
-            return result("inconclusive", f"frame degenerate at shell {j} (t={t:.3e})")
-        Q = plane.Vt[: plane.rank]
-        dims.append(Q.shape[0])
-        if prev is not None:
-            # planes of different dimension are incomparable: nan restarts the run
-            d = grassmann_distance(prev, Q) if prev.shape == Q.shape else float("nan")
-            dists.append(d)
-            run = run + 1 if d < conv_tol else 0
-        prev = Q
-        if run >= conv_run:
-            return result("compatible", f"converged at shell {j}", Q)
-    return result(
-        "inconclusive",
-        f"no convergence within {max_shells} shells"
-        + ("; plane dimension unstable" if len(set(dims)) > 1 else ""),
-    )
+    def parts(p):
+        return (_TQ.from_dict({m: c.x for m, c in p.items()}),
+                _TQ.from_dict({m: c.y for m, c in p.items()}))
+
+    a, b = [along(p) for p in family.a], [along(p) for p in family.b]
+    n_one = [parts(x + y) for x, y in zip(a, b)]
+    diff = [parts(x - y) for x, y in zip(a, b)]
+    return ([re for re, _ in n_one] + [im for _, im in n_one],
+            [-im for _, im in diff] + [re for re, _ in diff])
 
 
-def default_curve_battery(
-    base_point,
-    *,
-    seed: int = DEFAULT_SEED,
-    max_exponent: int = 3,
-    t0: float = DEFAULT_T0,
-    rho: float = DEFAULT_RHO,
-) -> tuple[CurveGerm, ...]:
-    """Monomial curves base + (w_1 t^{a_1}, ..., w_n t^{a_n}), a in {1..3}^n.
+def _lowest_order(polys):
+    """The lowest t-order among the nonzero polynomials, or None if all are 0."""
+    return min((min(p.itermonoms())[0] for p in polys if p), default=None)
 
-    Directions w_j are random unit complex numbers from a seeded generator.
-    The battery is the whole exponent grid when it has at most 27 points
-    (n <= 3).  Otherwise it is 27 distinct grid points (max_exponent of them
-    if that is more) in lexicographic order: the diagonal (e, ..., e), so
-    that every coordinate takes every exponent, and a seeded sample of the
-    rest.
+
+def _contract(L, v) -> list[Fraction]:
+    """iota_v L, with iota_v (e_i ^ e_j) = v_i e_j - v_j e_i."""
+    out = [Fraction(0)] * len(v)
+    for (i, j), c in zip(itertools.combinations(range(len(v)), 2), L):
+        out[j] += v[i] * c
+        out[i] -= v[j] * c
+    return out
+
+
+def _limit_mu(A, B, d) -> complex:
+    """Limit of the unit least-squares mu with d = mu*a + conj(mu)*b.
+
+    The fit is (alpha, beta) = G^-1 (A.d, B.d) with G the Gram matrix of A
+    and B; det G > 0 for small t > 0, so alpha + i*beta points along
+    adj(G) (A.d, B.d), whose lowest-order coefficient gives the limit.
     """
-    base = complex_point(base_point)
+    d = [QQ(q.numerator, q.denominator) for q in d]
+    Ad, Bd = (sum((x.mul_ground(c) for x, c in zip(X, d) if c), _TQ.zero) for X in (A, B))
+    AA, AB, BB = (sum((x * y for x, y in zip(X, Y)), _TQ.zero) for X, Y in ((A, A), (A, B), (B, B)))
+    alpha, beta = BB * Ad - AB * Bd, AA * Bd - AB * Ad
+    m = (_lowest_order((alpha, beta)),)
+    mu = complex(float(alpha.get(m, QQ.zero)), float(beta.get(m, QQ.zero)))
+    return mu / abs(mu)
+
+
+def _probe_curve(family, curve, label, tangents=(), T=None) -> ProbeResult:
+    """Exact limit plane along one curve, checked against realified stratum
+    tangents: the first tau with iota_tau L != 0 makes a fail witness."""
+    A, B = _frame_along(family, curve)
+    P = [A[i] * B[j] - A[j] * B[i] for i, j in itertools.combinations(range(len(A)), 2)]
+    m = _lowest_order(P)
+    if m is None:
+        return ProbeResult("inconclusive", None, (), reason="frame degenerate along the "
+                           "whole curve: every Plucker coordinate vanishes, so the curve "
+                           "lies in the critical locus")
+    L = tuple(Fraction(int(c.numerator), int(c.denominator))
+              for c in (p.get((m,), QQ.zero) for p in P))
+    M = np.zeros((len(A), len(A)))
+    for (i, j), c in zip(itertools.combinations(range(len(A)), 2), L):
+        M[i, j], M[j, i] = c, -c
+    Q = np.linalg.svd(M)[2][:2]  # an orthonormal basis of the row space of L
+    result = ProbeResult("compatible", tuple(map(tuple, unrealify(Q))), (2,), plucker=L,
+                         reason=f"limit plane from t^{m}", projection=0.0)
+    w = next((w for w in (_contract(L, tau) for tau in tangents) if any(w)), None)
+    if w is None:
+        return result
+    # -iota_w L / |L|^2 is the orthogonal projection of tau onto the limit plane
+    norm2 = sum(c * c for c in L)
+    d = [-c / norm2 for c in _contract(L, w)]
+    proj = float(np.linalg.norm(Q @ T.T, 2))
+    witness = {
+        "curve": label,
+        "mu": _limit_mu(A, B, d),
+        "direction": tuple(complex(x) for x in unrealify(np.array(d, dtype=float))),
+        "projection": proj,
+    }
+    return replace(result, verdict="fail-witness", witness=witness, projection=proj,
+                   reason=f"limit plane from t^{m} meets the stratum tangent")
+
+
+def limit_normal_plane(F: MixedPolynomial, curve: CurveGerm) -> ProbeResult:
+    """The exact limit of the normal 2-plane of F along a curve as t -> 0+.
+
+    "compatible", with the limit plane, when some Plucker coordinate of the
+    frame is nonzero along the curve; "inconclusive" when the curve lies in
+    the critical locus.
+    """
+    _check_curve_arity(F, curve)
+    return _probe_curve(normal_family_symbolic(F), curve, curve.label)
+
+
+def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[CurveGerm, ...]:
+    """Monomial curves base + (w_1 t^{a_1}, ..., w_n t^{a_n}), a in {1, 2, 3}^n.
+
+    Each direction w = ((1 - s^2) + 2is) / (1 + s^2) is an exact point of
+    the unit circle, with s = p/q, p in [-9, 9] and q in [1, 9] drawn from a
+    seeded generator.  The battery is the whole exponent grid when it has at
+    most 27 points (n <= 3).  Otherwise it is 27 distinct grid points in
+    lexicographic order: the diagonal (e, ..., e), so that every coordinate
+    takes every exponent, and a seeded sample of the rest.
+    """
+    base = tuple(_exact(w) for w in base_point)
     n = len(base)
     rng = np.random.default_rng(seed)
-    exponents = range(1, max_exponent + 1)
-    if max_exponent ** n <= 27:
-        grids = list(itertools.product(exponents, repeat=n))
+    if 3 ** n <= 27:
+        grids = list(itertools.product((1, 2, 3), repeat=n))
     else:
-        chosen = {(e,) * n for e in exponents}
+        chosen = {(e,) * n for e in (1, 2, 3)}
         while len(chosen) < 27:
-            chosen.add(tuple(int(e) for e in rng.integers(1, max_exponent + 1, size=n)))
+            chosen.add(tuple(int(e) for e in rng.integers(1, 4, size=n)))
         grids = sorted(chosen)
     curves = []
     for exps in grids:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        ps, qs = rng.integers(-9, 10, size=n), rng.integers(1, 10, size=n)
         comps = []
         for j in range(n):
-            w = complex(np.cos(phases[j]), np.sin(phases[j]))
-            terms: list[tuple[complex, int]] = [(w, exps[j])]
-            if base[j] != 0:
-                terms.append((base[j], 0))
-            comps.append(tuple(terms))
-        curves.append(
-            CurveGerm(tuple(comps), t0=t0, rho=rho, label="t^" + ",".join(map(str, exps)))
-        )
+            s = Fraction(int(ps[j]), int(qs[j]))
+            w = ComplexRational(1 - s * s, 2 * s) / (1 + s * s)
+            comps.append(((w, exps[j]),) + (((base[j], 0),) if base[j] else ()))
+        curves.append(CurveGerm(tuple(comps), label="t^" + ",".join(map(str, exps))))
     return tuple(curves)
 
 
-def thom_test(
-    F: MixedPolynomial,
-    stratum: Stratum,
-    curves=None,
-    *,
-    max_shells: int = DEFAULT_MAX_SHELLS,
-    conv_tol: float = THOM_CONV_TOL,
-    conv_run: int = CONV_RUN,
-    fail_tol: float = FAIL_TOL,
-    compat_tol: float = COMPAT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> ProbeResult:
+def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None, *,
+              seed: int = DEFAULT_SEED) -> ProbeResult:
     """Probe whether limit normal planes along curves annihilate a stratum.
 
-    For each converged curve the score is the largest projection norm of a
-    unit stratum tangent onto the limit plane.  Any score above fail_tol is
-    a failure witness; all curves converged with scores below compat_tol is
-    "compatible" (evidence only); anything else is inconclusive.
+    Every curve must start at the stratum's base point (ValueError
+    otherwise).  A curve is a "fail-witness" when its exact limit plane L
+    has iota_tau L != 0 for some stratum tangent tau, "compatible" when
+    iota_tau L = 0 for every tangent, and "inconclusive" when it lies in the
+    critical locus.  The stratum is "fail-witness" when some curve is,
+    "compatible" (evidence only) when every curve is, and "inconclusive"
+    otherwise.  projection is the largest projection norm of a unit stratum
+    tangent onto a limit plane (None when no curve has one).
     """
     if len(stratum.base_point) != F.n_vars:
         raise ValueError("stratum arity does not match the polynomial")
     if curves is None:
         curves = default_curve_battery(stratum.base_point, seed=seed)
+    family = normal_family_symbolic(F)
+    tangents = [_realify_exact(v) for v in stratum.tangent]
     T = stratum.tangent_basis()
-    frame = compile_frame(F)
     per: list[ProbeResult] = []
-    worst_proj = 0.0
-    all_converged = True
-    witness = None
     for idx, curve in enumerate(curves):
         _check_curve_arity(F, curve)
-        probe = _track_normal_plane(frame, curve, max_shells, conv_tol, conv_run)
-        if probe.limit_plane is None:
-            all_converged = False
-            per.append(probe)
-            continue
-        Q = np.stack([realify(np.asarray(v)) for v in probe.limit_plane])
-        u, s, _ = np.linalg.svd(Q @ T.T)
-        proj = float(s[0])
-        worst_proj = max(worst_proj, proj)
-        cur_witness = None
-        if proj > fail_tol:
-            w = unrealify(u[:, 0] @ Q)
-            # express the witness direction in the last-shell frame to recover mu
-            t_last = curve.t0 * curve.rho ** len(probe.convergence)
-            mu = complex(normal_plane(*frame(curve.at(float(t_last)))).mu(w))
-            mu = mu / abs(mu) if abs(mu) > 0 else 1.0 + 0j
-            cur_witness = {
-                "curve": curve.label or f"curve[{idx}]",
-                "mu": mu,
-                "direction": tuple(w),
-                "projection": proj,
-            }
-            if witness is None:
-                witness = cur_witness
-        per.append(replace(
-            probe,
-            verdict=probe.verdict if cur_witness is None else "fail-witness",
-            witness=cur_witness,
-            projection=proj,
-        ))
+        label = curve.label or f"curve[{idx}]"
+        if curve.base_point() != stratum.base_point:
+            start, base = (", ".join(map(format_scalar, p))
+                           for p in (curve.base_point(), stratum.base_point))
+            raise ValueError(f"curve {label!r} starts at ({start}), not at the "
+                             f"stratum base point ({base})")
+        per.append(_probe_curve(family, curve, label, tangents, T))
+    witness = next((p.witness for p in per if p.witness is not None), None)
+    critical = sum(p.verdict == "inconclusive" for p in per)
     if witness is not None:
         verdict, reason = "fail-witness", "a limit normal direction lies in the stratum tangent"
-    elif all_converged and worst_proj < compat_tol and per:
+    elif per and not critical:
         verdict, reason = "compatible", "all limit planes annihilate the stratum tangent"
     else:
         verdict = "inconclusive"
-        reason = "not all curves converged" if not all_converged else \
-            f"worst projection {worst_proj:.3e} between thresholds"
+        reason = f"{critical} of {len(per)} curves lie in the critical locus" if per \
+            else "no probe curves"
     return ProbeResult(
         verdict=verdict,
         limit_plane=None,
-        convergence=(),
         plane_dims=(),
         reason=reason,
         witness=witness,
         per_curve=tuple(per),
-        projection=worst_proj if per else None,
+        projection=max((p.projection for p in per if p.projection is not None), default=None),
     )

@@ -287,3 +287,74 @@ def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial):
         2, {ExponentPair(nu, mu): ComplexRational(*c) for (nu, mu), c in terms.items()}
     )
     return PlaneCurve(h=hp, origin_only=False, components=(hp,))
+
+
+# ---- float normal-plane tracker for limit planes along curves -------------------
+
+
+def grassmann_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:
+    """Geodesic distance on the Grassmannian: l2 norm of principal angles.
+
+    Both arguments must be orthonormal row bases of equal dimension; planes
+    of different dimension are incomparable and raise ValueError.
+    """
+    Q1 = np.asarray(Q1, dtype=float)
+    Q2 = np.asarray(Q2, dtype=float)
+    if Q1.shape != Q2.shape:
+        raise ValueError(f"incomparable subspace dimensions {Q1.shape[0]} != {Q2.shape[0]}")
+    if Q1.shape[0] == 0:
+        return 0.0
+    M = Q1 @ Q2.T
+    # cosines alone lose ~sqrt(eps) accuracy near angle 0 (arccos of 1 - eps),
+    # so pair them with sines of the projection residual and use atan2
+    cos = np.sort(np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0))[::-1]
+    resid = Q2 - M.T @ Q1
+    sin = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
+    return float(np.linalg.norm(np.arctan2(sin, cos)))
+
+
+def curve_at(curve, t: float) -> np.ndarray:
+    """Float value of a CurveGerm at the real parameter t."""
+    return np.array(
+        [sum(complex(c) * t ** e for c, e in comp) for comp in curve.components], dtype=complex
+    )
+
+
+def least_squares_mu(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> complex:
+    """Least-squares mu with w = mu*a + conj(mu)*b at one float frame (a, b).
+
+    Realified, w = alpha (a+b) + beta i(a-b) with mu = alpha + i*beta.
+    """
+    from mixedsing._numeric import realify
+
+    M = np.stack([realify(a + b), realify(1j * (a - b))], axis=-1)
+    (alpha, beta), *_ = np.linalg.lstsq(M, realify(w), rcond=None)
+    return complex(alpha, beta)
+
+
+def track_normal_plane(F: MixedPolynomial, curve, *, t0=0.1, rho=0.5, max_shells=60,
+                       conv_tol=1e-9, conv_run=3):
+    """Float limit of the normal plane of F along a curve, shell by shell.
+
+    Evaluates the frame at t_j = t0 * rho^j and declares convergence when the
+    Grassmann distance between consecutive rank-2 shell planes stays below
+    conv_tol for conv_run steps.  Returns (Q, ratios): the last orthonormal
+    row basis in R^(2n), or None without convergence, and s_1 / s_0 of the
+    frame at every shell visited.  Rounding moves the plane by about
+    eps / (s_1 / s_0), so Q is only as good as the smallest ratio allows.
+    """
+    from mixedsing._numeric import compile_frame, normal_plane
+
+    frame = compile_frame(F)
+    prev, run, ratios = None, 0, []
+    for t in t0 * rho ** np.arange(max_shells):
+        plane = normal_plane(*frame(curve_at(curve, float(t))))
+        ratios.append(float(plane.s[1] / plane.s[0]) if plane.rank else 0.0)
+        if plane.rank < 2:
+            return None, ratios
+        Q = plane.Vt[:2]
+        run = run + 1 if prev is not None and grassmann_distance(prev, Q) < conv_tol else 0
+        prev = Q
+        if run >= conv_run:
+            return Q, ratios
+    return None, ratios

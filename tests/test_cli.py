@@ -108,7 +108,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name, "--samples", "60")
     assert code == 0
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key, capsys, name)
@@ -251,6 +251,39 @@ class TestErrorContract:
         code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y")
         assert code == 4
         assert rep["error"] == {"type": "internal", "message": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize("curve", ["1 + t, 1", "1 + t, 5 + t"])
+    def test_curve_off_the_stratum_base_is_rejected(self, capsys, curve):
+        # both curves pass through regular points only, never through (0, 1)
+        code, rep = run_json(
+            capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y", "--samples", "20",
+            "--stratum", "base = (0, 1); tangent = (0, 1), (0, i); label = y-axis",
+            "--curve", curve,
+        )
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert "not at the stratum base point (0, 1)" in rep["error"]["message"]
+
+    def test_critical_locus_curve_in_a_battery(self, capsys):
+        # the second curve lies in the critical locus {x = 0} of x*y*x~
+        code, rep = run_json(
+            capsys, "thom-probe", "--expr", "x*y*x~", "--vars", "x,y",
+            "--stratum", "base = (0, 1); tangent = (0, 1), (0, i); label = y-axis",
+            "--curve", "t, 1", "--curve", "0, 1 + t",
+        )
+        assert code == 0
+        probe = rep["thom_probes"][0]
+        assert probe["verdict"] == "fail-witness"
+        assert [c["verdict"] for c in probe["curves"]] == ["fail-witness", "inconclusive"]
+        assert probe["curves"][1]["projection"] is None and probe["worst_projection"] > 0.9
+
+    def test_curve_without_stratum_names_the_flag(self, capsys):
+        code, rep = run_json(
+            capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y", "--curve", "t, 1"
+        )
+        assert code == 2
+        assert "--curve" in rep["error"]["message"]
+        assert "--stratum" in rep["error"]["message"]
 
     def test_reports_never_contain_nan(self, capsys):
         # allow_nan=False would raise instead of printing Infinity/NaN

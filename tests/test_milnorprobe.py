@@ -16,6 +16,7 @@ from mixedsing import (
     tube_verdict,
 )
 from mixedsing._numeric import compile_frame, compile_hessian
+from mixedsing.cli import main
 from mixedsing.fixtures import fixture_names, load_fixture
 from mixedsing.milnorprobe import NEAR_ZERO_TOL, OFF_FIBRE_TOL, _project_to_milnor_set
 from conftest import random_points
@@ -274,11 +275,20 @@ class TestTubeVerdict:
         assert v.thom_status == "unknown"
         assert v.isolated.status == "not-isolated"
 
-    def test_icis_flag_route(self):
+    def test_icis_flag_route(self, capsys):
+        """No flag or argument asserts an ICIS: (x^2 - z*y^2, y) is not one,
+        since its minors 2x, 0 and y^2 all vanish on the z-axis."""
         f, g = parse("x^2 - z*y^2", XYZ), parse("y", XYZ)
-        v = tube_verdict(from_pair(f, g), pair=(f, g), assert_icis=True)
-        assert v.tube_status == "yes" and v.tube_route == "icis-flag"
-        assert v.thom_status == "regular" and v.thom_route == "icis-flag"
+        with pytest.raises(TypeError):
+            tube_verdict(from_pair(f, g), pair=(f, g), assert_icis=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--pair", "x^2 - z*y^2", "y", "--vars", "x,y,z",
+                  "--samples", "20", "--assert-icis"])
+        assert exc.value.code == 2
+        assert "--assert-icis" in capsys.readouterr().err
+        v = tube_verdict(from_pair(f, g), pair=(f, g))
+        assert v.thom_status == "unknown"
+        assert "icis-flag" not in [r.name for r in v.routes]
 
     def test_icis_flag_needs_isolated_verdict(self):
         # the same pair without the flag keeps thom unknown

@@ -1,9 +1,13 @@
-"""Normal families, limit planes along curves, and the stratified probe."""
+"""Normal families, exact limit planes along curves, and the stratified probe."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mixedsing import (
+    ComplexRational,
     CurveGerm,
     Stratum,
     default_curve_battery,
@@ -16,16 +20,12 @@ from mixedsing import (
     parse,
     thom_test,
 )
-from mixedsing._numeric import (
-    RANK_RTOL,
-    grassmann_distance,
-    normal_plane,
-    real_span_basis,
-    realify,
-    unrealify,
-)
+from mixedsing._numeric import RANK_RTOL, compile_frame, normal_plane, real_span_basis
+from mixedsing._numeric import realify, unrealify
+from mixedsing.fixtures import load_all, load_fixture
 from conftest import random_points
-from oracles import random_mixed
+from oracles import curve_at, grassmann_distance, least_squares_mu, random_mixed
+from oracles import track_normal_plane
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -41,6 +41,27 @@ def curve(*components, label=""):
 
 Y_AXIS_2 = Stratum(base_point=(0, 1), tangent=((0, 1), (0, 1j)), label="y-axis")
 Z_AXIS_3 = Stratum(base_point=(0, 0, 1), tangent=((0, 0, 1), (0, 0, 1j)), label="z-axis")
+
+
+def cr(re, im=0):
+    return ComplexRational(Fraction(re), Fraction(im))
+
+
+def wedge(u, v):
+    """Plucker vector of u ^ v for exact vectors of C^n, realified."""
+    u = [c.re for c in u] + [c.im for c in u]
+    v = [c.re for c in v] + [c.im for c in v]
+    return tuple(u[i] * v[j] - u[j] * v[i]
+                 for i, j in itertools.combinations(range(len(u)), 2))
+
+
+def proportional(L, M):
+    """L = r * M for a nonzero rational r (or both are None)."""
+    if L is None or M is None:
+        return L is None and M is None
+    k = next(i for i, x in enumerate(M) if x)
+    r = L[k] / M[k]
+    return r != 0 and all(a == r * b for a, b in zip(L, M))
 
 
 class TestSymbolicFamilies:
@@ -171,7 +192,7 @@ class TestNumericHelpers:
             a = rng.normal(size=3) + 1j * rng.normal(size=3)
             b = rng.normal(size=3) + 1j * rng.normal(size=3)
             mu = complex(rng.normal(), rng.normal())
-            got = normal_plane(a, b).mu(mu * a + np.conj(mu) * b)
+            got = least_squares_mu(a, b, mu * a + np.conj(mu) * b)
             assert abs(got - mu) <= 1e-12 * max(1.0, abs(mu))
 
     def test_normal_plane_rank_rule(self, rng):
@@ -213,28 +234,32 @@ class TestNumericHelpers:
 class TestCurveGerm:
     def test_evaluation_and_base_point(self):
         c = curve([(1, 1)], [(1, 0), (-2, 3)])
-        assert np.allclose(c.at(0.5), [0.5, 1 - 2 * 0.125])
-        assert c.base_point() == (0j, 1 + 0j)
+        assert np.allclose(curve_at(c, 0.5), [0.5, 1 - 2 * 0.125])
+        assert c.base_point() == (cr(0), cr(1))
 
     def test_from_polynomials(self):
         c = CurveGerm.from_polynomials(
-            (parse("t", ("t",)), parse("1", ("t",))), label="axis"
+            (parse("t", ("t",)), parse("3/5 + 4/5*i", ("t",))), label="axis"
         )
-        assert c.components == (((1 + 0j, 1),), ((1 + 0j, 0),))
+        assert c.components == (((cr(1), 1),), ((cr(Fraction(3, 5), Fraction(4, 5)), 0),))
         with pytest.raises(ValueError):
             CurveGerm.from_polynomials((parse("t~", ("t",)),))
 
-    def test_parameter_validation(self):
+    def test_coefficients_stay_exact(self):
+        c = curve([(0.5 + 0.25j, 1)], [(Fraction(1, 3), 0)])
+        assert c.components == (((cr(Fraction(1, 2), Fraction(1, 4)), 1),), ((cr(Fraction(1, 3)), 0),))
         with pytest.raises(ValueError):
-            CurveGerm((((1 + 0j, 1),),), rho=1.5)
+            curve([(1, -1)])
         with pytest.raises(ValueError):
-            CurveGerm((((1 + 0j, 1),),), t0=0.0)
+            curve([(complex("nan"), 1)])
 
 
 class TestStratum:
     def test_tangent_must_be_real_independent(self):
         with pytest.raises(ValueError):
             Stratum(base_point=(0, 1), tangent=((0, 1), (0, 2)))
+        # (1, i) and (i, -1) = i * (1, i) are independent over R, not over C
+        assert len(Stratum(base_point=(0, 0), tangent=((1, 1j), (1j, -1))).tangent) == 2
 
     def test_arity_checked_against_polynomial(self):
         with pytest.raises(ValueError):
@@ -243,12 +268,14 @@ class TestStratum:
 
 class TestLimitPlane:
     def test_product_canonical_plane(self):
-        probe = limit_normal_plane(XYXBAR, curve([(1, 1)], [(1, 0)]), conv_tol=1e-9)
+        probe = limit_normal_plane(XYXBAR, curve([(1, 1)], [(1, 0)]))
         assert probe.verdict == "compatible"
-        assert probe.reason.startswith("converged")
+        assert probe.reason == "limit plane from t^3"
+        assert probe.plane_dims == (2,)
+        assert proportional(probe.plucker, wedge((cr(1), cr(0)), (cr(0), cr(0, 1))))
         Q = np.stack([realify(np.asarray(v)) for v in probe.limit_plane])
         ref = np.stack([realify(np.array([1, 0j])), realify(np.array([0, 1j]))])
-        assert grassmann_distance(Q, ref) <= 1e-6
+        assert grassmann_distance(Q, ref) <= 1e-12
 
     def test_degenerate_frame_is_inconclusive(self):
         probe = limit_normal_plane(XYXBAR, curve([], [(1, 1)]))
@@ -256,11 +283,12 @@ class TestLimitPlane:
         assert "degenerate" in probe.reason
 
     def test_real_one_dimensional_plane(self):
+        # x + x~ has the rank-1 frame (2, 0) everywhere: every point is critical
         F = parse("x + x~", ("x",))
         probe = limit_normal_plane(F, curve([(1, 1)]))
-        assert probe.verdict == "compatible"
-        assert set(probe.plane_dims) == {1}
-        assert len(probe.limit_plane) == 1
+        assert probe.verdict == "inconclusive"
+        assert "critical locus" in probe.reason
+        assert probe.plane_dims == () and probe.limit_plane is None
 
     def test_curve_arity_checked(self):
         with pytest.raises(ValueError):
@@ -286,9 +314,27 @@ class TestThomTest:
         assert result.verdict == "fail-witness"
 
     def test_product_failure_survives_curve_rotation(self):
-        rot = np.exp(1j * np.pi / 4)
+        rot = cr(Fraction(3, 5), Fraction(4, 5))
         result = thom_test(XYXBAR, Y_AXIS_2, curves=(curve([(rot, 1)], [(1, 0)]),))
         assert result.verdict == "fail-witness"
+
+    def test_critical_locus_curve_beside_a_regular_one(self):
+        # (0, 1 + t) stays on {x = 0}, where a and b of x*y*x~ vanish
+        regular = curve([(1, 1)], [(1, 0)], label="t, 1")
+        critical = curve([], [(1, 0), (1, 1)], label="0, 1 + t")
+        for curves in ((regular, critical), (critical, regular)):
+            result = thom_test(XYXBAR, Y_AXIS_2, curves=curves)
+            assert result.verdict == "fail-witness"
+            assert sorted(p.verdict for p in result.per_curve) == ["fail-witness", "inconclusive"]
+            assert result.projection > 0.9
+
+    def test_critical_locus_everywhere(self):
+        # x*x~ has a rank-1 frame at every point, so every curve is critical
+        result = thom_test(parse("x*x~", XY), Y_AXIS_2)
+        assert result.verdict == "inconclusive"
+        assert result.reason == "9 of 9 curves lie in the critical locus"
+        assert all(p.projection is None for p in result.per_curve)
+        assert result.projection is None
 
     def test_witness_replays_deterministically(self):
         a = thom_test(XYXBAR, Y_AXIS_2)
@@ -327,7 +373,13 @@ class TestDefaultBattery:
     def test_battery_respects_base_point(self):
         for c in default_curve_battery((0, 0, 1)):
             assert len(c.components) == 3
-            assert np.allclose(c.base_point(), (0, 0, 1))
+            assert c.base_point() == (cr(0), cr(0), cr(1))
+
+    def test_directions_are_exact_unit_complex_numbers(self):
+        for c in default_curve_battery((0, 0, 1), seed=7):
+            for comp in c.components:
+                w = comp[0][0]
+                assert w.re * w.re + w.im * w.im == 1
 
     def test_battery_capped_in_higher_dimension(self):
         assert len(default_curve_battery((0, 0, 1))) == 27
@@ -344,3 +396,102 @@ class TestDefaultBattery:
         a = default_curve_battery((0, 1), seed=1)
         b = default_curve_battery((0, 1), seed=2)
         assert [c.components for c in a] != [c.components for c in b]
+
+
+def fixture_batteries():
+    """(fixture, F, stratum, curves) for every fixture stratum and its battery."""
+    for fx in load_all():
+        for stratum in fx.strata:
+            yield fx, fx.expression, stratum, fx.curves or default_curve_battery(stratum.base_point)
+
+
+def reparametrize(c: CurveGerm, sub) -> CurveGerm:
+    """c(sub(t)) for sub a list of (coefficient, exponent) terms."""
+    def power(e):
+        out = {0: Fraction(1)}
+        for _ in range(e):
+            nxt = {}
+            for k, a in out.items():
+                for b, f in sub:
+                    nxt[k + f] = nxt.get(k + f, 0) + a * b
+            out = nxt
+        return out
+
+    return CurveGerm(
+        tuple(tuple((c0 * p, k) for c0, e in comp for k, p in power(e).items())
+              for comp in c.components),
+        label=c.label,
+    )
+
+
+TRANSFORMS = {
+    "lambda-F": lambda F, c: (F * ComplexRational(Fraction(3, 5), Fraction(4, 5)), c),
+    "conj-F": lambda F, c: (F.conjugate(), c),
+    "t-2t": lambda F, c: (F, reparametrize(c, [(2, 1)])),
+    "t-t+t^2": lambda F, c: (F, reparametrize(c, [(1, 1), (1, 2)])),
+}
+
+
+class TestExactLimit:
+    def test_xy_xbar_battery_fails_with_the_hand_derived_plane(self):
+        """Along (w1 t^a, 1 + w2 t^b) the frame's Plucker vector starts at
+        2 t^3a (w1, 0) ^ (0, i), which meets the tangent (0, i)."""
+        fx = load_fixture("xy-xbar")
+        battery = default_curve_battery(fx.strata[0].base_point)
+        result = thom_test(fx.expression, fx.strata[0], curves=battery)
+        assert result.verdict == "fail-witness"
+        assert [p.verdict for p in result.per_curve] == ["fail-witness"] * 9
+        for c, p in zip(battery, result.per_curve):
+            w1 = c.components[0][0][0]
+            assert proportional(p.plucker, wedge((w1, cr(0)), (cr(0), cr(0, 1))))
+            assert p.plane_dims == (2,)
+            assert np.allclose(p.witness["direction"], (0, 1j), atol=1e-15)
+            assert abs(p.witness["projection"] - 1) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_limit_is_invariant(self, name):
+        """Rotating or conjugating F and reparametrizing t keep every limit
+        plane (L up to a rational factor) and every per-curve verdict."""
+        checked = 0
+        for fx, F, stratum, curves in fixture_batteries():
+            base = thom_test(F, stratum, curves=curves)
+            pairs = [TRANSFORMS[name](F, c) for c in curves]
+            moved = thom_test(pairs[0][0], stratum, curves=[c for _, c in pairs])
+            for p, q in zip(base.per_curve, moved.per_curve):
+                assert q.verdict == p.verdict, (fx.name, name)
+                assert proportional(q.plucker, p.plucker), (fx.name, name)
+                checked += 1
+        assert checked == 1 + 1 + 9 + 27 + 1 + 1
+
+    def test_float_tracker_agrees_where_well_conditioned(self):
+        """The shell-by-shell float tracker (tests/oracles.py) lands on the
+        exact limit wherever its frame stays well inside rank 2 (s_1/s_0 >=
+        1e-6 at every shell), on the seed-1 batteries of every fixture."""
+        compared = 0
+        for fx in load_all():
+            for stratum in fx.strata:
+                for c in default_curve_battery(stratum.base_point, seed=1) + fx.curves:
+                    Q, ratios = track_normal_plane(fx.expression, c)
+                    if Q is None or min(ratios) < 1e-6:
+                        continue
+                    exact = limit_normal_plane(fx.expression, c)
+                    E = np.stack([realify(np.asarray(v)) for v in exact.limit_plane])
+                    assert grassmann_distance(Q, E) <= 1e-6, (fx.name, c.label)
+                    compared += 1
+        assert compared >= 40
+
+    def test_witness_mu_is_the_limit_of_the_least_squares_mu(self):
+        """A skew tangent fails on every battery curve; each witness's exact
+        mu matches the float least-squares mu of its direction at t = 1e-4."""
+        compared = 0
+        for name in ("polar-k2", "x2zy2-ybar", "separate-x2-y3"):
+            fx = load_fixture(name)
+            n = fx.expression.n_vars
+            skew = Stratum(base_point=fx.strata[0].base_point, tangent=((1,) + (1 + 2j,) * (n - 1),))
+            battery = default_curve_battery(skew.base_point)
+            frame = compile_frame(fx.expression)
+            for c, p in zip(battery, thom_test(fx.expression, skew, curves=battery).per_curve):
+                mu = least_squares_mu(*frame(curve_at(c, 1e-4)), np.array(p.witness["direction"]))
+                assert abs(mu / abs(mu) - p.witness["mu"]) <= 1e-3, (name, c.label)
+                compared += 1
+        assert compared == 27 + 27 + 9
