@@ -284,19 +284,27 @@ def _sing_section(sd):
     }
 
 
-def _curves_from_args(args):
-    out = []
-    for text in getattr(args, "curve", None) or []:
-        out.append(
-            CurveGerm.from_polynomials(
-                [parse(c, ("t",)) for c in _split_top(text)], label=text
-            )
-        )
-    return tuple(out)
+def _probe_inputs(args, fixture):
+    """The strata and curves to probe: a fixture's own, or --stratum/--curve.
 
-
-def _strata_from_args(args):
-    return tuple(_parse_stratum(text) for text in (getattr(args, "stratum", None) or []))
+    A fixture's expect lines describe its own strata, so user strata and
+    curves never run under them.
+    """
+    if fixture is not None:
+        for flag in ("stratum", "curve"):
+            if getattr(args, flag):
+                raise ParseError(
+                    0, f"--{flag} cannot be combined with a fixture, which probes its own strata"
+                )
+        return fixture.strata, fixture.curves
+    strata = tuple(_parse_stratum(text) for text in args.stratum or [])
+    curves = tuple(
+        CurveGerm.from_polynomials([parse(c, ("t",)) for c in _split_top(text)], label=text)
+        for text in args.curve or []
+    )
+    if curves and not strata:
+        raise ParseError(0, "--curve needs at least one --stratum to probe against")
+    return strata, curves
 
 
 # commands -----------------------------------------------------------------------
@@ -305,10 +313,7 @@ def _strata_from_args(args):
 def _cmd_analyze(args) -> int:
     loaded = _load_input(args)
     fixture, F, pair, _ = loaded
-    strata = fixture.strata if fixture else _strata_from_args(args)
-    curves = fixture.curves if fixture else _curves_from_args(args)
-    if curves and not strata:
-        raise ParseError(0, "--curve needs at least one --stratum to probe against")
+    strata, curves = _probe_inputs(args, fixture)
     polar_sol, polar_sec = _polar_section(
         F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k
     )
@@ -409,8 +414,7 @@ def _cmd_disc(args) -> int:
 def _cmd_thom_probe(args) -> int:
     loaded = _load_input(args)
     fixture, F, _, _ = loaded
-    strata = fixture.strata if fixture else _strata_from_args(args)
-    curves = fixture.curves if fixture else _curves_from_args(args)
+    strata, curves = _probe_inputs(args, fixture)
     if not strata:
         raise ParseError(0, "thom-probe needs at least one stratum")
     _, rows = _probe_sections(F, strata, curves, seed=args.seed)

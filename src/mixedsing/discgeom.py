@@ -26,18 +26,24 @@ u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
 restricted to a curve germ is non-submersive iff the germ is a line) and
 provides the shear (f + lam * g^k, g) that removes non-axis lines.
 
-Everything here is exact; floats never decide a verdict.
+Everything here is exact; floats never decide a verdict.  Every exact step
+runs on elements of sympy's sparse polynomial rings over QQ_I: the division
+tests above, the slope polynomial of line_components (a gcd and a
+factorisation in QQ_I[a]), and the Groebner checks of the n >= 3 verdict
+and of sing_decomposition (in QQ_I[x1..xn, w], grevlex).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import sympy as sp
 from sympy.polys.domains import QQ_I
-from sympy.polys.rings import ring
+from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import PolyRing, ring
 
 from .core import ComplexRational, MixedPolynomial, _from_gaussian, _ring
 from .parsing import format_mixed, parse
@@ -69,6 +75,8 @@ DEGREE_BOUND = 8
 # QQ_I[x, y, a] and QQ_I[y, x, a]: a resultant eliminates the first generator
 _XYA = ring("x y a", QQ_I)[0]
 _YXA = ring("y x a", QQ_I)[0]
+# QQ_I[a]: the slopes a of the lines {v = a*u}
+_A = ring("a", QQ_I)[0]
 
 
 class DegreeBoundError(ValueError):
@@ -83,7 +91,7 @@ class ShearSearchExhausted(RuntimeError):
     """No shear exponent in the searched range produced an isolated value."""
 
 
-# sympy bridge ------------------------------------------------------------------
+# ring conversions ----------------------------------------------------------------
 
 
 def _require_plane_pair(f: MixedPolynomial, g: MixedPolynomial, op: str):
@@ -93,28 +101,26 @@ def _require_plane_pair(f: MixedPolynomial, g: MixedPolynomial, op: str):
         raise ValueError(f"{op}: both inputs must be holomorphic")
 
 
-def _holo_to_sympy(F: MixedPolynomial, syms):
-    # F is holomorphic, so the z~ generators all carry exponent 0
-    return sp.expand(F._poly.as_expr(*syms, *syms))
+@cache
+def _groebner_ring(n: int) -> PolyRing:
+    """QQ_I[x1..xn, w] in grevlex; w is the Rabinowitsch variable."""
+    return ring([f"x{j + 1}" for j in range(n)] + ["w"], QQ_I, order=grevlex)[0]
 
 
-def _monic_from_sympy(expr, syms) -> MixedPolynomial:
-    """The holomorphic polynomial expr in syms, divided by its leading coefficient."""
-    R = _ring(len(syms))
-    rep = sp.Poly(expr, *syms, *R.symbols[len(syms):], domain=QQ_I).rep
-    return MixedPolynomial._from_poly(R.from_dict(rep.to_dict()).monic())
+def _embed(F: MixedPolynomial, R: PolyRing):
+    """A holomorphic F in z1..zn as an element of R, whose first n generators
+    stand for z1..zn and whose others get exponent 0."""
+    n = F.n_vars
+    pad = (0,) * (R.ngens - n)
+    return R.from_dict({m[:n] + pad: c for m, c in F._poly.items()})
 
 
-def _to_xya(F: MixedPolynomial):
-    """A holomorphic plane polynomial as an element of QQ_I[x, y, a]."""
-    return _XYA.from_dict({m[:2] + (0,): c for m, c in F._poly.items()})
-
-
-def _from_xya(p) -> MixedPolynomial:
-    """An element of QQ_I[x, y, a] free of a, divided by its leading coefficient."""
-    R = _ring(2)
+def _monic(p, n: int) -> MixedPolynomial:
+    """A ring element in its first n generators only, as a holomorphic
+    polynomial in z1..zn divided by its leading coefficient."""
+    pad = (0,) * n
     return MixedPolynomial._from_poly(
-        R.from_dict({e[:2] + (0, 0): c for e, c in p.items()}).monic()
+        _ring(n).from_dict({e[:n] + pad: c for e, c in p.items()}).monic()
     )
 
 
@@ -172,7 +178,7 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     coeffs = (res.coeff_wrt(1, k) for k in range(res.degree(1) + 1))
     m = res.exquo(reduce(lambda p, q: p.gcd(q), coeffs)).sqf_part()
     d = m.degree(1)
-    return _from_xya(_XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
+    return _monic(_XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}), 2)
 
 
 def discriminant_curve(
@@ -193,23 +199,23 @@ def discriminant_curve(
         )
 
     x, y, _ = _XYA.gens
-    fp, gp = _to_xya(f), _to_xya(g)
+    fp, gp = _embed(f, _XYA), _embed(g, _XYA)
     forms: list[MixedPolynomial] = []
     off_origin: list[MixedPolynomial] = []
     non_line: list[MixedPolynomial] = []
-    for P, _mult in _to_xya(J).factor_list()[1]:
+    for P, _mult in _embed(J, _XYA).factor_list()[1]:
         if P.coeff(1):
-            off_origin.append(_from_xya(P))
+            off_origin.append(_monic(P, 2))
             continue
         on_u, on_v = not fp.rem(P), not gp.rem(P)  # f = 0, g = 0 on {P = 0}
         if on_u and on_v:
             continue  # the factor maps to the origin
         if on_u or on_v:
-            form = _from_xya(x if on_u else y)  # the line {u = 0} or {v = 0}
+            form = _monic(x if on_u else y, 2)  # the line {u = 0} or {v = 0}
         elif not (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P):
             form = _slope_form(P, fp, gp)
         else:
-            non_line.append(_from_xya(P))
+            non_line.append(_monic(P, 2))
             continue
         if form not in forms:
             forms.append(form)
@@ -272,15 +278,6 @@ class LineReport:
         return len(self.components)
 
 
-def _slope_coefficient_polys(h: MixedPolynomial, a):
-    """Coefficients c_j(a) of u^j in h(u, a*u), as sympy expressions."""
-    by_total: dict[int, object] = {}
-    for (eu, ev, _, _), c in h._poly.terms():
-        j = eu + ev
-        by_total[j] = by_total.get(j, sp.Integer(0)) + QQ_I.to_sympy(c) * a ** ev
-    return [sp.expand(e) for e in by_total.values() if sp.expand(e) != 0]
-
-
 def line_components(curve: PlaneCurve) -> LineReport:
     """Exact line detection in a discriminant curve."""
     if curve.h is None:
@@ -293,56 +290,50 @@ def line_components(curve: PlaneCurve) -> LineReport:
     if all(p.nu[0] > 0 for p in h.terms):
         comps.append(LineComponent(kind="axis-v"))
 
-    a = sp.Symbol("a")
-    coeffs = _slope_coefficient_polys(h, a)
-    g = sp.Integer(0)
-    for c in coeffs:
-        g = sp.gcd(g, c, gaussian=True) if g != 0 else c
-    g = sp.expand(g)
+    # h(u, a*u) = sum_j c_j(a) u^j; the slopes are the common roots of the c_j
+    coeffs: dict[int, dict] = {}
+    for (eu, ev, _, _), c in h._poly.items():
+        coeffs.setdefault(eu + ev, {})[(ev,)] = c
+    g = reduce(lambda p, q: p.gcd(q), (_A.from_dict(c) for c in coeffs.values()))
     has_slopes = False
     unresolved: list[str] = []
     slope_comps: list[LineComponent] = []
-    if g.free_symbols and sp.Poly(g, a, domain="QQ_I").degree() >= 1:
-        _, factors = sp.factor_list(g, a, gaussian=True)
-        for fac, _mult in factors:
-            p = sp.Poly(fac, a, domain="QQ_I")
-            deg = p.degree()
-            if deg == 0:
-                continue
-            if deg == 1:
-                c1, c0 = p.rep.to_list()
-                cr = _from_gaussian(QQ_I.quo(-c0, c1))
-                if cr.is_zero:
-                    continue  # the a = 0 root is the u-axis, not a slope line
-                has_slopes = True
+    for fac, _mult in g.factor_list()[1]:
+        deg = fac.degree()
+        if deg == 1:
+            cr = _from_gaussian(QQ_I.quo(-fac.coeff(1), fac.LC))
+            if cr.is_zero:
+                continue  # the a = 0 root is the u-axis, not a slope line
+            has_slopes = True
+            slope_comps.append(
+                LineComponent(
+                    kind="slope",
+                    slope=complex(cr),
+                    slope_exact=cr,
+                    exact=True,
+                    halfline_direction=_halfline(complex(cr)),
+                )
+            )
+        elif deg <= 4:
+            # irreducible of degree >= 2 over QQ_I never has the root 0
+            has_slopes = True
+            minpoly = fac.as_expr()
+            for root in sp.Poly(minpoly, domain=QQ_I).nroots(n=20):
+                rv = complex(root)
                 slope_comps.append(
                     LineComponent(
                         kind="slope",
-                        slope=complex(cr),
-                        slope_exact=cr,
-                        exact=True,
-                        halfline_direction=_halfline(complex(cr)),
+                        slope=rv,
+                        exact=False,
+                        minpoly=str(minpoly),
+                        halfline_direction=_halfline(rv),
                     )
                 )
-            elif deg <= 4:
-                # irreducible of degree >= 2 over QQ_I never has the root 0
-                has_slopes = True
-                for root in p.nroots(n=20):
-                    rv = complex(root)
-                    slope_comps.append(
-                        LineComponent(
-                            kind="slope",
-                            slope=rv,
-                            exact=False,
-                            minpoly=str(fac),
-                            halfline_direction=_halfline(rv),
-                        )
-                    )
-            else:
-                has_slopes = True
-                unresolved.append(str(fac))
-        slope_comps.sort(key=lambda c: (c.slope.real, c.slope.imag))
-        comps.extend(slope_comps)
+        else:
+            has_slopes = True
+            unresolved.append(str(fac.as_expr()))
+    slope_comps.sort(key=lambda c: (c.slope.real, c.slope.imag))
+    comps.extend(slope_comps)
     return LineReport(
         components=tuple(comps),
         has_slope_lines=has_slopes,
@@ -444,13 +435,12 @@ def _jacobian_minors(f: MixedPolynomial, g: MixedPolynomial) -> list[MixedPolyno
     return minors
 
 
-def _vanishes_on_critical_set(target: MixedPolynomial, minors, syms) -> bool:
+def _vanishes_on_critical_set(target: MixedPolynomial, minors) -> bool:
     """Radical membership: does target vanish wherever all minors do?"""
-    w = sp.Symbol("w_rabinowitsch")
-    gens = [_holo_to_sympy(m, syms) for m in minors]
-    t = _holo_to_sympy(target, syms)
-    G = sp.groebner([*gens, 1 - w * t], *syms, w, order="grevlex", domain="QQ_I")
-    return list(G.exprs) == [sp.Integer(1)]
+    R = _groebner_ring(target.n_vars)
+    w = R.gens[-1]
+    polys = [_embed(m, R) for m in minors]
+    return groebner([*polys, 1 - w * _embed(target, R)], R) == [R.one]
 
 
 def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVerdict:
@@ -484,10 +474,7 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
         raise DegenerateEliminationError(
             "pair Jacobian has rank < 2 everywhere; no meaningful discriminant"
         )
-    syms = sp.symbols(f"x1:{f.n_vars + 1}")
-    if _vanishes_on_critical_set(f, minors, syms) and _vanishes_on_critical_set(
-        g, minors, syms
-    ):
+    if _vanishes_on_critical_set(f, minors) and _vanishes_on_critical_set(g, minors):
         return IsolatedVerdict(
             status="isolated",
             route="containment",
@@ -515,17 +502,17 @@ class SingDecomposition:
     simplified: dict = field(default_factory=dict)
 
 
-def _reduced_basis(gens, syms) -> tuple[MixedPolynomial, ...]:
+def _reduced_basis(gens) -> tuple[MixedPolynomial, ...]:
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
-    exprs = [_holo_to_sympy(g, syms) for g in nonzero]
-    G = sp.groebner(exprs, *syms, order="grevlex", domain="QQ_I")
+    n = nonzero[0].n_vars
+    R = _groebner_ring(n)
     out = []
-    for e in G.exprs:
-        h = _monic_from_sympy(e, syms)
+    for p in groebner([_embed(g, R) for g in nonzero], R):
+        h = _monic(p, n)
         if h.total_degree() == 0:
-            return (MixedPolynomial.one(len(syms)),)  # unit ideal: empty set
+            return (MixedPolynomial.one(n),)  # unit ideal: empty set
         out.append(h)
     out.sort(key=format_mixed)
     return tuple(out)
@@ -536,16 +523,15 @@ def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposit
     _require_plane_pair(f, g, "sing_decomposition")
     df = f.wirtinger().dF
     dg = g.wirtinger().dF
-    syms = sp.symbols(f"x1:{f.n_vars + 1}")
     common = (f, g)
     sing_f = tuple(p for p in df)
     sing_g = tuple(p for p in dg)
     minors = tuple(_jacobian_minors(f, g))
     simplified = {
-        "common_zero": [format_mixed(h) for h in _reduced_basis(common, syms)],
-        "sing_f": [format_mixed(h) for h in _reduced_basis(sing_f, syms)],
-        "sing_g": [format_mixed(h) for h in _reduced_basis(sing_g, syms)],
-        "off_v_minors": [format_mixed(h) for h in _reduced_basis(minors, syms)],
+        "common_zero": [format_mixed(h) for h in _reduced_basis(common)],
+        "sing_f": [format_mixed(h) for h in _reduced_basis(sing_f)],
+        "sing_g": [format_mixed(h) for h in _reduced_basis(sing_g)],
+        "off_v_minors": [format_mixed(h) for h in _reduced_basis(minors)],
     }
     return SingDecomposition(
         common_zero=common,

@@ -13,9 +13,10 @@ Detection is exact: the admissible (p, k) form a sublattice of Z^{n+1}
 reduction.  The canonical representative is searched inside a bounded ball
 sum |p_j| <= bound; failure to find one there is reported as "unknown",
 never as a false "no".  The search walks a box of lattice coefficients that
-covers the ball, as numpy integer arrays in chunks of 2^13 rows: int64
-while no entry can reach 2^62, Python ints (object arrays) otherwise, and
-never floats.
+covers the ball, as numpy integer arrays in chunks of 2^13 rows: int64 while
+no entry can reach 2^62, Python ints (object arrays) otherwise, and never
+floats.  The box's sides come from the column maxima of the pseudo-inverse
+B^T (B B^T)^-1 of the lattice basis B, computed as a DomainMatrix over QQ.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from .core import MixedPolynomial, complex_point
 
@@ -132,36 +135,12 @@ def _difference_vectors(F: MixedPolynomial) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _rational_pinv_colmax(basis: list[list[int]]) -> list[Fraction]:
-    """Column maxima of B^T (B B^T)^{-1}, exact; used to bound coefficients."""
-    r = len(basis)
-    w = len(basis[0])
-    # G = B B^T (r x r), invert over Fraction by Gauss-Jordan
-    G = [[Fraction(sum(basis[i][t] * basis[j][t] for t in range(w))) for j in range(r)]
-         for i in range(r)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if G[i][col] != 0)  # G is PD, pivot exists
-        G[col], G[piv] = G[piv], G[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        s = G[col][col]
-        G[col] = [x / s for x in G[col]]
-        inv[col] = [x / s for x in inv[col]]
-        for i in range(r):
-            if i != col and G[i][col]:
-                f = G[i][col]
-                G[i] = [a - f * b for a, b in zip(G[i], G[col])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[col])]
-    # P = B^T * inv  (w x r); we only need per-column maxima of |P|
-    colmax = []
-    for i in range(r):
-        best = Fraction(0)
-        for j in range(w):
-            entry = sum(Fraction(basis[t][j]) * inv[t][i] for t in range(r))
-            if abs(entry) > best:
-                best = abs(entry)
-        colmax.append(best)
-    return colmax
+def _pinv_colmax(basis: list[list[int]]) -> list[Fraction]:
+    """Column maxima of |B^T (B B^T)^{-1}|, exact; used to bound coefficients."""
+    B = DomainMatrix.from_list(basis, ZZ).to_field()
+    P = B.transpose() * (B * B.transpose()).inv()
+    return [Fraction(int(q.numerator), int(q.denominator))
+            for q in (max(abs(x) for x in col) for col in zip(*P.to_list()))]
 
 
 def _candidate_key(p: tuple[int, ...], k: int):
@@ -243,7 +222,7 @@ def solve_polar(
     # bounded enumeration of the lattice ball sum|p| <= bound
     dmax = max((max(abs(x) for x in d) for d in diffs if any(d)), default=0)
     v1_bound = bound * (1 + dmax)  # |k| <= sum|p| * dmax
-    colmax = _rational_pinv_colmax(basis)
+    colmax = _pinv_colmax(basis)
     boxes = [int(v1_bound * c) for c in colmax]
     total = 1
     for b in boxes:

@@ -187,6 +187,146 @@ def numeric_branch_singular(p: int, terms, *, radii=(0.35, 0.2), angles=16,
     return True
 
 
+# ---- Fraction Gauss-Jordan reference for the polar search box --------------------
+
+
+def rational_pinv_colmax(basis):
+    """Column maxima of |B^T (B B^T)^{-1}|, by Gauss-Jordan over Fraction.
+
+    The reference for polar._pinv_colmax.  B B^T is positive definite for a
+    full-rank basis B, so every pivot exists.
+    """
+    r, w = len(basis), len(basis[0])
+    G = [[Fraction(sum(basis[i][t] * basis[j][t] for t in range(w))) for j in range(r)]
+         for i in range(r)]
+    inv = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    for col in range(r):
+        piv = next(i for i in range(col, r) if G[i][col] != 0)
+        G[col], G[piv] = G[piv], G[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        s = G[col][col]
+        G[col] = [x / s for x in G[col]]
+        inv[col] = [x / s for x in inv[col]]
+        for i in range(r):
+            if i != col and G[i][col]:
+                f = G[i][col]
+                G[i] = [a - f * b for a, b in zip(G[i], G[col])]
+                inv[i] = [a - f * b for a, b in zip(inv[i], inv[col])]
+    return [max(abs(sum(basis[t][j] * inv[t][i] for t in range(r))) for j in range(w))
+            for i in range(r)]
+
+
+# ---- sympy-expression references for line reading and Groebner checks -----------
+
+
+def expr_line_components(curve):
+    """line_components(curve) recomputed on sympy expressions.
+
+    The coefficients c_j(a) of u^j in h(u, a*u) are sympy expressions; their
+    gcd and its factorisation over QQ(i) come from sp.gcd and sp.factor_list.
+    """
+    from mixedsing.core import _from_gaussian
+    from mixedsing.discgeom import LineComponent, LineReport
+
+    def halfline(slope):
+        return slope.conjugate() / abs(slope)
+
+    if curve.h is None:
+        return LineReport(components=(), has_slope_lines=False)
+    h = curve.h
+    comps = []
+    if all(p.nu[1] > 0 for p in h.terms):
+        comps.append(LineComponent(kind="axis-u"))
+    if all(p.nu[0] > 0 for p in h.terms):
+        comps.append(LineComponent(kind="axis-v"))
+    a = sp.Symbol("a")
+    by_total = {}
+    for pair, c in h.terms.items():
+        term = (sp.Rational(c.re.numerator, c.re.denominator)
+                + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * a ** pair.nu[1]
+        by_total[sum(pair.nu)] = by_total.get(sum(pair.nu), sp.Integer(0)) + term
+    g = sp.Integer(0)
+    for c in by_total.values():
+        g = sp.gcd(g, sp.expand(c), gaussian=True) if g != 0 else sp.expand(c)
+    g = sp.expand(g)
+    has_slopes, unresolved, slope_comps = False, [], []
+    if g.free_symbols:
+        for fac, _mult in sp.factor_list(g, a, gaussian=True)[1]:
+            p = sp.Poly(fac, a, domain="QQ_I")
+            if p.degree() == 1:
+                c1, c0 = p.rep.to_list()
+                cr = _from_gaussian(sp.QQ_I.quo(-c0, c1))
+                if cr.is_zero:
+                    continue
+                has_slopes = True
+                slope_comps.append(LineComponent(
+                    kind="slope", slope=complex(cr), slope_exact=cr, exact=True,
+                    halfline_direction=halfline(complex(cr))))
+            elif p.degree() <= 4:
+                has_slopes = True
+                for root in p.nroots(n=20):
+                    slope_comps.append(LineComponent(
+                        kind="slope", slope=complex(root), exact=False, minpoly=str(fac),
+                        halfline_direction=halfline(complex(root))))
+            else:
+                has_slopes = True
+                unresolved.append(str(fac))
+        slope_comps.sort(key=lambda c: (c.slope.real, c.slope.imag))
+        comps.extend(slope_comps)
+    return LineReport(components=tuple(comps), has_slope_lines=has_slopes,
+                      unresolved_slope_factors=tuple(unresolved))
+
+
+def _holomorphic_expr(F: MixedPolynomial, xs):
+    zs, ws = mixed_symbols(F.n_vars)
+    return to_sympy(F, zs, ws).subs(dict(zip(zs, xs)))
+
+
+def expr_vanishes_on_critical_set(target: MixedPolynomial, minors) -> bool:
+    """Radical membership by the Rabinowitsch trick and sp.groebner."""
+    xs = sp.symbols(f"x1:{target.n_vars + 1}")
+    w = sp.Symbol("w")
+    gens = [_holomorphic_expr(m, xs) for m in minors]
+    G = sp.groebner([*gens, 1 - w * _holomorphic_expr(target, xs)], *xs, w,
+                    order="grevlex", domain="QQ_I")
+    return list(G.exprs) == [sp.Integer(1)]
+
+
+def expr_reduced_basis(gens) -> list[str]:
+    """The reduced grevlex basis of the ideal of gens by sp.groebner, each
+    element made monic in graded-lex order, formatted and sorted as in
+    sing_decomposition(...).simplified."""
+    from mixedsing.core import ExponentPair
+    from mixedsing.parsing import format_mixed
+
+    nonzero = [g for g in gens if not g.is_zero]
+    if not nonzero:
+        return []
+    n = nonzero[0].n_vars
+    xs = sp.symbols(f"x1:{n + 1}")
+    G = sp.groebner([_holomorphic_expr(g, xs) for g in nonzero], *xs,
+                    order="grevlex", domain="QQ_I")
+    out = []
+    for e in G.exprs:
+        p = sp.Poly(e, *xs, domain="QQ_I")
+        terms = {
+            ExponentPair(tuple(int(k) for k in monom), (0,) * n): coeff
+            for monom, coeff in p.terms()
+        }
+        lead = max(terms, key=lambda pair: pair.key())
+        c0 = terms[lead]
+        h = MixedPolynomial(n, {pair: _cr(c / c0) for pair, c in terms.items()})
+        if h.total_degree() == 0:
+            return ["1"]
+        out.append(format_mixed(h))
+    return sorted(out)
+
+
+def _cr(c) -> ComplexRational:
+    re_q, im_q = (sp.Rational(x) for x in sp.sympify(c).as_real_imag())
+    return ComplexRational(Fraction(int(re_q.p), int(re_q.q)), Fraction(int(im_q.p), int(im_q.q)))
+
+
 # ---- random polynomial generator -------------------------------------------------
 
 

@@ -285,6 +285,22 @@ class TestErrorContract:
         assert "--curve" in rep["error"]["message"]
         assert "--stratum" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "thom-probe"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--stratum", "base = (0, 1); tangent = (0, 1), (0, i); label = y-axis"),
+            ("--curve", "t, 5"),
+        ],
+    )
+    def test_probe_flags_with_a_fixture_name_the_flag(self, capsys, command, flag, value):
+        # the fixture's expect lines describe its own strata, not the user's
+        code, rep = run_json(capsys, command, "xy-xbar", flag, value)
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert flag in rep["error"]["message"]
+        assert "fixture" in rep["error"]["message"]
+
     def test_reports_never_contain_nan(self, capsys):
         # allow_nan=False would raise instead of printing Infinity/NaN
         for name in ALL_FIXTURES:

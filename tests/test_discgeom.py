@@ -27,16 +27,33 @@ from mixedsing.discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
     ShearSearchExhausted,
+    _jacobian_minors,
 )
-from oracles import elimination_discriminant, numeric_branch_singular
+from oracles import (
+    elimination_discriminant,
+    expr_line_components,
+    expr_reduced_basis,
+    expr_vanishes_on_critical_set,
+    numeric_branch_singular,
+)
 
 UV = ("u", "v")
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+COEFFS = ["1", "2", "3", "-1", "-2", "1/2", "i", "2*i", "(1+i)", "(1-2*i)"]
+PLANE_MONOMIALS = ["x", "y", "x^2", "x*y", "y^2"]
+SPACE_MONOMIALS = ["x", "y", "z", "x^2", "x*y", "y*z", "z^2", "x*z", "y^2", "x*y*z"]
 
 
 def pair(ftext, gtext, variables=XY):
     return parse(ftext, variables), parse(gtext, variables)
+
+
+def binomial(rng, monomials, variables):
+    """A seeded two-term polynomial with coefficients drawn from COEFFS."""
+    m1, m2 = rng.choice(monomials, size=2, replace=False)
+    c1, c2 = rng.choice(COEFFS, size=2)
+    return parse(f"{c1}*{m1} + {c2}*{m2}", variables)
 
 
 def curve_from(htext):
@@ -153,21 +170,15 @@ class TestGermLocalLines:
         assert len(v.lines) == 0
 
     def test_lines_match_elimination_on_seeded_binomial_pairs(self, rng):
-        monomials = ["x", "y", "x^2", "x*y", "y^2"]
-        coeffs = ["1", "2", "3", "-1", "-2", "1/2", "i", "2*i", "(1+i)", "(1-2*i)"]
-
-        def binomial():
-            m1, m2 = rng.choice(monomials, size=2, replace=False)
-            c1, c2 = rng.choice(coeffs, size=2)
-            return parse(f"{c1}*{m1} + {c2}*{m2}", XY)
-
         reports = []
         while len(reports) < 30:
-            f, g = binomial(), binomial()
+            f, g = (binomial(rng, PLANE_MONOMIALS, XY) for _ in range(2))
             if jacobian_det(f, g).is_zero:
                 continue
-            got = line_components(discriminant_curve(f, g))
+            curve = discriminant_curve(f, g)
+            got = line_components(curve)
             assert got == line_components(elimination_discriminant(f, g)), (f, g)
+            assert got == expr_line_components(curve), (f, g)
             reports.append(got)
         # both verdicts occur in the draw
         assert any(r.has_slope_lines for r in reports)
@@ -233,6 +244,34 @@ class TestLineComponents:
     def test_origin_only_curve_has_no_lines(self):
         report = line_components(PlaneCurve(h=None, origin_only=True))
         assert len(report) == 0 and not report.has_slope_lines
+
+    @pytest.mark.parametrize(
+        "htext",
+        [
+            "u", "v", "v^2 - u^3", "u^2 + v^2", "v^2 - 2*u^2", "u*v^2 - u^2*v",
+            "v^2 - u^2 + u^3", "v - u + v^2", "(1+i)*u + v + u*v", "v^3 - 5*u^3 + u^2",
+            "v^4 - 3*u^4", "u^5 + 2*v^5 - u*v^4", "u^2*v^2*(v - 2*u)*(v^2 + u^2)",
+            "(v^5 - 2*u^5)*(v^6 + u^6 + u^5*v) + u^12",
+            "(v^5 - 2*u^5)*(v^6 + u^6 - 3*u^5*v)*(v - u)",
+        ],
+    )
+    def test_curves_match_expression_reference(self, htext):
+        curve = curve_from(htext)
+        assert line_components(curve) == expr_line_components(curve)
+
+    def test_seeded_curves_match_expression_reference(self, rng):
+        """Seeded h with up to four terms of degree <= 6, homogeneous or not."""
+        curves = []
+        while len(curves) < 40:
+            exps = {tuple(int(e) for e in rng.integers(0, 4, size=2)) for _ in range(4)}
+            htext = " + ".join(f"{rng.choice(COEFFS)}*u^{a}*v^{b}" for a, b in exps)
+            h = parse(htext, UV)
+            if h.total_degree() > 0:
+                curves.append(PlaneCurve(h=h, origin_only=False, components=(h,)))
+        reports = [line_components(c) for c in curves]
+        assert reports == [expr_line_components(c) for c in curves]
+        assert any(r.has_slope_lines for r in reports)
+        assert any(not c.exact for r in reports for c in r)
 
 
 class TestBranches:
@@ -322,6 +361,24 @@ class TestIsolatedValueVerdict:
         v = isolated_value_verdict(*pair("x^2 - z*y^2", "y", XYZ))
         assert v.status == "isolated" and v.route == "containment"
 
+    def test_containment_matches_expression_reference(self, rng):
+        """The ring Groebner check against sp.groebner on the two 3-variable
+        fixture pairs and 20 seeded 3-variable binomial pairs with Gaussian
+        coefficients."""
+        pairs = [pair("x^2 - z*y^2", "y", XYZ), pair("y*(x + z^2)", "x", XYZ)]
+        while len(pairs) < 22:
+            f, g = (binomial(rng, SPACE_MONOMIALS, XYZ) for _ in range(2))
+            if _jacobian_minors(f, g):
+                pairs.append((f, g))
+        statuses = []
+        for f, g in pairs:
+            minors = _jacobian_minors(f, g)
+            want = all(expr_vanishes_on_critical_set(t, minors) for t in (f, g))
+            status = isolated_value_verdict(f, g).status
+            assert status == ("isolated" if want else "unknown"), (f, g)
+            statuses.append(status)
+        assert statuses[:2] == ["isolated", "unknown"]
+
     def test_unknown_without_branches(self):
         v = isolated_value_verdict(*pair("y*(x + z^2)", "x", XYZ))
         assert v.status == "unknown" and v.route == "none"
@@ -374,3 +431,19 @@ class TestSingDecomposition:
         dec = sing_decomposition(*pair("x*y", "x*y"))
         assert dec.off_v_minors == ()
         assert dec.simplified["off_v_minors"] == []
+
+    @pytest.mark.parametrize(
+        "monomials,variables", [(PLANE_MONOMIALS, XY), (SPACE_MONOMIALS, XYZ)]
+    )
+    def test_bases_match_expression_reference(self, rng, monomials, variables):
+        """Every reduced basis against sp.groebner, on seeded binomial pairs
+        with Gaussian coefficients."""
+        for _ in range(10):
+            f, g = (binomial(rng, monomials, variables) for _ in range(2))
+            dec = sing_decomposition(f, g)
+            assert dec.simplified == {
+                "common_zero": expr_reduced_basis(dec.common_zero),
+                "sing_f": expr_reduced_basis(dec.sing_f),
+                "sing_g": expr_reduced_basis(dec.sing_g),
+                "off_v_minors": expr_reduced_basis(dec.off_v_minors),
+            }, (f, g)

@@ -8,9 +8,15 @@ import pytest
 
 from mixedsing import PolarWeights, from_pair, orbit_check, parse, solve_polar
 from mixedsing.core import ComplexRational, ExponentPair, MixedPolynomial
-from mixedsing.polar import _candidate_key, _search_box, integer_kernel
+from mixedsing.polar import _candidate_key, _pinv_colmax, _search_box, integer_kernel
 from conftest import random_points
-from oracles import brute_polar_solutions, canonical_key, random_mixed, recursive_box_search
+from oracles import (
+    brute_polar_solutions,
+    canonical_key,
+    random_mixed,
+    rational_pinv_colmax,
+    recursive_box_search,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -130,6 +136,21 @@ def test_box_search_matches_recursive_reference(rng):
         nonzero_k = bool(rng.integers(0, 2))
         args = (basis, boxes, n, bound, nonzero_k)
         assert _search_box(*args) == recursive_box_search(*args), args
+
+
+def test_box_sides_match_fraction_reference(rng):
+    """DomainMatrix column maxima equal the Fraction Gauss-Jordan ones on
+    300 random full-rank lattices."""
+    checked = 0
+    while checked < 300:
+        w = int(rng.integers(2, 6))
+        r = int(rng.integers(1, w + 1))
+        basis = rng.integers(-9, 10, size=(r, w))
+        if np.linalg.matrix_rank(basis) < r:
+            continue
+        basis = basis.tolist()
+        assert _pinv_colmax(basis) == rational_pinv_colmax(basis), basis
+        checked += 1
 
 
 def test_large_lattice_entries_stay_exact(monkeypatch):
