@@ -30,7 +30,9 @@ Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
 tests above, the slope polynomial of line_components (a gcd and a
 factorisation in QQ_I[a]), and the Groebner checks of the n >= 3 verdict
-and of sing_decomposition (in QQ_I[x1..xn, w], grevlex).
+and of sing_decomposition (in QQ_I[x1..xn, w], grevlex).  Both plane
+factorisations, of the Jacobian and of the slope polynomial, run Trager's
+algorithm over QQ<i> behind a direct coefficient map (_factor_gaussian).
 """
 
 from __future__ import annotations
@@ -99,6 +101,31 @@ def _require_plane_pair(f: MixedPolynomial, g: MixedPolynomial, op: str):
         raise ValueError(f"{op}: variable counts differ ({f.n_vars} != {g.n_vars})")
     if not (f.is_holomorphic and g.is_holomorphic):
         raise ValueError(f"{op}: both inputs must be holomorphic")
+
+
+@cache
+def _qq_i_field():
+    """QQ<i>, the field sympy runs Trager's algorithm over for QQ_I; built on
+    first use (about 0.04 s), not at import."""
+    return QQ_I.as_AlgebraicField()
+
+
+def _factor_gaussian(p) -> list:
+    """p.factor_list()[1] for a ring element p over QQ_I, without sympy's
+    per-coefficient conversion through expressions (a minimal polynomial and
+    a field isomorphism each way, costlier than the factorisation).
+
+    x + y*i maps straight to [y, x] in QQ<i> and back.  The factors are
+    sorted by sympy's key over QQ_I (dense length, multiplicity, dense
+    coefficients), since QQ<i> orders its coefficients otherwise.
+    """
+    K = _qq_i_field()
+    over_k = p.ring.clone(domain=K).from_dict({m: K.new([c.y, c.x]) for m, c in p.items()})
+    factors = [
+        (p.ring.from_dict({m: QQ_I(*reversed(c.to_list())) for m, c in fac.items()}), mult)
+        for fac, mult in over_k.factor_list()[1]
+    ]
+    return sorted(factors, key=lambda fm: (len(d := fm[0].to_dense()), fm[1], d))
 
 
 @cache
@@ -203,7 +230,7 @@ def discriminant_curve(
     forms: list[MixedPolynomial] = []
     off_origin: list[MixedPolynomial] = []
     non_line: list[MixedPolynomial] = []
-    for P, _mult in _embed(J, _XYA).factor_list()[1]:
+    for P, _mult in _factor_gaussian(_embed(J, _XYA)):
         if P.coeff(1):
             off_origin.append(_monic(P, 2))
             continue
@@ -298,7 +325,7 @@ def line_components(curve: PlaneCurve) -> LineReport:
     has_slopes = False
     unresolved: list[str] = []
     slope_comps: list[LineComponent] = []
-    for fac, _mult in g.factor_list()[1]:
+    for fac, _mult in _factor_gaussian(g):
         deg = fac.degree()
         if deg == 1:
             cr = _from_gaussian(QQ_I.quo(-fac.coeff(1), fac.LC))
@@ -342,9 +369,10 @@ def line_components(curve: PlaneCurve) -> LineReport:
 
 
 def _halfline(slope: complex) -> complex:
-    """Critical values along {v = a*u} sweep the half-line R+ * conj(a)."""
-    w = slope.conjugate()
-    return w / abs(w)
+    """Critical values along {v = a*u} sweep the half-line R+ * conj(a);
+    + 0.0 turns a signed zero part (conj of a real a) into 0.0."""
+    w = slope.conjugate() / abs(slope)
+    return complex(w.real + 0.0, w.imag + 0.0)
 
 
 # branch criterion -----------------------------------------------------------------

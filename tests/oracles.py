@@ -229,7 +229,8 @@ def expr_line_components(curve):
     from mixedsing.discgeom import LineComponent, LineReport
 
     def halfline(slope):
-        return slope.conjugate() / abs(slope)
+        w = slope.conjugate() / abs(slope)
+        return complex(w.real + 0.0, w.imag + 0.0)  # no signed zero parts
 
     if curve.h is None:
         return LineReport(components=(), has_slope_lines=False)

@@ -1,10 +1,18 @@
 """Exact target-space geometry: discriminants, lines, branches, verdicts."""
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from sympy.polys.domains import QQ_I
+from sympy.polys.domains.algebraicfield import AlgebraicField
 
 from mixedsing import (
     ComplexRational,
@@ -27,6 +35,10 @@ from mixedsing.discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
     ShearSearchExhausted,
+    _A,
+    _XYA,
+    _embed,
+    _factor_gaussian,
     _jacobian_minors,
 )
 from oracles import (
@@ -194,6 +206,71 @@ class TestGermLocalLines:
         assert len({c.minpoly for c in got}) == 1 and "a**4" in got.components[0].minpoly
 
 
+class TestFactorGaussian:
+    """_factor_gaussian against sympy's own factor_list over QQ_I."""
+
+    def test_seeded_plane_jacobians_match_factor_list(self, rng):
+        jacobians = []
+        while len(jacobians) < 30:
+            f, g = (binomial(rng, PLANE_MONOMIALS, XY) for _ in range(2))
+            J = jacobian_det(f, g)
+            if not J.is_zero:
+                jacobians.append(_embed(J, _XYA))
+        for J in jacobians:
+            assert _factor_gaussian(J) == J.factor_list()[1], J
+
+    def test_named_polynomials_match_factor_list(self):
+        i = QQ_I(0, 1)
+        x, y, _ = _XYA.gens
+        (a,) = _A.gens
+        cases = [
+            x**2 + y**2,  # splits over Q(i) only
+            (x + i * y) ** 2 * y,  # a repeated factor
+            i * x**2 * y - 2 * i * y**3,  # purely imaginary coefficients
+            # QQ<i> orders a + 1 + 2*i first, QQ_I orders a + 3 first
+            (a + 3) * (a + 1 + 2 * i),
+            (a**5 - 2 * i) * (a**6 + (1 + i) * a + 1),
+        ]
+        for p in cases:
+            assert _factor_gaussian(p) == p.factor_list()[1], p
+        assert _factor_gaussian(_XYA(3)) == []
+        assert [f.degree() for f, _ in _factor_gaussian(cases[-1])] == [5, 6]
+        assert [m for _, m in _factor_gaussian(cases[1])] == [1, 2]
+
+    def test_no_conversion_through_sympy_expressions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("QQ_I coefficient converted through an expression")
+
+        monkeypatch.setattr(AlgebraicField, "from_GaussianRationalField", refuse)
+        f, g = pair("(1+i)*x*y - 2*y^2", "(1-2*i)*x*y - 2*x^2")
+        v = isolated_value_verdict(f, g)
+        assert v.status == "not-isolated" and v.lines.has_slope_lines
+        assert line_components(v.discriminant) == v.lines
+
+    def test_import_builds_no_algebraic_field(self):
+        code = textwrap.dedent("""
+            from sympy.polys.domains.algebraicfield import AlgebraicField
+            calls = []
+            init = AlgebraicField.__init__
+            def counting(self, *args):
+                calls.append(args)
+                init(self, *args)
+            AlgebraicField.__init__ = counting
+            import mixedsing.cli
+            from mixedsing import discriminant_curve, parse
+            before = len(calls)
+            for _ in range(2):
+                discriminant_curve(parse("x", ("x", "y")), parse("x + y^2", ("x", "y")))
+            print(before, len(calls))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out == ["0", "1"]  # built on first factorisation, once
+
+
 class TestLineComponents:
     def test_slope_one_exact(self):
         report = line_components(discriminant_curve(*pair("x", "x + y^2")))
@@ -203,6 +280,12 @@ class TestLineComponents:
         assert comp.slope == 1 + 0j
         assert comp.slope_exact == ComplexRational(Fraction(1))
         assert abs(comp.halfline_direction - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("htext", ["v - u", "v + 2*u", "v^2 - 2*u^2"])
+    def test_real_slopes_give_no_negative_zero(self, htext):
+        for c in line_components(curve_from(htext)):
+            d = c.halfline_direction
+            assert d.imag == 0.0 and math.copysign(1.0, d.imag) == 1.0, d
 
     def test_axes_are_not_slope_lines(self):
         report = line_components(discriminant_curve(*pair("x^2", "y^3")))
