@@ -150,8 +150,8 @@ def _input_echo(fixture, F, pair, variables) -> dict:
 # section builders ---------------------------------------------------------------
 
 
-def _polar_section(F, *, bound, require_nonzero_k=True):
-    sol = solve_polar(F, bound=bound, require_nonzero_k=require_nonzero_k)
+def _polar_section(F, *, bound):
+    sol = solve_polar(F, bound=bound)
     out = sol.as_report()
     out["status"] = sol.status
     if sol.reason:
@@ -314,9 +314,7 @@ def _cmd_analyze(args) -> int:
     loaded = _load_input(args)
     fixture, F, pair, _ = loaded
     strata, curves = _probe_inputs(args, fixture)
-    polar_sol, polar_sec = _polar_section(
-        F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k
-    )
+    polar_sol, polar_sec = _polar_section(F, bound=args.k_bound)
 
     isolated = None
     disc_sec = None
@@ -376,7 +374,7 @@ def _cmd_wirtinger(args) -> int:
 def _cmd_polar(args) -> int:
     loaded = _load_input(args)
     _, F, _, _ = loaded
-    _, sec = _polar_section(F, bound=args.k_bound, require_nonzero_k=not args.allow_zero_k)
+    _, sec = _polar_section(F, bound=args.k_bound)
     _emit(_report("polar", loaded, polar=sec), args.out)
     return 0
 
@@ -501,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--allow-zero-k", action="store_true",
-                   help="accept polar weights with degree k = 0")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("wirtinger", help="both Wirtinger gradients and the normal family")
@@ -512,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polar", help="polar weight solver")
     _add_input_flags(p)
     p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--allow-zero-k", action="store_true")
     p.set_defaults(func=_cmd_polar)
 
     p = sub.add_parser("disc", help="discriminant geometry of a pair")

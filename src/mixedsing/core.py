@@ -440,19 +440,20 @@ def complex_point(coords: Sequence[complex], n_vars: int | None = None) -> tuple
     return pt
 
 
-def _check_holomorphic_pair(f: MixedPolynomial, g: MixedPolynomial) -> None:
-    """Reject anything but two holomorphic polynomials in the same variables."""
+def _check_holomorphic_pair(f: MixedPolynomial, g: MixedPolynomial, op: str) -> None:
+    """Reject anything but two holomorphic polynomials in the same variables;
+    op, the operation checked, leads every message."""
     if not isinstance(f, MixedPolynomial) or not isinstance(g, MixedPolynomial):
-        raise TypeError("from_pair expects two MixedPolynomial values")
+        raise TypeError(f"{op} expects two MixedPolynomial values")
     if f.n_vars != g.n_vars:
-        raise ValueError(f"variable counts differ: {f.n_vars} != {g.n_vars}")
+        raise ValueError(f"{op}: variable counts differ ({f.n_vars} != {g.n_vars})")
     if not f.is_holomorphic:
-        raise ValueError("f must be holomorphic (no conj factors)")
+        raise ValueError(f"{op}: f must be holomorphic (no conj factors)")
     if not g.is_holomorphic:
-        raise ValueError("g must be holomorphic (no conj factors)")
+        raise ValueError(f"{op}: g must be holomorphic (no conj factors)")
 
 
 def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """Build the mixed product f * conj(g) from two holomorphic inputs."""
-    _check_holomorphic_pair(f, g)
+    _check_holomorphic_pair(f, g, "from_pair")
     return f * g.conjugate()

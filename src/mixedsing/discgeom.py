@@ -24,7 +24,7 @@ one of, by exact division in QQ_I[x, y]:
 line_components reads the lines off the product of the line forms (u, v,
 u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
 restricted to a curve germ is non-submersive iff the germ is a line) and
-provides the shear (f + lam * g^k, g) that removes non-axis lines.
+provides the shear (f + g^k, g) that removes non-axis lines.
 
 Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
@@ -47,7 +47,7 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import PolyRing, ring
 
-from .core import ComplexRational, MixedPolynomial, _from_gaussian, _ring
+from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian, _ring
 from .parsing import format_mixed, parse
 
 __all__ = [
@@ -94,13 +94,6 @@ class ShearSearchExhausted(RuntimeError):
 
 
 # ring conversions ----------------------------------------------------------------
-
-
-def _require_plane_pair(f: MixedPolynomial, g: MixedPolynomial, op: str):
-    if f.n_vars != g.n_vars:
-        raise ValueError(f"{op}: variable counts differ ({f.n_vars} != {g.n_vars})")
-    if not (f.is_holomorphic and g.is_holomorphic):
-        raise ValueError(f"{op}: both inputs must be holomorphic")
 
 
 @cache
@@ -156,7 +149,7 @@ def _monic(p, n: int) -> MixedPolynomial:
 
 def jacobian_det(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """Holomorphic Jacobian determinant of a plane pair, exact."""
-    _require_plane_pair(f, g, "jacobian_det")
+    _check_holomorphic_pair(f, g, "jacobian_det")
     if f.n_vars != 2:
         raise ValueError(f"jacobian_det needs exactly 2 variables, got {f.n_vars}")
     df = f.wirtinger().dF
@@ -208,17 +201,13 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     return _monic(_XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}), 2)
 
 
-def discriminant_curve(
-    f: MixedPolynomial, g: MixedPolynomial, *, degree_bound: int = DEGREE_BOUND
-) -> PlaneCurve:
+def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
     """The lines through 0 in the discriminant germ of (f, g): (C^2, 0) -> (C^2, 0)."""
-    _require_plane_pair(f, g, "discriminant_curve")
+    _check_holomorphic_pair(f, g, "discriminant_curve")
     if f.n_vars != 2:
         raise ValueError("discriminant_curve handles plane pairs (n = 2) only")
-    if max(f.total_degree(), g.total_degree()) > degree_bound:
-        raise DegreeBoundError(
-            f"total degree beyond the desk-scale bound {degree_bound}"
-        )
+    if max(f.total_degree(), g.total_degree()) > DEGREE_BOUND:
+        raise DegreeBoundError(f"total degree beyond the desk-scale bound {DEGREE_BOUND}")
     J = jacobian_det(f, g)
     if J.is_zero:
         raise DegenerateEliminationError(
@@ -475,11 +464,20 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
     """Decide isolation of the critical value 0 of f * conj(g).
 
     Plane pairs get the exact discriminant route.  In higher dimension the
-    exact containment check (f and g vanish on the critical set of the
-    pair, hence the discriminant is the origin) is tried; otherwise the
-    verdict is unknown.
+    exact containment check asks whether f*g vanishes on the critical set
+    Sigma of the pair map (f, g), the common zeros of its 2x2 minors; if it
+    does, the value is isolated, and otherwise the verdict is unknown.
+
+    Proof: u * conj(v) is a submersion C^2 -> C off the origin (its
+    derivative v-bar du + u d(v-bar) is onto unless u = v = 0).  So off
+    Sigma, where (f, g) is a submersion, F = (u * conj(v)) o (f, g) is
+    either a submersion or has f = g = 0, and F = 0 there.  On Sigma,
+    F = f * conj(g) is 0 wherever f*g is.  Hence if f*g = 0 on Sigma, every
+    critical value of F is 0.  If f and g both vanish on Sigma, so does
+    f*g, so this check decides every pair that separate checks on f and on
+    g would.
     """
-    _require_plane_pair(f, g, "isolated_value_verdict")
+    _check_holomorphic_pair(f, g, "isolated_value_verdict")
     if f.n_vars == 2:
         disc = discriminant_curve(f, g)
         report = line_components(disc)
@@ -502,11 +500,11 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
         raise DegenerateEliminationError(
             "pair Jacobian has rank < 2 everywhere; no meaningful discriminant"
         )
-    if _vanishes_on_critical_set(f, minors) and _vanishes_on_critical_set(g, minors):
+    if _vanishes_on_critical_set(f * g, minors):
         return IsolatedVerdict(
             status="isolated",
             route="containment",
-            notes=("critical set of the pair lies in {f = g = 0}",),
+            notes=("critical set of the pair lies in {f*g = 0}",),
         )
     return IsolatedVerdict(status="unknown", route="none")
 
@@ -548,7 +546,7 @@ def _reduced_basis(gens) -> tuple[MixedPolynomial, ...]:
 
 def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposition:
     """Symbolic decomposition of the singular set of f * conj(g) on V."""
-    _require_plane_pair(f, g, "sing_decomposition")
+    _check_holomorphic_pair(f, g, "sing_decomposition")
     df = f.wirtinger().dF
     dg = g.wirtinger().dF
     common = (f, g)
@@ -581,26 +579,20 @@ class ShearResult:
     verdict: IsolatedVerdict
 
 
-def axis_shear(f: MixedPolynomial, g: MixedPolynomial, k: int, lam=1):
-    """The sheared pair (f + lam * g^k, g)."""
-    _require_plane_pair(f, g, "axis_shear")
+def axis_shear(f: MixedPolynomial, g: MixedPolynomial, k: int):
+    """The sheared pair (f + g^k, g)."""
+    _check_holomorphic_pair(f, g, "axis_shear")
     if not (isinstance(k, int) and k >= 1):
         raise ValueError("shear exponent k must be a positive integer")
-    lam_c = lam if isinstance(lam, ComplexRational) else ComplexRational(Fraction(lam))
-    return (f + lam_c * g ** k, g)
+    return (f + g ** k, g)
 
 
 def shear_search(
-    f: MixedPolynomial,
-    g: MixedPolynomial,
-    *,
-    lam=1,
-    k_min: int = 2,
-    k_max: int = 8,
+    f: MixedPolynomial, g: MixedPolynomial, *, k_min: int = 2, k_max: int = 8
 ) -> ShearResult:
     """Increase k until the sheared pair has isolated critical value."""
     for k in range(k_min, k_max + 1):
-        fs, gs = axis_shear(f, g, k, lam)
+        fs, gs = axis_shear(f, g, k)
         verdict = isolated_value_verdict(fs, gs)
         if verdict.status == "isolated":
             return ShearResult(f_sheared=fs, g=gs, k=k, verdict=verdict)

@@ -17,11 +17,14 @@ milnor_scan hunts for Milnor-set points away from the zero fibre on
 spheres of decreasing radius.  Seeded sphere points are projected onto
 {z = mu*a(z) + conj(mu)*b(z)} by damped minimum-norm Gauss-Newton in
 (z, mu), with the Jacobian from exact second Wirtinger derivatives; each
-point stops on its own once converged, after at most `steps` iterations.
+point stops on its own once converged, after at most STEPS iterations.
 A point counts only when the residual certificate above accepts it off the
 fibre, however it was found.  The
 evidence (per-shell minima of distance-to-fibre) supports or undermines the
-tube condition without ever claiming a proof.
+tube condition without ever claiming a proof.  STEPS and the tolerances
+NEAR_ZERO_TOL, OFF_FIBRE_TOL and RATIO_FLOOR are fixed, not parameters; each
+scan echoes them in ScanResult.params.  The caller sets only the shells, the
+samples per shell and the seed.
 
 tube_verdict combines the exact routes (separate variables, polar weights,
 discriminant lines) with the Thom probes, whose fail witnesses are exact,
@@ -53,6 +56,7 @@ __all__ = [
 
 DEFAULT_SHELLS = (0.2, 0.1, 0.05, 0.025)
 DEFAULT_SAMPLES = 200
+STEPS = 15
 NEAR_ZERO_TOL = 1e-6
 OFF_FIBRE_TOL = 1e-6
 RATIO_FLOOR = 0.01
@@ -219,20 +223,16 @@ def milnor_scan(
     *,
     seed: int = DEFAULT_SEED,
     pair=None,
-    steps: int = 15,
-    near_zero_tol: float = NEAR_ZERO_TOL,
-    off_fibre_tol: float = OFF_FIBRE_TOL,
-    ratio_floor: float = RATIO_FLOOR,
 ) -> ScanResult:
     """Hunt for Milnor-set points off the zero fibre on shrinking spheres.
 
     Newton projection: per shell, samples_per_shell seeded random sphere
     points are moved onto the Milnor set by damped minimum-norm Gauss-Newton
     on z = mu*a(z) + conj(mu)*b(z), |z| = r; each point stops once its
-    z-step is <= 1e-15*r, after at most steps iterations.
+    z-step is <= 1e-15*r, after at most STEPS iterations.
     The certificate does not depend on how a point was found: a point counts
-    when its residual is below near_zero_tol with a full-rank frame while
-    |F| > off_fibre_tol.  Evidence per shell: count and minimum estimated
+    when its residual is below NEAR_ZERO_TOL with a full-rank frame while
+    |F| > OFF_FIBRE_TOL.  Evidence per shell: count and minimum estimated
     distance to the fibre; the reported points are the shell's three hits
     nearest the fibre, by distance to 12 significant digits, then by sample
     order.  Deterministic for a fixed seed.
@@ -250,10 +250,10 @@ def milnor_scan(
         X = rng.normal(size=(samples_per_shell, 2 * n))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         X *= r
-        Z = _project_to_milnor_set(frame, hessian, X, float(r), steps)
+        Z = _project_to_milnor_set(frame, hessian, X, float(r), STEPS)
         vals = _batch_residual(frame, Z)
         fv = np.abs(ev(Z))
-        hits = (vals < near_zero_tol) & (fv > off_fibre_tol)
+        hits = (vals < NEAR_ZERO_TOL) & (fv > OFF_FIBRE_TOL)
         count = int(hits.sum())
         if count:
             dists = fibre_distance(Z[hits])
@@ -269,7 +269,7 @@ def milnor_scan(
         else:
             shell_rows.append(ShellEvidence(radius=float(r), count=0, min_distance=None))
     fitted_c = min(ratios) if ratios else None
-    supports = (not ratios) or fitted_c >= ratio_floor
+    supports = (not ratios) or fitted_c >= RATIO_FLOOR
     return ScanResult(
         shells=tuple(shell_rows),
         points=tuple(found_points),
@@ -278,10 +278,10 @@ def milnor_scan(
         seed=seed,
         samples_per_shell=samples_per_shell,
         params={
-            "steps": steps,
-            "near_zero_tol": near_zero_tol,
-            "off_fibre_tol": off_fibre_tol,
-            "ratio_floor": ratio_floor,
+            "steps": STEPS,
+            "near_zero_tol": NEAR_ZERO_TOL,
+            "off_fibre_tol": OFF_FIBRE_TOL,
+            "ratio_floor": RATIO_FLOOR,
             "shells": [float(r) for r in shells],
         },
     )

@@ -7,6 +7,10 @@ weights p_1..p_n and nonzero degree k when every term satisfies
 
 Then the circle action  lam . z = (lam^{p_1} z_1, ..., lam^{p_n} z_n)
 multiplies F by lam^k, which is what makes the Milnor tube fibration work.
+The degree k is always required to be nonzero, as in Oka's definition
+(Topology of polar weighted homogeneous hypersurfaces, Kodai Math. J. 31
+(2008)): with k = 0 the action fixes F, which then need not fibre at all
+(|x|^2 + |y|^2 is invariant and real-valued).  No argument relaxes this.
 
 Detection is exact: the admissible (p, k) form a sublattice of Z^{n+1}
 (kernel of the term-difference matrix), computed by unimodular integer row
@@ -41,7 +45,7 @@ _INT64_LIMIT = 1 << 62
 
 @dataclass(frozen=True)
 class PolarWeights:
-    """Validated weight vector p (all nonzero, gcd 1) with polar degree k."""
+    """Validated weight vector p (all nonzero, gcd 1) with nonzero polar degree k."""
 
     p: tuple[int, ...]
     k: int
@@ -60,6 +64,8 @@ class PolarWeights:
             raise ValueError(f"weights must have gcd 1: {p}")
         if not isinstance(self.k, int):
             raise ValueError("polar degree k must be an integer")
+        if self.k == 0:
+            raise ValueError("polar degree k must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -148,10 +154,10 @@ def _candidate_key(p: tuple[int, ...], k: int):
     return (sum(abs(x) for x in p), abs(k), 0 if k > 0 else 1, tuple(-x for x in p))
 
 
-def _search_box(basis, boxes, n: int, bound: int, require_nonzero_k: bool):
+def _search_box(basis, boxes, n: int, bound: int):
     """Canonical (p, k) among sum_i c_i * basis[i], |c_i| <= boxes[i], or None.
 
-    A point is admissible when every p_j != 0, k != 0 (if required) and
+    A point is admissible when every p_j != 0, k != 0 and
     sum|p| <= bound; it is then divided by the gcd of its entries and ranked
     by _candidate_key.  The box is walked in chunks of at most _CHUNK_ROWS
     coefficient rows.  Entries stay int64 while neither a lattice point
@@ -175,9 +181,7 @@ def _search_box(basis, boxes, n: int, bound: int, require_nonzero_k: bool):
         V = C.astype(dtype) @ B
         # |p_j| <= bound first, so the sums of |p| below stay within n * bound
         keep = (V[:, :n] != 0).all(axis=1) & (np.abs(V[:, :n]) <= bound).all(axis=1)
-        if require_nonzero_k:
-            keep &= V[:, n] != 0
-        V = V[keep]
+        V = V[keep & (V[:, n] != 0)]
         V = V[np.abs(V[:, :n]).sum(axis=1) <= bound]
         if not len(V):
             continue
@@ -194,12 +198,7 @@ def _search_box(basis, boxes, n: int, bound: int, require_nonzero_k: bool):
     return best_pk
 
 
-def solve_polar(
-    F: MixedPolynomial,
-    *,
-    bound: int = DEFAULT_BOUND,
-    require_nonzero_k: bool = True,
-) -> PolarSolution:
+def solve_polar(F: MixedPolynomial, *, bound: int = DEFAULT_BOUND) -> PolarSolution:
     """Find canonical polar weights for F, or certify/report their absence."""
     if F.is_zero:
         raise ValueError("the zero polynomial has no meaningful polar weights")
@@ -215,8 +214,7 @@ def solve_polar(
             return PolarSolution(
                 None, basis_t, "none", bound, f"weight p_{j+1} is forced to zero"
             )
-    k_always_zero = all(v[n] == 0 for v in basis)
-    if k_always_zero and require_nonzero_k:
+    if all(v[n] == 0 for v in basis):
         return PolarSolution(None, basis_t, "none", bound, "polar degree k is forced to zero")
 
     # bounded enumeration of the lattice ball sum|p| <= bound
@@ -233,7 +231,7 @@ def solve_polar(
                 "enumeration box exceeds cap; no certificate either way",
             )
 
-    best_pk = _search_box(basis, boxes, n, bound, require_nonzero_k)
+    best_pk = _search_box(basis, boxes, n, bound)
     if best_pk is None:
         return PolarSolution(
             None, basis_t, "unknown", bound,

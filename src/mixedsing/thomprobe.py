@@ -122,7 +122,7 @@ def pair_normal_family(f: MixedPolynomial, g: MixedPolynomial) -> NormalFamily:
     a = g * conj(df) and b = f * conj(dg); agrees exactly with
     normal_family_symbolic(from_pair(f, g)).
     """
-    _check_holomorphic_pair(f, g)
+    _check_holomorphic_pair(f, g, "pair_normal_family")
     df = f.wirtinger().dF
     dg = g.wirtinger().dF
     return NormalFamily(
@@ -371,11 +371,12 @@ def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[Curv
     return tuple(curves)
 
 
-def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None, *,
-              seed: int = DEFAULT_SEED) -> ProbeResult:
+def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
     """Probe whether limit normal planes along curves annihilate a stratum.
 
-    Every curve must start at the stratum's base point (ValueError
+    curves defaults to the battery seeded with DEFAULT_SEED; a caller that
+    wants another seed passes default_curve_battery(base, seed=...).  Every
+    curve must start at the stratum's base point (ValueError
     otherwise).  A curve is a "fail-witness" when its exact limit plane L
     has iota_tau L != 0 for some stratum tangent tau, "compatible" when
     iota_tau L = 0 for every tangent, and "inconclusive" when it lies in the
@@ -387,7 +388,7 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None, *,
     if len(stratum.base_point) != F.n_vars:
         raise ValueError("stratum arity does not match the polynomial")
     if curves is None:
-        curves = default_curve_battery(stratum.base_point, seed=seed)
+        curves = default_curve_battery(stratum.base_point)
     family = normal_family_symbolic(F)
     tangents = [_realify_exact(v) for v in stratum.tangent]
     T = stratum.tangent_basis()

@@ -173,6 +173,23 @@ class TestSubcommands:
         assert rep["polar"]["polar"] == "no"
         assert "forced to zero" in rep["polar"]["reason"]
 
+    @pytest.mark.parametrize("command", ["analyze", "polar"])
+    def test_zero_k_flag_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--expr", "x*x~ + y*y~", "--vars", "x,y", "--allow-zero-k"])
+        assert exc.value.code == 2
+        assert "--allow-zero-k" in capsys.readouterr().err
+
+    def test_real_valued_sum_of_squares_is_not_a_tube(self, capsys):
+        """|x|^2 + |y|^2 is real-valued, so it has no tube fibration; its
+        only polar weights have k = 0, which never count."""
+        code, rep = run_json(capsys, "analyze", "--expr", "x*x~ + y*y~", "--vars", "x,y",
+                             "--samples", "20")
+        assert code == 0
+        assert rep["polar"]["polar"] == "no"
+        assert "forced to zero" in rep["polar"]["reason"]
+        assert rep["verdict"]["tube"] == "unknown"
+
     def test_disc_with_branches(self, capsys):
         code, rep = run_json(
             capsys, "disc", "--pair", "x", "x + y^2", "--vars", "x,y",

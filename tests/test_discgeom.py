@@ -40,6 +40,7 @@ from mixedsing.discgeom import (
     _embed,
     _factor_gaussian,
     _jacobian_minors,
+    _vanishes_on_critical_set,
 )
 from oracles import (
     elimination_discriminant,
@@ -445,9 +446,9 @@ class TestIsolatedValueVerdict:
         assert v.status == "isolated" and v.route == "containment"
 
     def test_containment_matches_expression_reference(self, rng):
-        """The ring Groebner check against sp.groebner on the two 3-variable
-        fixture pairs and 20 seeded 3-variable binomial pairs with Gaussian
-        coefficients."""
+        """The ring Groebner check on f*g against sp.groebner on the two
+        3-variable fixture pairs and 20 seeded 3-variable binomial pairs with
+        Gaussian coefficients."""
         pairs = [pair("x^2 - z*y^2", "y", XYZ), pair("y*(x + z^2)", "x", XYZ)]
         while len(pairs) < 22:
             f, g = (binomial(rng, SPACE_MONOMIALS, XYZ) for _ in range(2))
@@ -456,14 +457,43 @@ class TestIsolatedValueVerdict:
         statuses = []
         for f, g in pairs:
             minors = _jacobian_minors(f, g)
-            want = all(expr_vanishes_on_critical_set(t, minors) for t in (f, g))
+            want = expr_vanishes_on_critical_set(f * g, minors)
             status = isolated_value_verdict(f, g).status
             assert status == ("isolated" if want else "unknown"), (f, g)
             statuses.append(status)
-        assert statuses[:2] == ["isolated", "unknown"]
+        assert statuses[:2] == ["isolated", "isolated"]
+
+    def test_product_check_where_factor_checks_fail(self):
+        """The critical set of (-2x^2 + (1-2i)z^2, 2ix + y) is the y-axis,
+        where f vanishes and g does not, so the checks on f and on g do not
+        both pass; f*g vanishes there, so the value is isolated."""
+        f, g = pair("-2*x^2 + (1-2*i)*z^2", "2*i*x + y", XYZ)
+        minors = _jacobian_minors(f, g)
+        assert _vanishes_on_critical_set(f, minors)
+        assert not _vanishes_on_critical_set(g, minors)
+        v = isolated_value_verdict(f, g)
+        assert v.status == "isolated" and v.route == "containment"
+
+    def test_product_check_keeps_every_factor_decision(self, rng):
+        """On 40 seeded 3-variable pairs, f and g both vanishing on the
+        critical set implies f*g does, so no pair the two checks decided is
+        lost, and the f*g check decides more pairs."""
+        by_factors = by_product = pairs = 0
+        while pairs < 40:
+            f, g = (binomial(rng, SPACE_MONOMIALS, XYZ) for _ in range(2))
+            minors = _jacobian_minors(f, g)
+            if not minors:
+                continue
+            pairs += 1
+            both = all(_vanishes_on_critical_set(t, minors) for t in (f, g))
+            isolated = isolated_value_verdict(f, g).status == "isolated"
+            assert isolated or not both, (f, g)
+            by_factors += both
+            by_product += isolated
+        assert 1 <= by_factors < by_product
 
     def test_unknown_without_branches(self):
-        v = isolated_value_verdict(*pair("y*(x + z^2)", "x", XYZ))
+        v = isolated_value_verdict(*pair("x*y + i*z^2", "x^2 - (1+2*i)*y*z", XYZ))
         assert v.status == "unknown" and v.route == "none"
 
     def test_no_verdict_from_a_user_branch_list(self):

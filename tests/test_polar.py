@@ -53,11 +53,13 @@ def test_frozen_absences(text, variables, reason_has):
     assert reason_has in sol.reason
 
 
-def test_zero_k_allowed_when_requested():
-    F = parse("x*y + x~*y~", XY)
-    sol = solve_polar(F, require_nonzero_k=False)
-    assert sol.status == "found"
-    assert sol.canonical == PolarWeights((1, -1), 0)
+def test_zero_degree_is_never_admitted():
+    """Oka's polar weights need k != 0: no weight object carries k = 0 and no
+    solver argument admits it."""
+    with pytest.raises(ValueError, match="nonzero"):
+        PolarWeights((1, 1), 0)
+    with pytest.raises(TypeError):
+        solve_polar(parse("x*y + x~*y~", XY), require_nonzero_k=False)
 
 
 def test_zero_polynomial_rejected():
@@ -133,9 +135,8 @@ def test_box_search_matches_recursive_reference(rng):
             continue
         boxes = rng.integers(0, 7, size=r).tolist()
         bound = int(rng.integers(1, 12))
-        nonzero_k = bool(rng.integers(0, 2))
-        args = (basis, boxes, n, bound, nonzero_k)
-        assert _search_box(*args) == recursive_box_search(*args), args
+        args = (basis, boxes, n, bound)
+        assert _search_box(*args) == recursive_box_search(*args, True), args
 
 
 def test_box_sides_match_fraction_reference(rng):
@@ -164,7 +165,8 @@ def test_large_lattice_entries_stay_exact(monkeypatch):
     sol = solve_polar(F, bound=12)
     assert sol.status == "found"
     assert sol.canonical.k > 2**63  # out of int64 range
-    monkeypatch.setattr("mixedsing.polar._search_box", recursive_box_search)
+    monkeypatch.setattr("mixedsing.polar._search_box",
+                        lambda *args: recursive_box_search(*args, True))
     assert solve_polar(F, bound=12) == sol
 
 
