@@ -31,8 +31,10 @@ runs on elements of sympy's sparse polynomial rings over QQ_I: the division
 tests above, the slope polynomial of line_components (a gcd and a
 factorisation in QQ_I[a]), and the Groebner checks of the n >= 3 verdict
 and of sing_decomposition (in QQ_I[x1..xn, w], grevlex).  Both plane
-factorisations, of the Jacobian and of the slope polynomial, run Trager's
-algorithm over QQ<i> behind a direct coefficient map (_factor_gaussian).
+factorisations, of the Jacobian and of the slope polynomial, go through the
+norm over Q (_factor_gaussian): one factorisation over QQ and one gcd per
+rational factor, with Trager's algorithm over QQ<i> only for a rational
+factor that may split into a conjugate pair dividing the polynomial.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import PolyRing, ring
@@ -103,21 +105,72 @@ def _qq_i_field():
     return QQ_I.as_AlgebraicField()
 
 
-def _factor_gaussian(p) -> list:
-    """p.factor_list()[1] for a ring element p over QQ_I, without sympy's
-    per-coefficient conversion through expressions (a minimal polynomial and
-    a field isomorphism each way, costlier than the factorisation).
+def _lex_monic(p):
+    """p divided by its lex-leading coefficient, as factor_list normalises."""
+    return p.quo_ground(p[max(p)])
 
-    x + y*i maps straight to [y, x] in QQ<i> and back.  The factors are
-    sorted by sympy's key over QQ_I (dense length, multiplicity, dense
-    coefficients), since QQ<i> orders its coefficients otherwise.
+
+def _split_over_qq_i(r) -> list:
+    """The QQ_I-irreducible factors of r, by Trager's algorithm over QQ<i>.
+
+    x + y*i maps straight to [y, x] in QQ<i> and back, which skips sympy's
+    per-coefficient conversion through expressions.
     """
     K = _qq_i_field()
-    over_k = p.ring.clone(domain=K).from_dict({m: K.new([c.y, c.x]) for m, c in p.items()})
-    factors = [
-        (p.ring.from_dict({m: QQ_I(*reversed(c.to_list())) for m, c in fac.items()}), mult)
-        for fac, mult in over_k.factor_list()[1]
+    over_k = r.ring.clone(domain=K).from_dict({m: K.new([c.y, c.x]) for m, c in r.items()})
+    return [
+        r.ring.from_dict({m: QQ_I(*reversed(c.to_list())) for m, c in fac.items()})
+        for fac, _ in over_k.factor_list()[1]
     ]
+
+
+def _factor_gaussian(p) -> list:
+    """p.factor_list()[1] for a ring element p over QQ_I, through the norm
+    of p over Q (Trager, SYMSAC 1976; Landau, SIAM J. Comput. 14 (1985)).
+
+    Drop the generators p does not use, let q be p made monic and factor
+    N = q * conj(q), which lies in Q[X], over QQ.  For each Q-irreducible
+    factor r of N, s = gcd(q, r) is a QQ_I-irreducible factor of q unless
+    s = r and r has an even degree in every variable; only such an r goes
+    to Trager's algorithm over QQ<i>.  Multiplicities come from repeated
+    exact division of q.  The factors are monic in the lex order and sorted
+    by sympy's key over QQ_I (dense length, multiplicity, dense
+    coefficients), as factor_list returns them.
+
+    Proof: let t be a QQ_I-irreducible factor of r.  lcm(t, conj t) is fixed
+    by conjugation, so it is rational up to a unit and divides r; as r is
+    Q-irreducible, r is t up to a unit (when t ~ conj t) or r = c*t*conj(t).
+    So t determines r, and r is QQ_I-irreducible or the product of two
+    conjugate irreducibles.  Each QQ_I-irreducible factor of r divides q or
+    conj(q), hence it or its conjugate divides q.  If r is irreducible, then
+    r | q and s = r.  If r = c*t*conj(t), then s is t or conj(t) when only
+    one of them divides q, and s = r when both do; then r has twice the
+    degree of t in every variable.  s = r exactly when r | q, so one exact
+    division runs before the gcd and spares it in that case.
+    """
+    R = p.ring
+    used = [sym for sym, d in zip(R.symbols, p.degrees()) if d > 0]
+    if not used:
+        return []
+    S = R.clone(symbols=used)
+    q = _lex_monic(p.set_ring(S))
+    norm = q * S.from_dict({m: QQ_I(c.x, -c.y) for m, c in q.items()})
+    irreducible = []
+    for r, _ in norm.set_ring(S.clone(domain=QQ)).factor_list()[1]:
+        r = _lex_monic(r.set_ring(S))
+        s = _lex_monic(q.gcd(r)) if q.rem(r) else r
+        if s != r or any(d % 2 for d in r.degrees()):
+            irreducible.append(s)
+        else:
+            irreducible.extend(_split_over_qq_i(r))
+    factors = []
+    for t in irreducible:
+        mult = 0
+        quo, rem = divmod(q, t)
+        while not rem:
+            q, mult = quo, mult + 1
+            quo, rem = divmod(q, t)
+        factors.append((t.set_ring(R), mult))
     return sorted(factors, key=lambda fm: (len(d := fm[0].to_dense()), fm[1], d))
 
 

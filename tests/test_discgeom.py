@@ -211,9 +211,16 @@ class TestFactorGaussian:
     """_factor_gaussian against sympy's own factor_list over QQ_I."""
 
     def test_seeded_plane_jacobians_match_factor_list(self, rng):
+        # pairs of degree <= 4 with one to three terms each
+        monomials = [f"x^{a}*y^{b}" for a in range(5) for b in range(5 - a) if a + b]
         jacobians = []
-        while len(jacobians) < 30:
-            f, g = (binomial(rng, PLANE_MONOMIALS, XY) for _ in range(2))
+        while len(jacobians) < 100:
+            f, g = (
+                parse(" + ".join(f"{c}*{m}" for c, m in zip(
+                    rng.choice(COEFFS, size=k), rng.choice(monomials, size=k, replace=False)
+                )), XY)
+                for k in rng.integers(1, 4, size=2)
+            )
             J = jacobian_det(f, g)
             if not J.is_zero:
                 jacobians.append(_embed(J, _XYA))
@@ -226,26 +233,57 @@ class TestFactorGaussian:
         (a,) = _A.gens
         cases = [
             x**2 + y**2,  # splits over Q(i) only
+            x**4 + 1,  # irreducible over Q, splits over Q(i) into x^2 +- i
+            (x + i * y) * (x - i * y) ** 3 * (x + 2 * i),
+            (x + i * y) ** 2 * (x - i * y) ** 2,  # a rational square
+            (x + (1 + i) * y) ** 3 * (x + (1 - i) * y),  # a conjugate pair
+            (x**2 + i * y) * (x**2 - i * y),  # degrees (4, 2), splits
+            x**2 + 2 * y**2,  # even degrees, irreducible over Q(i)
+            x**2 - y**2,  # splits over Q already
+            3 * i * (x**2 + y**2),  # unit contents
+            (2 - i) * x * y**2,
+            -i * (x - 1) * (y + 2),
+            (x + i) * (x - i) * (y + 2 * i),
             (x + i * y) ** 2 * y,  # a repeated factor
             i * x**2 * y - 2 * i * y**3,  # purely imaginary coefficients
+            -2 * i * (4 * x * y + x - 4 * y - 1),  # a unit times a rational polynomial
+        ]
+        slope_polynomials = [
             # QQ<i> orders a + 1 + 2*i first, QQ_I orders a + 3 first
             (a + 3) * (a + 1 + 2 * i),
             (a**5 - 2 * i) * (a**6 + (1 + i) * a + 1),
+            a**2 + 1,
+            a**4 + 4,  # two rational quadratics, each splitting over Q(i)
+            (a - i) ** 2 * (a + i),
+            a**3 - i,
         ]
-        for p in cases:
+        for p in cases + slope_polynomials:
             assert _factor_gaussian(p) == p.factor_list()[1], p
         assert _factor_gaussian(_XYA(3)) == []
-        assert [f.degree() for f, _ in _factor_gaussian(cases[-1])] == [5, 6]
-        assert [m for _, m in _factor_gaussian(cases[1])] == [1, 2]
+        assert [f.degree() for f, _ in _factor_gaussian(slope_polynomials[1])] == [5, 6]
+        assert [m for _, m in _factor_gaussian(cases[2])] == [1, 1, 3]
+        assert [m for _, m in _factor_gaussian(cases[12])] == [1, 2]
+
+    def test_idle_generators_come_back_in_the_original_ring(self):
+        i = QQ_I(0, 1)
+        _, y, a = _XYA.gens
+        p = (y**2 + a**2) * (y - i) ** 2 * a  # x is idle
+        got = _factor_gaussian(p)
+        assert got == p.factor_list()[1]
+        assert len(got) == 4 and all(f.ring == _XYA for f, _ in got)
 
     def test_no_conversion_through_sympy_expressions(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("QQ_I coefficient converted through an expression")
 
         monkeypatch.setattr(AlgebraicField, "from_GaussianRationalField", refuse)
-        f, g = pair("(1+i)*x*y - 2*y^2", "(1-2*i)*x*y - 2*x^2")
+        # the Jacobian 3*(x^2 + y^2) splits over Q(i) only, so it reaches QQ<i>
+        f, g = pair("x", "y^3 + 3*x^2*y")
         v = isolated_value_verdict(f, g)
-        assert v.status == "not-isolated" and v.lines.has_slope_lines
+        assert v.status == "isolated" and not v.lines.has_slope_lines
+        assert set(v.discriminant.non_line_factors) == {
+            parse("x + i*y", XY), parse("x - i*y", XY)
+        }
         assert line_components(v.discriminant) == v.lines
 
     def test_import_builds_no_algebraic_field(self):
@@ -259,17 +297,20 @@ class TestFactorGaussian:
             AlgebraicField.__init__ = counting
             import mixedsing.cli
             from mixedsing import discriminant_curve, parse
-            before = len(calls)
-            for _ in range(2):
-                discriminant_curve(parse("x", ("x", "y")), parse("x + y^2", ("x", "y")))
-            print(before, len(calls))
+            counts = [len(calls)]
+            for g in ("x + y^2", "y^3 + 3*x^2*y"):
+                for _ in range(2):
+                    discriminant_curve(parse("x", ("x", "y")), parse(g, ("x", "y")))
+                counts.append(len(calls))
+            print(*counts)
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
-        assert out == ["0", "1"]  # built on first factorisation, once
+        # the Jacobian 2*y needs no field; 3*(x^2 + y^2) builds it once
+        assert out == ["0", "0", "1"]
 
 
 class TestLineComponents:
