@@ -10,9 +10,14 @@ R^{2n} -> R^2, and the two Wirtinger gradients (d/dz_j and d/dzbar_j)
 carry all first-order real information.
 
 Polynomials live in sympy's sparse polynomial ring over the Gaussian
-rationals QQ_I, in 2n generators z1..zn, z1~..zn~; ring arithmetic and
-differentiation do the symbolic work, and the ExponentPair/ComplexRational
-term view is built from the ring element on demand.
+rationals QQ_I, in 2n generators z1..zn, z1~..zn~, and ring arithmetic does
+the symbolic work.  The three hot operations avoid sympy's per-coefficient
+conversions: powers clear denominators once and run in the ring's clone over
+ZZ_I, Wirtinger gradients scale coefficient parts by exponents directly, and
+f * conj(g) is an outer product of cleared-denominator integer pairs.  Each
+returns exactly the element sympy's generic path would.  The
+ExponentPair/ComplexRational term view is built from the ring element on
+demand.
 
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
@@ -30,7 +35,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing, ring
 
@@ -157,6 +162,22 @@ def _ring(n_vars: int) -> PolyRing:
     return ring([sp.Symbol(s) for s in names], QQ_I, order=grlex)[0]
 
 
+@cache
+def _integer_ring(n_vars: int) -> PolyRing:
+    """_ring(n_vars) over the Gaussian integers ZZ_I, for cleared powers."""
+    return _ring(n_vars).clone(domain=ZZ_I)
+
+
+def _cleared(poly) -> tuple[int, list]:
+    """(d, [(monom, re, im)]): d is the lcm of every coefficient part's
+    denominator and re + im*i = d * c is a Gaussian integer, in term order."""
+    d = math.lcm(*(q.denominator for c in poly.values() for q in (c.x, c.y)))
+    return d, [
+        (m, c.x.numerator * (d // c.x.denominator), c.y.numerator * (d // c.y.denominator))
+        for m, c in poly.items()
+    ]
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """Multi-index pair (nu, mu): exponents of z and of conj(z)."""
@@ -170,12 +191,21 @@ class ExponentPair:
         object.__setattr__(self, "mu", mu)
         if len(nu) != len(mu):
             raise ValueError(f"nu and mu must have equal length, got {len(nu)} != {len(mu)}")
-        if any(e < 0 or not isinstance(e, int) for e in nu + mu):
+        if any(not isinstance(e, int) or e < 0 for e in nu + mu):
             raise ValueError(f"exponents must be nonnegative integers: nu={nu} mu={mu}")
 
     @property
     def n_vars(self) -> int:
         return len(self.nu)
+
+    @classmethod
+    def _trusted(cls, nu: tuple[int, ...], mu: tuple[int, ...]) -> "ExponentPair":
+        """A pair from tuples already known to be valid (a ring monomial's
+        halves), skipping the constructor's checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "mu", mu)
+        return self
 
     @property
     def degree(self) -> int:
@@ -291,7 +321,8 @@ class MixedPolynomial:
         if self._terms is None:
             n = self.n_vars
             view = {
-                ExponentPair(m[:n], m[n:]): _from_gaussian(c) for m, c in self._poly.terms()
+                ExponentPair._trusted(m[:n], m[n:]): _from_gaussian(c)
+                for m, c in self._poly.terms()
             }
             object.__setattr__(self, "_terms", MappingProxyType(view))
         return self._terms
@@ -392,9 +423,19 @@ class MixedPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MixedPolynomial":
+        """self ** e, computed as (d*self) ** e over ZZ_I, then divided by d**e,
+        where d clears every denominator; sympy's own power dispatch runs on
+        the integer ring."""
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        return MixedPolynomial._from_poly(self._poly ** e)
+        d, terms = _cleared(self._poly)
+        integer = ZZ_I.dtype.new
+        p = _integer_ring(self.n_vars).dtype({m: integer(x, y) for m, x, y in terms}) ** e
+        de = d ** e
+        new = QQ_I.dtype.new
+        return MixedPolynomial._from_poly(
+            self._poly.ring.dtype({m: new(QQ(c.x, de), QQ(c.y, de)) for m, c in p.items()})
+        )
 
     # -- the operations that matter --------------------------------------------
 
@@ -408,9 +449,19 @@ class MixedPolynomial:
         )
 
     def wirtinger(self) -> WirtingerGradient:
-        """Both Wirtinger gradients, treating z and conj(z) as independent."""
+        """Both Wirtinger gradients, treating z and conj(z) as independent.
+
+        One pass over the terms fills all 2n partial derivatives; each
+        coefficient's parts are multiplied by the exponent directly."""
+        ring = self._poly.ring
+        new = QQ_I.dtype.new
+        parts: list[dict] = [{} for _ in range(ring.ngens)]
+        for m, c in self._poly.items():
+            for i, e in enumerate(m):
+                if e:
+                    parts[i][m[:i] + (e - 1,) + m[i + 1:]] = new(c.x * e, c.y * e)
+        d = [MixedPolynomial._from_poly(ring.dtype(part)) for part in parts]
         n = self.n_vars
-        d = [MixedPolynomial._from_poly(self._poly.diff(x)) for x in self._poly.ring.gens]
         return WirtingerGradient(tuple(d[:n]), tuple(d[n:]))
 
     def evaluate(self, z: Sequence[complex]) -> complex:
@@ -454,6 +505,21 @@ def _check_holomorphic_pair(f: MixedPolynomial, g: MixedPolynomial, op: str) -> 
 
 
 def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
-    """Build the mixed product f * conj(g) from two holomorphic inputs."""
+    """Build the mixed product f * conj(g) from two holomorphic inputs.
+
+    f has z-monomials only and conj(g) zbar-monomials only, so no two
+    products of terms share a monomial: the product is an outer product,
+    taken on cleared-denominator Gaussian integers a = df*f_c, b = dg*g_c
+    as a*conj(b) / (df*dg)."""
     _check_holomorphic_pair(f, g, "from_pair")
-    return f * g.conjugate()
+    n = f.n_vars
+    df, f_terms = _cleared(f._poly)
+    dg, g_terms = _cleared(g._poly)
+    d = df * dg
+    new = QQ_I.dtype.new
+    out = {}
+    for mf, ax, ay in f_terms:
+        head = mf[:n]
+        for mg, bx, by in g_terms:
+            out[head + mg[:n]] = new(QQ(ax * bx + ay * by, d), QQ(ay * bx - ax * by, d))
+    return MixedPolynomial._from_poly(f._poly.ring.dtype(out))

@@ -492,10 +492,12 @@ class IsolatedVerdict:
     lines: LineReport | None = None  # line_components(discriminant) for plane pairs
 
 
-def _jacobian_minors(f: MixedPolynomial, g: MixedPolynomial) -> list[MixedPolynomial]:
-    df = f.wirtinger().dF
-    dg = g.wirtinger().dF
-    n = f.n_vars
+def _jacobian_minors(
+    df: tuple[MixedPolynomial, ...], dg: tuple[MixedPolynomial, ...]
+) -> list[MixedPolynomial]:
+    """The nonzero 2x2 minors of the pair Jacobian, from the holomorphic
+    gradients df, dg of f and g."""
+    n = len(df)
     minors = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -548,7 +550,7 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
             notes=("each non-axis line yields a half-line of critical values",),
             lines=report,
         )
-    minors = _jacobian_minors(f, g)
+    minors = _jacobian_minors(f.wirtinger().dF, g.wirtinger().dF)
     if not minors:
         raise DegenerateEliminationError(
             "pair Jacobian has rank < 2 everywhere; no meaningful discriminant"
@@ -603,19 +605,17 @@ def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposit
     df = f.wirtinger().dF
     dg = g.wirtinger().dF
     common = (f, g)
-    sing_f = tuple(p for p in df)
-    sing_g = tuple(p for p in dg)
-    minors = tuple(_jacobian_minors(f, g))
+    minors = tuple(_jacobian_minors(df, dg))
     simplified = {
         "common_zero": [format_mixed(h) for h in _reduced_basis(common)],
-        "sing_f": [format_mixed(h) for h in _reduced_basis(sing_f)],
-        "sing_g": [format_mixed(h) for h in _reduced_basis(sing_g)],
+        "sing_f": [format_mixed(h) for h in _reduced_basis(df)],
+        "sing_g": [format_mixed(h) for h in _reduced_basis(dg)],
         "off_v_minors": [format_mixed(h) for h in _reduced_basis(minors)],
     }
     return SingDecomposition(
         common_zero=common,
-        sing_f=sing_f,
-        sing_g=sing_g,
+        sing_f=df,
+        sing_g=dg,
         off_v_minors=minors,
         simplified=simplified,
     )

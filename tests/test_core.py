@@ -66,6 +66,11 @@ class TestExponentPair:
             ExponentPair((1, 0), (0,))
         with pytest.raises(ValueError):
             ExponentPair((-1,), (0,))
+        # the type is checked before the sign, so these get the class's error
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ExponentPair(("a",), (0,))
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ExponentPair((None,), (0,))
 
     def test_degree_swap_key(self):
         p = ExponentPair((2, 0), (0, 3))
@@ -252,6 +257,76 @@ class TestFromPair:
         for pt in random_points(rng, 2, 10):
             want = f.evaluate(pt) * g.evaluate(pt).conjugate()
             assert abs(F.evaluate(pt) - want) <= 1e-10 * (1 + abs(want))
+
+
+def _gaussian_poly(rng, n_terms, n_vars=2, holomorphic=False):
+    """Seeded mixed polynomial with Gaussian-rational coefficients whose
+    real and imaginary parts have unlike denominators."""
+    terms = {}
+    while len(terms) < n_terms:
+        nu = tuple(int(e) for e in rng.integers(0, 3, size=n_vars))
+        mu = tuple(0 if holomorphic else int(e) for e in rng.integers(0, 2, size=n_vars))
+        re = Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 3, 4, 6, 9])))
+        im = Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 5, 7, 10])))
+        terms[ExponentPair(nu, mu)] = CR(re, im) if re or im else CR(1)
+    return MixedPolynomial(n_vars, terms)
+
+
+class TestKernels:
+    """Powers, Wirtinger gradients and from_pair run on cleared-denominator
+    integers; each must equal sympy's generic ring operation exactly."""
+
+    def test_power_matches_ring_power(self, rng):
+        bases = [
+            MixedPolynomial.zero(2),
+            MixedPolynomial.constant(CR(Fraction(2, 3), Fraction(-1, 5)), 2),
+        ]
+        # one term; 3-4 terms (sympy's multinomial path); 7+ terms (generic)
+        bases += [_gaussian_poly(rng, k) for k in (1, 1, 3, 4, 4, 7, 8)]
+        for F in bases:
+            for e in (0, 1, 2, 3, 7):
+                if F.is_zero and e == 0:
+                    with pytest.raises(ValueError, match="0\\*\\*0"):
+                        F ** e
+                    continue
+                assert F ** e == MixedPolynomial._from_poly(F._poly ** e), (F, e)
+
+    def test_wirtinger_matches_ring_diff(self, rng):
+        for k in (1, 3, 6):
+            for n in (1, 2, 3):
+                F = _gaussian_poly(rng, k, n)
+                grad = F.wirtinger()
+                want = [F._poly.diff(x) for x in F._poly.ring.gens]
+                assert [p._poly for p in grad.dF + grad.dbarF] == want, F
+
+    def test_from_pair_matches_ring_product(self, rng):
+        for kf, kg in ((1, 1), (2, 3), (5, 4), (0, 3)):
+            f = _gaussian_poly(rng, kf, holomorphic=True)
+            g = _gaussian_poly(rng, kg, holomorphic=True)
+            assert from_pair(f, g)._poly == f._poly * g.conjugate()._poly, (f, g)
+
+    def test_wirtinger_makes_no_domain_conversion(self, rng, monkeypatch):
+        field = type(MixedPolynomial.one(1)._poly.ring.domain)
+        calls = []
+        convert = field.convert
+        monkeypatch.setattr(
+            field, "convert", lambda self, *a, **k: calls.append(a) or convert(self, *a, **k)
+        )
+        F = _gaussian_poly(rng, 6, 2)
+        F._poly.diff(F._poly.ring.gens[0])
+        assert calls, "the counter must see sympy's own diff convert"
+        calls.clear()
+        F.wirtinger()
+        assert calls == []
+
+    def test_term_view_matches_validated_pairs(self, rng):
+        F = _gaussian_poly(rng, 7, 3)
+        n = F.n_vars
+        want = [ExponentPair(tuple(m[:n]), tuple(m[n:])) for m, _ in F._poly.terms()]
+        got = list(F.terms)
+        assert got == want
+        assert [hash(p) for p in got] == [hash(p) for p in want]
+        assert all(type(p.nu) is tuple and type(p.mu) is tuple for p in got)
 
 
 def test_complex_point_validation():

@@ -493,11 +493,11 @@ class TestIsolatedValueVerdict:
         pairs = [pair("x^2 - z*y^2", "y", XYZ), pair("y*(x + z^2)", "x", XYZ)]
         while len(pairs) < 22:
             f, g = (binomial(rng, SPACE_MONOMIALS, XYZ) for _ in range(2))
-            if _jacobian_minors(f, g):
+            if _jacobian_minors(f.wirtinger().dF, g.wirtinger().dF):
                 pairs.append((f, g))
         statuses = []
         for f, g in pairs:
-            minors = _jacobian_minors(f, g)
+            minors = _jacobian_minors(f.wirtinger().dF, g.wirtinger().dF)
             want = expr_vanishes_on_critical_set(f * g, minors)
             status = isolated_value_verdict(f, g).status
             assert status == ("isolated" if want else "unknown"), (f, g)
@@ -509,7 +509,7 @@ class TestIsolatedValueVerdict:
         where f vanishes and g does not, so the checks on f and on g do not
         both pass; f*g vanishes there, so the value is isolated."""
         f, g = pair("-2*x^2 + (1-2*i)*z^2", "2*i*x + y", XYZ)
-        minors = _jacobian_minors(f, g)
+        minors = _jacobian_minors(f.wirtinger().dF, g.wirtinger().dF)
         assert _vanishes_on_critical_set(f, minors)
         assert not _vanishes_on_critical_set(g, minors)
         v = isolated_value_verdict(f, g)
@@ -522,7 +522,7 @@ class TestIsolatedValueVerdict:
         by_factors = by_product = pairs = 0
         while pairs < 40:
             f, g = (binomial(rng, SPACE_MONOMIALS, XYZ) for _ in range(2))
-            minors = _jacobian_minors(f, g)
+            minors = _jacobian_minors(f.wirtinger().dF, g.wirtinger().dF)
             if not minors:
                 continue
             pairs += 1
