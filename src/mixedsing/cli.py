@@ -259,6 +259,20 @@ def _scan_section(scan):
     }
 
 
+def _discriminant_section(v):
+    """The isolated-value verdict a tube verdict used, or the reason its
+    disc-lines route gives for having none; None without a pair."""
+    if v.isolated is not None:
+        out = _isolated_section(v.isolated)
+        if v.isolated.lines is not None:
+            out["lines"] = _line_report_section(v.isolated.lines)
+        return out
+    for r in v.routes:
+        if r.name == "disc-lines" and r.conclusion == "unavailable":
+            return {"status": "unavailable", "reason": r.detail}
+    return None
+
+
 def _verdict_section(v):
     return {
         "tube": v.tube_status,
@@ -316,28 +330,11 @@ def _cmd_analyze(args) -> int:
     strata, curves = _probe_inputs(args, fixture)
     polar_sol, polar_sec = _polar_section(F, bound=args.k_bound)
 
-    isolated = None
-    disc_sec = None
-    if pair is not None:
-        try:
-            isolated = isolated_value_verdict(*pair)
-            disc_sec = _isolated_section(isolated)
-            if isolated.lines is not None:
-                disc_sec["lines"] = _line_report_section(isolated.lines)
-        except (DegenerateEliminationError, DegreeBoundError) as exc:
-            disc_sec = {"status": "unavailable", "reason": str(exc)}
-
     probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
 
     scan = milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
 
-    verdict = tube_verdict(
-        F,
-        pair=pair,
-        isolated=isolated,
-        polar=polar_sol,
-        probes=tuple(probes),
-    )
+    verdict = tube_verdict(F, pair=pair, polar=polar_sol, probes=tuple(probes))
 
     report = _report(
         "analyze",
@@ -345,7 +342,7 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
         tolerances={"polar_bound": args.k_bound},
         polar=polar_sec,
-        discriminant=disc_sec,
+        discriminant=_discriminant_section(verdict),
         thom_probes=probe_rows,
         milnor=_scan_section(scan),
         verdict=_verdict_section(verdict),

@@ -15,9 +15,12 @@ the symbolic work.  The three hot operations avoid sympy's per-coefficient
 conversions: powers clear denominators once and run in the ring's clone over
 ZZ_I, Wirtinger gradients scale coefficient parts by exponents directly, and
 f * conj(g) is an outer product of cleared-denominator integer pairs.  Each
-returns exactly the element sympy's generic path would.  The
-ExponentPair/ComplexRational term view is built from the ring element on
-demand.
+returns exactly the element sympy's generic path would.
+
+Scalars are ring elements too.  ComplexRational is the public exact value
+and carries no arithmetic: _gaussian maps an int, Fraction or
+ComplexRational into QQ_I, and _from_gaussian maps a QQ_I element back out.
+The ExponentPair/ComplexRational term view is built through it on demand.
 
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I, ZZ_I
@@ -48,81 +51,33 @@ __all__ = [
     "from_pair",
 ]
 
-_RationalLike = Union[int, Fraction]
-
-
-def _as_fraction(x: _RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class ComplexRational:
-    """A Gaussian rational re + im*i with auto-reduced Fraction parts."""
+    """A Gaussian rational re + im*i with auto-reduced Fraction parts: a
+    plain value with no arithmetic (exact scalar work runs in QQ_I)."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        for name in ("re", "im"):
+            x = getattr(self, name)
+            if isinstance(x, int):
+                object.__setattr__(self, name, Fraction(x))
+            elif not isinstance(x, Fraction):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+    @classmethod
+    def _trusted(cls, re: Fraction, im: Fraction) -> "ComplexRational":
+        """A value from two Fractions, skipping the constructor's checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
 
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def __add__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return self * ComplexRational(other.re / d, -other.im / d)
 
     def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -134,22 +89,22 @@ class ComplexRational:
         return f"ComplexRational({self.re!s}, {self.im!s})"
 
 
-def _coerce_scalar(x) -> ComplexRational:
-    if isinstance(x, ComplexRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ComplexRational(_as_fraction(x))
-    return NotImplemented
-
-
-CR_ZERO = ComplexRational()
-CR_ONE = ComplexRational(Fraction(1))
 CR_I = ComplexRational(Fraction(0), Fraction(1))
+
+
+def _gaussian(x):
+    """An int, Fraction or ComplexRational as an element of QQ_I."""
+    if isinstance(x, ComplexRational):
+        re, im = x.re, x.im
+        return QQ_I.dtype.new(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+    if isinstance(x, (int, Fraction)):
+        return QQ_I.dtype.new(QQ(x.numerator, x.denominator), QQ.zero)
+    raise TypeError(f"expected int, Fraction or ComplexRational, got {type(x).__name__}")
 
 
 def _from_gaussian(c) -> ComplexRational:
     """A QQ_I element as a ComplexRational."""
-    return ComplexRational(
+    return ComplexRational._trusted(
         Fraction(int(c.x.numerator), int(c.x.denominator)),
         Fraction(int(c.y.numerator), int(c.y.denominator)),
     )
@@ -211,9 +166,6 @@ class ExponentPair:
     def degree(self) -> int:
         return sum(self.nu) + sum(self.mu)
 
-    def swap(self) -> "ExponentPair":
-        return ExponentPair(self.mu, self.nu)
-
     def key(self) -> tuple:
         # graded lexicographic on the concatenated (nu, mu)
         return (self.degree, self.nu + self.mu)
@@ -254,11 +206,8 @@ class MixedPolynomial:
                 raise ValueError(
                     f"exponent pair over {pair.n_vars} variables in a {n_vars}-variable polynomial"
                 )
-            c = _coerce_scalar(coeff)
-            if c is NotImplemented:
-                raise TypeError(f"bad coefficient {coeff!r}")
             monom = pair.nu + pair.mu
-            acc[monom] = acc.get(monom, QQ_I.zero) + QQ_I(c.re, c.im)
+            acc[monom] = acc.get(monom, QQ_I.zero) + _gaussian(coeff)
         object.__setattr__(self, "_poly", _ring(n_vars).from_dict(acc))
         object.__setattr__(self, "_terms", None)
 
@@ -294,17 +243,7 @@ class MixedPolynomial:
         if not 0 <= j < n_vars:
             raise ValueError(f"variable index {j} out of range for n_vars={n_vars}")
         nu = tuple(1 if i == j else 0 for i in range(n_vars))
-        return cls(n_vars, {ExponentPair(nu, (0,) * n_vars): CR_ONE})
-
-    @classmethod
-    def conj_variable(cls, j: int, n_vars: int) -> "MixedPolynomial":
-        """The coordinate conj(z_j) (0-based j)."""
-        return cls.variable(j, n_vars).conjugate()
-
-    @classmethod
-    def monomial(cls, nu: Sequence[int], mu: Sequence[int], coeff=1) -> "MixedPolynomial":
-        pair = ExponentPair(tuple(nu), tuple(mu))
-        return cls(pair.n_vars, {pair: coeff})
+        return cls(n_vars, {ExponentPair(nu, (0,) * n_vars): 1})
 
     # -- structure ------------------------------------------------------------
 
@@ -326,10 +265,6 @@ class MixedPolynomial:
             }
             object.__setattr__(self, "_terms", MappingProxyType(view))
         return self._terms
-
-    def sorted_terms(self) -> list[tuple[ExponentPair, ComplexRational]]:
-        """Terms in canonical order: descending graded lex on (nu, mu)."""
-        return list(self.terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -357,8 +292,7 @@ class MixedPolynomial:
 
     def coefficient(self, nu: Sequence[int], mu: Sequence[int]) -> ComplexRational:
         pair = ExponentPair(tuple(nu), tuple(mu))
-        c = self._poly.get(pair.nu + pair.mu)
-        return CR_ZERO if c is None else _from_gaussian(c)
+        return _from_gaussian(self._poly.get(pair.nu + pair.mu, QQ_I.zero))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MixedPolynomial):
@@ -371,7 +305,7 @@ class MixedPolynomial:
     def __repr__(self) -> str:
         body = ", ".join(
             f"{p.nu}|{p.mu}: {c.re}{'+' if c.im >= 0 else ''}{c.im}i"
-            for p, c in self.sorted_terms()
+            for p, c in self.terms.items()
         )
         return f"MixedPolynomial(n={self.n_vars}, {{{body}}})"
 
@@ -386,10 +320,11 @@ class MixedPolynomial:
                     f"{self.n_vars} != {other.n_vars}"
                 )
             return other._poly
-        c = _coerce_scalar(other)
-        if c is NotImplemented:
+        try:
+            c = _gaussian(other)
+        except TypeError:
             return NotImplemented
-        return self._poly.ring.ground_new(QQ_I(c.re, c.im))
+        return self._poly.ring.ground_new(c)
 
     def __add__(self, other):
         q = self._operand(other)

@@ -40,7 +40,6 @@ factor that may split into a conjugate pair dividing the polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, reduce
 
 import sympy as sp
@@ -49,7 +48,8 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import PolyRing, ring
 
-from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian, _ring
+from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian, _gaussian
+from .core import _ring
 from .parsing import format_mixed, parse
 
 __all__ = [
@@ -430,17 +430,14 @@ class PuiseuxBranch:
     def __post_init__(self):
         if not (isinstance(self.p, int) and self.p >= 1):
             raise ValueError("p must be a positive integer")
-        terms = tuple(self.terms)
+        terms = tuple((_from_gaussian(_gaussian(c)), e) for c, e in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("branch needs at least one v-term")
         exps = [e for _, e in terms]
         if any(e < 1 for e in exps) or sorted(set(exps)) != exps:
             raise ValueError("exponents must be strictly increasing positive integers")
-        if any(
-            (c.is_zero if isinstance(c, ComplexRational) else complex(c) == 0)
-            for c, _ in terms
-        ):
+        if any(c.is_zero for c, _ in terms):
             raise ValueError("branch coefficients must be nonzero")
 
 
@@ -466,8 +463,8 @@ def parse_branch(text: str) -> PuiseuxBranch:
         raise ValueError(f"second clause must define v: {v_side!r}")
     u_rhs = u_side.split("=", 1)[1].strip()
     u_poly = parse(u_rhs, ("t",))
-    u_terms = u_poly.sorted_terms()
-    if len(u_terms) != 1 or u_terms[0][1] != ComplexRational(Fraction(1)):
+    u_terms = list(u_poly.terms.items())
+    if len(u_terms) != 1 or u_terms[0][1] != ComplexRational(1):
         raise ValueError(f"u must be a plain power t^p: {u_rhs!r}")
     p = u_terms[0][0].nu[0]
     v_poly = parse(v_side.split("=", 1)[1].strip(), ("t",))

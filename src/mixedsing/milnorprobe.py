@@ -337,8 +337,10 @@ def tube_verdict(
 
     Route order: separate-variables, polar, disc-lines; then the
     probe-witness route may resolve Thom failure.  pair is (f, g) when F
-    was built as f * conj(g); isolated is a discgeom verdict object when
-    available; probes are stratified thom_test results.
+    was built as f * conj(g); isolated is its discgeom verdict, computed
+    here once when not given, and a "disc-lines" route marked "unavailable"
+    carries the reason when it cannot be computed; probes are stratified
+    thom_test results.
     """
     routes: list[RouteRecord] = []
     tube_status, tube_route = "unknown", None

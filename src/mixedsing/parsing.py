@@ -202,9 +202,7 @@ class _Parser:
                 den = int(den_tok.value)
                 if den == 0:
                     raise ParseError(den_tok.pos, "zero denominator")
-                return MixedPolynomial.constant(
-                    ComplexRational(Fraction(num, den)), self.n_vars
-                )
+                return MixedPolynomial.constant(Fraction(num, den), self.n_vars)
             return MixedPolynomial.constant(num, self.n_vars)
         raise ParseError(tok.pos, f"unexpected {tok.value or 'end of input'!r}")
 
@@ -277,7 +275,7 @@ def format_mixed(F: MixedPolynomial) -> str:
     if F.is_zero:
         return f"0 (n={F.n_vars})"
     chunks: list[str] = []
-    for pair, coeff in F.sorted_terms():
+    for pair, coeff in F.terms.items():
         negative, body = _coeff_str(coeff)
         mon = _monomial_str(pair)
         piece = body if not mon else f"{body}*{mon}"

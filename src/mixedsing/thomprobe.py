@@ -24,6 +24,11 @@ decided by exact algebra, and a fail witness is a proof of Thom
 irregularity along that curve.  "compatible" over a finite battery of
 curves is still only evidence.  The witness's mu and the reported limit
 plane basis and projection are floats, derived from the exact data.
+
+Exact scalar work runs on the ring's elements: curve coefficients and
+stratum tangents enter QQ_I through core._gaussian, and L, its contractions
+and the rank check are QQ.  ComplexRational and Fraction appear only in
+the public fields (CurveGerm, Stratum, ProbeResult.plucker).
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from ._numeric import compile_vector, real_span_basis, unrealify
-from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _coerce_scalar
-from .core import complex_point
+from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian
+from .core import _gaussian, complex_point
 from .parsing import format_scalar
 
 __all__ = [
@@ -136,18 +141,19 @@ def normal_family(F: MixedPolynomial, z) -> NormalFrame:
     return normal_family_symbolic(F).frame_at(z)
 
 
-def _exact(x) -> ComplexRational:
-    """x as a ComplexRational; a float or complex converts to its exact value."""
-    c = _coerce_scalar(x)
-    if c is NotImplemented:
+def _exact(x):
+    """x as a QQ_I element; a float or complex converts to its exact binary
+    value (sympy's QQ.convert would round 0.1 to 1/10)."""
+    try:
+        return _gaussian(x)
+    except TypeError:
         (w,) = complex_point((x,))
-        c = ComplexRational(Fraction(w.real), Fraction(w.imag))
-    return c
+        return QQ_I.dtype.new(QQ(*w.real.as_integer_ratio()), QQ(*w.imag.as_integer_ratio()))
 
 
-def _realify_exact(v) -> list[Fraction]:
-    """An exact vector of C^n in Q^(2n): real parts, then imaginary parts."""
-    return [c.re for c in v] + [c.im for c in v]
+def _realify_exact(v) -> list:
+    """A vector of QQ_I elements in QQ^(2n): real parts, then imaginary parts."""
+    return [c.x for c in v] + [c.y for c in v]
 
 
 @dataclass(frozen=True)
@@ -155,14 +161,17 @@ class CurveGerm:
     """Polynomial probe curve t -> C^n in a real parameter t >= 0.
 
     Each component is a tuple of (coefficient, exponent) pairs; coefficients
-    are kept exact (ints, Fractions and floats convert to ComplexRational).
+    are kept exact (ints, Fractions, floats and complex numbers convert to
+    ComplexRational by their exact binary value).
     """
 
     components: tuple[tuple[tuple[ComplexRational, int], ...], ...]
     label: str = ""
 
     def __post_init__(self):
-        comps = tuple(tuple((_exact(c), e) for c, e in comp) for comp in self.components)
+        comps = tuple(
+            tuple((_from_gaussian(_exact(c)), e) for c, e in comp) for comp in self.components
+        )
         if any(not isinstance(e, int) or e < 0 for comp in comps for _, e in comp):
             raise ValueError("curve exponents must be nonnegative integers")
         object.__setattr__(self, "components", comps)
@@ -174,7 +183,8 @@ class CurveGerm:
     def base_point(self) -> tuple[ComplexRational, ...]:
         """The exact point at t = 0."""
         return tuple(
-            sum((c for c, e in comp if e == 0), ComplexRational()) for comp in self.components
+            _from_gaussian(sum((_gaussian(c) for c, e in comp if e == 0), QQ_I.zero))
+            for comp in self.components
         )
 
     @classmethod
@@ -184,7 +194,7 @@ class CurveGerm:
         for p in polys:
             if p.n_vars != 1 or not p.is_holomorphic:
                 raise ValueError("curve components must be holomorphic in a single variable t")
-            comps.append(tuple((c, pair.nu[0]) for pair, c in p.sorted_terms()))
+            comps.append(tuple((c, pair.nu[0]) for pair, c in p.terms.items()))
         return cls(tuple(comps), label=label)
 
 
@@ -197,15 +207,15 @@ class Stratum:
     label: str = ""
 
     def __post_init__(self):
-        base = tuple(_exact(w) for w in self.base_point)
+        base = tuple(_from_gaussian(_exact(w)) for w in self.base_point)
         tang = tuple(tuple(_exact(w) for w in v) for v in self.tangent)
         object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "tangent", tang)
+        object.__setattr__(self, "tangent", tuple(tuple(map(_from_gaussian, v)) for v in tang))
         if not tang:
             raise ValueError("stratum needs at least one tangent vector")
         if any(len(v) != len(base) for v in tang):
             raise ValueError(f"tangent vectors must have {len(base)} coordinates")
-        rows = [[QQ(q.numerator, q.denominator) for q in _realify_exact(v)] for v in tang]
+        rows = [_realify_exact(v) for v in tang]
         if DomainMatrix(rows, (len(rows), 2 * len(base)), QQ).rank() != len(tang):
             raise ValueError("tangent vectors must be linearly independent over R")
 
@@ -243,7 +253,7 @@ def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
 
 def _frame_along(family: NormalFamily, curve: CurveGerm):
     """Realified frame rows A = a+b and B = i(a-b) along the curve, in Q[t]^(2n)."""
-    zs = [sum((_TI({(e,): QQ_I(c.re, c.im)}) for c, e in comp), _TI.zero)
+    zs = [sum((_TI({(e,): _gaussian(c)}) for c, e in comp), _TI.zero)
           for comp in curve.components]
     # t is real, so conj(z(t)) conjugates the coefficients only
     gens = zs + [_TI.from_dict({m: c.new(c.x, -c.y) for m, c in z.items()}) for z in zs]
@@ -268,9 +278,9 @@ def _lowest_order(polys):
     return min((min(p.itermonoms())[0] for p in polys if p), default=None)
 
 
-def _contract(L, v) -> list[Fraction]:
-    """iota_v L, with iota_v (e_i ^ e_j) = v_i e_j - v_j e_i."""
-    out = [Fraction(0)] * len(v)
+def _contract(L, v) -> list:
+    """iota_v L in QQ, with iota_v (e_i ^ e_j) = v_i e_j - v_j e_i."""
+    out = [QQ.zero] * len(v)
     for (i, j), c in zip(itertools.combinations(range(len(v)), 2), L):
         out[j] += v[i] * c
         out[i] -= v[j] * c
@@ -284,7 +294,6 @@ def _limit_mu(A, B, d) -> complex:
     and B; det G > 0 for small t > 0, so alpha + i*beta points along
     adj(G) (A.d, B.d), whose lowest-order coefficient gives the limit.
     """
-    d = [QQ(q.numerator, q.denominator) for q in d]
     Ad, Bd = (sum((x.mul_ground(c) for x, c in zip(X, d) if c), _TQ.zero) for X in (A, B))
     AA, AB, BB = (sum((x * y for x, y in zip(X, Y)), _TQ.zero) for X, Y in ((A, A), (A, B), (B, B)))
     alpha, beta = BB * Ad - AB * Bd, AA * Bd - AB * Ad
@@ -303,19 +312,19 @@ def _probe_curve(family, curve, label, tangents=(), T=None) -> ProbeResult:
         return ProbeResult("inconclusive", None, (), reason="frame degenerate along the "
                            "whole curve: every Plucker coordinate vanishes, so the curve "
                            "lies in the critical locus")
-    L = tuple(Fraction(int(c.numerator), int(c.denominator))
-              for c in (p.get((m,), QQ.zero) for p in P))
+    L = [p.get((m,), QQ.zero) for p in P]
     M = np.zeros((len(A), len(A)))
     for (i, j), c in zip(itertools.combinations(range(len(A)), 2), L):
         M[i, j], M[j, i] = c, -c
     Q = np.linalg.svd(M)[2][:2]  # an orthonormal basis of the row space of L
-    result = ProbeResult("compatible", tuple(map(tuple, unrealify(Q))), (2,), plucker=L,
+    plucker = tuple(Fraction(int(c.numerator), int(c.denominator)) for c in L)
+    result = ProbeResult("compatible", tuple(map(tuple, unrealify(Q))), (2,), plucker=plucker,
                          reason=f"limit plane from t^{m}", projection=0.0)
     w = next((w for w in (_contract(L, tau) for tau in tangents) if any(w)), None)
     if w is None:
         return result
     # -iota_w L / |L|^2 is the orthogonal projection of tau onto the limit plane
-    norm2 = sum(c * c for c in L)
+    norm2 = sum((c * c for c in L), QQ.zero)
     d = [-c / norm2 for c in _contract(L, w)]
     proj = float(np.linalg.norm(Q @ T.T, 2))
     witness = {
@@ -349,7 +358,7 @@ def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[Curv
     lexicographic order: the diagonal (e, ..., e), so that every coordinate
     takes every exponent, and a seeded sample of the rest.
     """
-    base = tuple(_exact(w) for w in base_point)
+    base = tuple(_from_gaussian(_exact(w)) for w in base_point)
     n = len(base)
     rng = np.random.default_rng(seed)
     if 3 ** n <= 27:
@@ -365,7 +374,8 @@ def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[Curv
         comps = []
         for j in range(n):
             s = Fraction(int(ps[j]), int(qs[j]))
-            w = ComplexRational(1 - s * s, 2 * s) / (1 + s * s)
+            r = 1 + s * s
+            w = ComplexRational((1 - s * s) / r, 2 * s / r)
             comps.append(((w, exps[j]),) + (((base[j], 0),) if base[j] else ()))
         curves.append(CurveGerm(tuple(comps), label="t^" + ",".join(map(str, exps))))
     return tuple(curves)
@@ -390,7 +400,7 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
     if curves is None:
         curves = default_curve_battery(stratum.base_point)
     family = normal_family_symbolic(F)
-    tangents = [_realify_exact(v) for v in stratum.tangent]
+    tangents = [_realify_exact([_gaussian(w) for w in v]) for v in stratum.tangent]
     T = stratum.tangent_basis()
     per: list[ProbeResult] = []
     for idx, curve in enumerate(curves):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixedsing import format_mixed, from_pair
+from mixedsing import cli, discgeom, format_mixed, from_pair
 from mixedsing.cli import main
 from mixedsing.discgeom import ShearSearchExhausted
 from mixedsing.fixtures import FixtureError, fixture_names, load_all, load_fixture
@@ -189,6 +189,30 @@ class TestSubcommands:
         assert rep["polar"]["polar"] == "no"
         assert "forced to zero" in rep["polar"]["reason"]
         assert rep["verdict"]["tube"] == "unknown"
+
+    @pytest.mark.parametrize("pair", [("x^9", "y"), ("x", "x + y^2")])
+    def test_analyze_decides_isolation_once(self, capsys, monkeypatch, pair):
+        """One isolated-value verdict per analyze, also when it is unavailable
+        (x^9, y) and the discriminant section reports why."""
+        calls = []
+        real = discgeom.isolated_value_verdict
+
+        def counted(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(discgeom, "isolated_value_verdict", counted)
+        monkeypatch.setattr(cli, "isolated_value_verdict", counted)
+        code, rep = run_json(capsys, "analyze", "--pair", *pair, "--vars", "x,y",
+                             "--samples", "20")
+        assert code == 0
+        assert len(calls) == 1
+        disc_lines = [r for r in rep["verdict"]["routes"] if r["name"] == "disc-lines"]
+        if rep["discriminant"]["status"] == "unavailable":
+            assert disc_lines == [{"name": "disc-lines", "conclusion": "unavailable",
+                                   "detail": rep["discriminant"]["reason"]}]
+        else:
+            assert rep["discriminant"]["status"] == "not-isolated"
 
     def test_disc_with_branches(self, capsys):
         code, rep = run_json(

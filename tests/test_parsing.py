@@ -116,7 +116,7 @@ def test_format_orders_terms_by_graded_lex():
 
 def test_constant_formatting():
     assert format_mixed(MixedPolynomial.constant(-1, 1)) == "-1"
-    assert format_mixed(MixedPolynomial.constant(CR_I * -3, 2)) == "-3*i"
+    assert format_mixed(MixedPolynomial.constant(ComplexRational(0, -3), 2)) == "-3*i"
 
 
 @pytest.mark.parametrize(

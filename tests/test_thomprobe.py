@@ -43,6 +43,9 @@ Y_AXIS_2 = Stratum(base_point=(0, 1), tangent=((0, 1), (0, 1j)), label="y-axis")
 Z_AXIS_3 = Stratum(base_point=(0, 0, 1), tangent=((0, 0, 1), (0, 0, 1j)), label="z-axis")
 
 
+TENTH = Fraction(3602879701896397, 36028797018963968)  # the float 0.1, exactly
+
+
 def cr(re, im=0):
     return ComplexRational(Fraction(re), Fraction(im))
 
@@ -252,6 +255,10 @@ class TestCurveGerm:
             curve([(1, -1)])
         with pytest.raises(ValueError):
             curve([(complex("nan"), 1)])
+        # the float 0.1 keeps its binary value; sympy's QQ.convert(0.1) is 1/10
+        c = curve([(0.1, 1)], [(1, 1), (0.1j, 0)])
+        assert c.components == (((cr(TENTH), 1),), ((cr(1), 1), (cr(0, TENTH), 0)))
+        assert c.base_point() == (cr(0), cr(0, TENTH))
 
 
 class TestStratum:
@@ -260,6 +267,11 @@ class TestStratum:
             Stratum(base_point=(0, 1), tangent=((0, 1), (0, 2)))
         # (1, i) and (i, -1) = i * (1, i) are independent over R, not over C
         assert len(Stratum(base_point=(0, 0), tangent=((1, 1j), (1j, -1))).tangent) == 2
+
+    def test_float_keeps_its_binary_value(self):
+        s = Stratum(base_point=(0.1, 0), tangent=((1, 0.1j), (0.1, 0)))
+        assert s.base_point == (cr(TENTH), cr(0))
+        assert s.tangent == ((cr(1), cr(0, TENTH)), (cr(TENTH), cr(0)))
 
     def test_arity_checked_against_polynomial(self):
         with pytest.raises(ValueError):
@@ -418,7 +430,8 @@ def reparametrize(c: CurveGerm, sub) -> CurveGerm:
         return out
 
     return CurveGerm(
-        tuple(tuple((c0 * p, k) for c0, e in comp for k, p in power(e).items())
+        tuple(tuple((ComplexRational(c0.re * p, c0.im * p), k)
+                    for c0, e in comp for k, p in power(e).items())
               for comp in c.components),
         label=c.label,
     )
