@@ -1,10 +1,12 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
-Every command emits a single JSON document (schema 3) on stdout or --out;
-reruns with the same seed are byte-identical.  Exit codes: 0 verdict
-produced, 2 parse/input error, 3 internal degeneracy, 4 internal fault (any
-other exception; its traceback goes to stderr).
+Every command emits a single JSON document (schema 4) on stdout or --out;
+reruns with the same seed are byte-identical.  The input is exactly one of
+a fixture name, --expr or --pair; the last two need --vars.  No flag
+changes a verdict: the polar search, in particular, has no bound to set.
+Exit codes: 0 verdict produced, 2 parse/input error, 3 internal degeneracy,
+4 internal fault (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .discgeom import (
 from .fixtures import FixtureError, _parse_stratum, _split_top, fixture_names, load_fixture
 from .milnorprobe import DEFAULT_SAMPLES, milnor_scan, tube_verdict
 from .parsing import ParseError, format_mixed, format_scalar, parse
-from .polar import DEFAULT_BOUND, solve_polar
+from .polar import solve_polar
 from .thomprobe import (
     DEFAULT_SEED,
     CurveGerm,
@@ -43,7 +45,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 3
+SCHEMA = 4
 
 
 # serialization helpers ----------------------------------------------------------
@@ -113,27 +115,32 @@ def _error_report(kind: str, message: str, out: str | None, code: int) -> int:
 # input assembly -----------------------------------------------------------------
 
 
-def _variables(args) -> tuple[str, ...]:
-    if not args.vars:
-        raise ParseError(0, "--vars is required with --expr/--pair")
-    return tuple(v.strip() for v in args.vars.split(","))
-
-
 def _load_input(args):
-    """Resolve fixture/--expr/--pair into (fixture|None, F, pair, variables)."""
-    fixture = None
-    if getattr(args, "fixture", None):
+    """Resolve fixture/--expr/--pair into (fixture|None, F, pair, variables).
+
+    Exactly one of the three must be given, and --vars only with --expr or
+    --pair: a fixture names its own variables.
+    """
+    sources = {"a fixture name": args.fixture, "--expr": args.expr, "--pair": args.pair}
+    given = [name for name, value in sources.items() if value]
+    if len(given) > 1:
+        raise ParseError(
+            0, f"give only one of a fixture name, --expr and --pair, not {' and '.join(given)}"
+        )
+    if args.fixture:
+        if args.vars:
+            raise ParseError(0, "--vars cannot be combined with a fixture, which has its own")
         fixture = load_fixture(args.fixture)
         return fixture, fixture.expression, fixture.pair, fixture.variables
-    if getattr(args, "pair", None):
-        variables = _variables(args)
-        f = parse(args.pair[0], variables)
-        g = parse(args.pair[1], variables)
+    if not given:
+        raise ParseError(0, "give a fixture name, --expr, or --pair")
+    if not args.vars:
+        raise ParseError(0, "--vars is required with --expr/--pair")
+    variables = tuple(v.strip() for v in args.vars.split(","))
+    if args.pair:
+        f, g = (parse(text, variables) for text in args.pair)
         return None, from_pair(f, g), (f, g), variables
-    if getattr(args, "expr", None):
-        variables = _variables(args)
-        return None, parse(args.expr, variables), None, variables
-    raise ParseError(0, "give a fixture name, --expr, or --pair")
+    return None, parse(args.expr, variables), None, variables
 
 
 def _input_echo(fixture, F, pair, variables) -> dict:
@@ -148,16 +155,6 @@ def _input_echo(fixture, F, pair, variables) -> dict:
 
 
 # section builders ---------------------------------------------------------------
-
-
-def _polar_section(F, *, bound):
-    sol = solve_polar(F, bound=bound)
-    out = sol.as_report()
-    out["status"] = sol.status
-    if sol.reason:
-        out["reason"] = sol.reason
-    out["lattice_basis"] = [list(v) for v in sol.lattice_basis]
-    return sol, out
 
 
 def _line_component_dict(c):
@@ -328,20 +325,19 @@ def _cmd_analyze(args) -> int:
     loaded = _load_input(args)
     fixture, F, pair, _ = loaded
     strata, curves = _probe_inputs(args, fixture)
-    polar_sol, polar_sec = _polar_section(F, bound=args.k_bound)
+    polar = solve_polar(F)
 
     probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
 
     scan = milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
 
-    verdict = tube_verdict(F, pair=pair, polar=polar_sol, probes=tuple(probes))
+    verdict = tube_verdict(F, pair=pair, polar=polar, probes=tuple(probes))
 
     report = _report(
         "analyze",
         loaded,
         seed=args.seed,
-        tolerances={"polar_bound": args.k_bound},
-        polar=polar_sec,
+        polar=polar.as_report(),
         discriminant=_discriminant_section(verdict),
         thom_probes=probe_rows,
         milnor=_scan_section(scan),
@@ -371,8 +367,7 @@ def _cmd_wirtinger(args) -> int:
 def _cmd_polar(args) -> int:
     loaded = _load_input(args)
     _, F, _, _ = loaded
-    _, sec = _polar_section(F, bound=args.k_bound)
-    _emit(_report("polar", loaded, polar=sec), args.out)
+    _emit(_report("polar", loaded, polar=solve_polar(F).as_report()), args.out)
     return 0
 
 
@@ -468,10 +463,9 @@ def _cmd_shear(args) -> int:
 # argument plumbing --------------------------------------------------------------
 
 
-def _add_input_flags(p, *, with_fixture=True):
-    if with_fixture:
-        p.add_argument("fixture", nargs="?", default=None,
-                       help="bundled fixture name (see list-fixtures)")
+def _add_input_flags(p):
+    p.add_argument("fixture", nargs="?", default=None,
+                   help="bundled fixture name (see list-fixtures)")
     p.add_argument("--expr", help="mixed polynomial expression")
     p.add_argument("--pair", nargs=2, metavar=("F", "G"),
                    help="holomorphic pair f g; analyses f * conj(g)")
@@ -495,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probe curve components, e.g. 't, 1, 0'")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("wirtinger", help="both Wirtinger gradients and the normal family")
@@ -504,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polar", help="polar weight solver")
     _add_input_flags(p)
-    p.add_argument("--k-bound", type=int, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_polar)
 
     p = sub.add_parser("disc", help="discriminant geometry of a pair")
@@ -550,7 +542,7 @@ def _check_counts(args) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ParseError(0, f"--seed must be a non-negative integer, got {seed}")
-    for flag in ("samples", "k_bound", "k_min"):
+    for flag in ("samples", "k_min"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             name = "--" + flag.replace("_", "-")

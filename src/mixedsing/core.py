@@ -416,14 +416,19 @@ class MixedPolynomial:
 
 
 def complex_point(coords: Sequence[complex], n_vars: int | None = None) -> tuple[complex, ...]:
-    """Validate and normalize a point of C^n: finite complex entries."""
-    pt = tuple(complex(w) for w in coords)
-    if n_vars is not None and len(pt) != n_vars:
-        raise ValueError(f"point has {len(pt)} coordinates, expected {n_vars}")
-    for w in pt:
+    """Validate and normalize a point of C^n: finite complex entries, never
+    text (which complex() would parse)."""
+    pt = []
+    for w in coords:
+        if isinstance(w, (str, bytes)):
+            raise TypeError(f"point coordinates must be numbers, not text: {w!r}")
+        w = complex(w)
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise ValueError(f"non-finite coordinate {w!r}")
-    return pt
+        pt.append(w)
+    if n_vars is not None and len(pt) != n_vars:
+        raise ValueError(f"point has {len(pt)} coordinates, expected {n_vars}")
+    return tuple(pt)
 
 
 def _check_holomorphic_pair(f: MixedPolynomial, g: MixedPolynomial, op: str) -> None:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import discgeom
 from ._numeric import compile_frame, compile_hessian, compile_poly, normal_plane, realify, unrealify
 from .core import MixedPolynomial, complex_point
 from .polar import PolarSolution, solve_polar
@@ -348,11 +349,9 @@ def tube_verdict(
     witness = None
 
     if isolated is None and pair is not None:
-        from .discgeom import DegenerateEliminationError, DegreeBoundError, isolated_value_verdict
-
         try:
-            isolated = isolated_value_verdict(*pair)
-        except (DegenerateEliminationError, DegreeBoundError) as exc:
+            isolated = discgeom.isolated_value_verdict(*pair)
+        except (discgeom.DegenerateEliminationError, discgeom.DegreeBoundError) as exc:
             routes.append(RouteRecord("disc-lines", "unavailable", str(exc)))
 
     if pair is not None and _separate_variables(*pair):

@@ -14,20 +14,18 @@ The degree k is always required to be nonzero, as in Oka's definition
 
 Detection is exact: the admissible (p, k) form a sublattice of Z^{n+1}
 (kernel of the term-difference matrix), computed by unimodular integer row
-reduction.  The canonical representative is searched inside a bounded ball
-sum |p_j| <= bound; failure to find one there is reported as "unknown",
-never as a false "no".  The search walks a box of lattice coefficients that
-covers the ball, as numpy integer arrays in chunks of 2^13 rows: int64 while
-no entry can reach 2^62, Python ints (object arrays) otherwise, and never
-floats.  The box's sides come from the column maxima of the pseudo-inverse
-B^T (B B^T)^-1 of the lattice basis B, computed as a DomainMatrix over QQ.
+reduction.  A coordinate vanishing on the whole lattice certifies "none";
+otherwise weights exist, and the canonical one is searched in the balls
+sum|p_j| <= S, S = 1, 2, 4, ...  Each ball is covered by a box of lattice
+coefficients, walked as numpy integer arrays (int64 below 2^62, Python ints
+above, never floats); a box over the fixed budget answers "unknown".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 from sympy.polys.domains import ZZ
@@ -37,7 +35,6 @@ from .core import MixedPolynomial, complex_point
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "orbit_check", "integer_kernel"]
 
-DEFAULT_BOUND = 64
 _ENUM_CAP = 5_000_000
 _CHUNK_ROWS = 1 << 13
 _INT64_LIMIT = 1 << 62
@@ -72,26 +69,29 @@ class PolarWeights:
 class PolarSolution:
     """Outcome of solve_polar.
 
-    status is "found", "none" (certified absence) or "unknown" (bounded
-    search exhausted without certificate).  lattice_basis spans every
-    integer solution (p, k) of the linear system, before the nonzero/gcd
-    side conditions.
+    status is "found", "none" (certified absence) or "unknown" (the search
+    outgrew its budget; weights exist but were not pinned down).
+    lattice_basis spans every integer solution (p, k) of the linear system,
+    before the nonzero/gcd side conditions.
     """
 
     canonical: PolarWeights | None
     lattice_basis: tuple[tuple[int, ...], ...]
     status: str
-    bound_used: int
     reason: str = ""
 
     def as_report(self) -> dict:
-        verdict = {"found": "yes", "none": "no", "unknown": "unknown"}[self.status]
-        return {
-            "polar": verdict,
+        """The polar section of a report."""
+        out = {
+            "polar": {"found": "yes", "none": "no", "unknown": "unknown"}[self.status],
+            "status": self.status,
             "p": list(self.canonical.p) if self.canonical else None,
             "k": self.canonical.k if self.canonical else None,
-            "bound_used": self.bound_used,
+            "lattice_basis": [list(v) for v in self.lattice_basis],
         }
+        if self.reason:
+            out["reason"] = self.reason
+        return out
 
 
 def integer_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
@@ -131,14 +131,6 @@ def integer_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
         if all(T[r][c] == 0 for c in range(m)):
             kernel.append(T[r][m:])
     return kernel
-
-
-def _difference_vectors(F: MixedPolynomial) -> list[tuple[int, ...]]:
-    seen = set()
-    for pair in F.terms:
-        d = tuple(a - b for a, b in zip(pair.nu, pair.mu))
-        seen.add(d)
-    return sorted(seen)
 
 
 def _pinv_colmax(basis: list[list[int]]) -> list[Fraction]:
@@ -198,47 +190,56 @@ def _search_box(basis, boxes, n: int, bound: int):
     return best_pk
 
 
-def solve_polar(F: MixedPolynomial, *, bound: int = DEFAULT_BOUND) -> PolarSolution:
-    """Find canonical polar weights for F, or certify/report their absence."""
+def solve_polar(F: MixedPolynomial) -> PolarSolution:
+    """Find the canonical polar weights of F, or certify their absence.
+
+    The solutions (p, k) form the saturated lattice L spanned by the rows
+    (p_i | k_i) of the kernel basis.  If a coordinate vanishes on all of L,
+    no admissible weights exist: "none".  Otherwise each coordinate vanishes
+    on a proper sublattice only, finitely many of which cannot cover L, so
+    admissible weights exist and the search below terminates.
+
+    Why the first ball that holds a candidate gives the global canonical:
+    k = p . d for any term difference d, so a lattice vector with p = 0 is
+    zero, and the p block P (rows p_i) has full row rank.  A lattice vector
+    sum_i c_i (p_i | k_i) thus has c = p P^T (P P^T)^-1, and
+    |c_i| <= sum|p| * c_i', where c_i' is column i's largest entry of that
+    pseudo-inverse in absolute value (_pinv_colmax).  So the box
+    |c_i| <= floor(S * c_i') holds every lattice vector with sum|p| <= S;
+    dividing a kept vector by its gcd keeps it in L (L is saturated) and in
+    the ball.  _candidate_key ranks by sum|p| first, so once some candidate
+    has sum|p| <= S, the canonical one, of least sum|p|, is among those
+    searched.  S doubles from 1 until a candidate appears; a box of more
+    than _ENUM_CAP points answers "unknown".
+    """
     if F.is_zero:
         raise ValueError("the zero polynomial has no meaningful polar weights")
     n = F.n_vars
-    diffs = _difference_vectors(F)
+    diffs = sorted({tuple(a - b for a, b in zip(t.nu, t.mu)) for t in F.terms})
     rows = [list(d) + [-1] for d in diffs]
     basis = integer_kernel(rows, n + 1)
     basis_t = tuple(tuple(v) for v in basis)
     if not basis:
-        return PolarSolution(None, basis_t, "none", bound, "solution lattice is trivial")
+        return PolarSolution(None, basis_t, "none", "solution lattice is trivial")
     for j in range(n):
         if all(v[j] == 0 for v in basis):
-            return PolarSolution(
-                None, basis_t, "none", bound, f"weight p_{j+1} is forced to zero"
-            )
+            return PolarSolution(None, basis_t, "none", f"weight p_{j+1} is forced to zero")
     if all(v[n] == 0 for v in basis):
-        return PolarSolution(None, basis_t, "none", bound, "polar degree k is forced to zero")
+        return PolarSolution(None, basis_t, "none", "polar degree k is forced to zero")
 
-    # bounded enumeration of the lattice ball sum|p| <= bound
-    dmax = max((max(abs(x) for x in d) for d in diffs if any(d)), default=0)
-    v1_bound = bound * (1 + dmax)  # |k| <= sum|p| * dmax
-    colmax = _pinv_colmax(basis)
-    boxes = [int(v1_bound * c) for c in colmax]
-    total = 1
-    for b in boxes:
-        total *= 2 * b + 1
-        if total > _ENUM_CAP:
+    colmax = _pinv_colmax([v[:n] for v in basis])
+    S = 1
+    while True:
+        boxes = [int(S * c) for c in colmax]
+        if prod(2 * b + 1 for b in boxes) > _ENUM_CAP:
             return PolarSolution(
-                None, basis_t, "unknown", bound,
-                "enumeration box exceeds cap; no certificate either way",
+                None, basis_t, "unknown",
+                f"the coefficient box for sum|p| <= {S} exceeds {_ENUM_CAP} points",
             )
-
-    best_pk = _search_box(basis, boxes, n, bound)
-    if best_pk is None:
-        return PolarSolution(
-            None, basis_t, "unknown", bound,
-            f"no admissible weights with sum|p| <= {bound}",
-        )
-    p, k = best_pk
-    return PolarSolution(PolarWeights(p, k), basis_t, "found", bound)
+        best_pk = _search_box(basis, boxes, n, S)
+        if best_pk is not None:
+            return PolarSolution(PolarWeights(*best_pk), basis_t, "found")
+        S *= 2
 
 
 def orbit_check(F: MixedPolynomial, weights: PolarWeights, lam: complex, z) -> float:

@@ -108,7 +108,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name, "--samples", "60")
     assert code == 0
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key, capsys, name)
@@ -172,6 +172,18 @@ class TestSubcommands:
         assert code == 0
         assert rep["polar"]["polar"] == "no"
         assert "forced to zero" in rep["polar"]["reason"]
+
+    def test_rank_one_lattice_with_large_weights(self, capsys):
+        """The lattice of this germ is spanned by (35, 11, -73 | 139): its
+        weights lie far outside any small search ball, and are still found."""
+        argv = ("--expr", "x^7*y~^3*z + x~^5*y^2*z~^4 + y^6*z~", "--vars", "x,y,z")
+        code, rep = run_json(capsys, "polar", *argv)
+        assert code == 0
+        assert rep["polar"]["status"] == "found"
+        assert rep["polar"]["p"] == [35, 11, -73] and rep["polar"]["k"] == 139
+        code, rep = run_json(capsys, "analyze", *argv, "--samples", "20")
+        assert code == 0
+        assert (rep["verdict"]["tube"], rep["verdict"]["tube_route"]) == ("yes", "polar")
 
     @pytest.mark.parametrize("command", ["analyze", "polar"])
     def test_zero_k_flag_is_rejected(self, capsys, command):
@@ -366,12 +378,30 @@ class TestErrorContract:
         for shells in ("0.1,-0.2", "0", "0.1,abc", "inf"):
             assert "--shells" in self._flag_error(capsys, "--shells", shells)
 
-    def test_nonpositive_k_bound_names_the_flag(self, capsys):
-        for argv in (("polar", "--expr", "x*y~", "--vars", "x,y", "--k-bound", "0"),
-                     ("analyze", "xy-xbar", "--k-bound", "-5")):
-            code, rep = run_json(capsys, *argv)
-            assert code == 2 and rep["error"]["type"] == "parse"
-            assert "--k-bound" in rep["error"]["message"]
+    @pytest.mark.parametrize("command", ["analyze", "polar"])
+    def test_k_bound_flag_is_gone(self, capsys, command):
+        # the polar search sizes itself; no flag can cut it short to "unknown"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--expr", "x*y~", "--vars", "x,y", "--k-bound", "64"])
+        assert exc.value.code == 2
+        assert "--k-bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (("polar", "xy-xbar", "--expr", "x*y", "--vars", "x,y"), ("fixture", "--expr")),
+            (("disc", "xy-xbar", "--pair", "x", "y", "--vars", "x,y"), ("fixture", "--pair")),
+            (("polar", "--pair", "x", "y", "--expr", "x*y~*y", "--vars", "x,y"),
+             ("--expr", "--pair")),
+            (("analyze", "xy-xbar", "--vars", "x,y"), ("fixture", "--vars")),
+            (("wirtinger", "polar-k2", "--vars", "x,y,z"), ("fixture", "--vars")),
+        ],
+    )
+    def test_conflicting_inputs_name_the_flags(self, capsys, argv, flags):
+        # one input source per run: none is silently preferred over another
+        code, rep = run_json(capsys, *argv)
+        assert code == 2 and rep["error"]["type"] == "parse"
+        assert all(flag in rep["error"]["message"] for flag in flags)
 
     def test_nonpositive_k_min_names_the_flag(self, capsys):
         code, rep = run_json(capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",

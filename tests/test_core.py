@@ -15,6 +15,7 @@ from mixedsing import (
     parse,
 )
 from mixedsing.core import _from_gaussian, _gaussian
+from mixedsing.thomprobe import CurveGerm, Stratum
 from conftest import random_points
 from oracles import (
     fd_real_gradients,
@@ -338,3 +339,16 @@ def test_complex_point_validation():
         complex_point((1,), 2)
     with pytest.raises(ValueError):
         complex_point((float("nan"),))
+    assert complex_point((np.float64(0.5), np.complex128(1j), Fraction(1, 4))) == (0.5, 1j, 0.25)
+
+
+def test_text_is_not_a_coordinate():
+    """complex() parses "1+2j"; a point, curve or stratum must not."""
+    with pytest.raises(TypeError, match="text"):
+        complex_point(("1+2j",))
+    with pytest.raises(TypeError, match="text"):
+        CurveGerm(((("1+2j", 1),),))
+    with pytest.raises(TypeError, match="text"):
+        Stratum(base_point=("0",), tangent=(("1j",),))
+    with pytest.raises(TypeError, match="text"):
+        parse("x", ("x",)).evaluate(["0.5"])

@@ -92,22 +92,54 @@ def test_brute_force_agreement(rng):
     for _ in range(120):
         F = random_mixed(rng, n_vars=int(rng.integers(1, 4)), max_terms=3, max_degree=3)
         bound = 6
-        sol = solve_polar(F, bound=bound)
+        sol = solve_polar(F)
         brute = [
             (p, k)
             for p, k in brute_polar_solutions(F, bound)
             if sum(abs(x) for x in p) <= bound
         ]
-        if sol.status == "found":
+        if sol.status == "found" and sum(abs(x) for x in sol.canonical.p) <= bound:
             assert brute, f"solver found weights but brute force did not: {F!r}"
             best = min(brute, key=lambda s: canonical_key(*s))
             assert (tuple(sol.canonical.p), sol.canonical.k) == best
             checked += 1
         else:
-            # "none" certifies absence; "unknown" still guarantees nothing
-            # admissible exists inside the searched sum|p| ball
+            # "none" certifies absence; weights found beyond the brute-force
+            # ball mean nothing admissible lies inside it
+            assert sol.status in ("none", "found"), f"{sol.status}: {F!r}"
             assert not brute, f"brute force found weights the solver missed: {F!r}"
     assert checked >= 10, "generator should hit plenty of positive cases"
+
+
+def test_rank_one_lattice_far_from_the_origin():
+    """The lattice (35, 11, -73 | 139) has no point with sum|p| below 119;
+    the search grows until it reaches it."""
+    F = parse("x^7*y~^3*z + x~^5*y^2*z~^4 + y^6*z~", XYZ)
+    sol = solve_polar(F)
+    assert sol.status == "found"
+    assert sol.canonical == PolarWeights((35, 11, -73), 139)
+    assert [sorted(map(abs, v)) for v in sol.lattice_basis] == [[11, 35, 73, 139]]
+
+
+def test_random_inputs_are_always_decided(rng):
+    """200 seeded germs in 2-4 variables: never "unknown", and every weight
+    vector found satisfies p . (nu - mu) = k on every term."""
+    statuses = set()
+    for _ in range(200):
+        F = random_mixed(rng, n_vars=int(rng.integers(2, 5)), max_terms=4, max_degree=5)
+        sol = solve_polar(F)
+        statuses.add(sol.status)
+        assert sol.status in ("found", "none"), f"{sol.reason}: {F!r}"
+        if sol.status == "found":
+            p, k = sol.canonical.p, sol.canonical.k
+            for t in F.terms:
+                assert sum(w * (a - b) for w, a, b in zip(p, t.nu, t.mu)) == k, (F, p, k)
+    assert statuses == {"found", "none"}
+
+
+def test_no_search_bound_argument():
+    with pytest.raises(TypeError):
+        solve_polar(parse("x*y*x~", XY), bound=64)
 
 
 def test_candidate_key_tie_breaks():
@@ -162,16 +194,17 @@ def test_large_lattice_entries_stay_exact(monkeypatch):
         ExponentPair((e, 0, 1), (0, 1, 0)): one,
         ExponentPair((0, 2, 0), (0, 0, e + 3)): one,
     })
-    sol = solve_polar(F, bound=12)
+    sol = solve_polar(F)
     assert sol.status == "found"
     assert sol.canonical.k > 2**63  # out of int64 range
     monkeypatch.setattr("mixedsing.polar._search_box",
                         lambda *args: recursive_box_search(*args, True))
-    assert solve_polar(F, bound=12) == sol
+    assert solve_polar(F) == sol
 
 
 def test_solve_budget():
-    """The 80k-point box of x^2 * conj(y^3) is searched well inside 0.1 s."""
+    """x^2 * conj(y^3), whose old fixed search box held 80k points, is
+    solved well inside 0.1 s."""
     F = from_pair(parse("x^2", XY), parse("y^3", XY))
     t0 = time.perf_counter()
     sol = solve_polar(F)
@@ -209,16 +242,18 @@ def test_orbit_check_validation():
 def test_report_shape():
     sol = solve_polar(parse("x*y*x~", XY))
     rep = sol.as_report()
-    assert rep == {"polar": "yes", "p": [1, 1], "k": 1, "bound_used": 64}
+    assert rep == {"polar": "yes", "status": "found", "p": [1, 1], "k": 1,
+                   "lattice_basis": [list(v) for v in sol.lattice_basis]}
     none_rep = solve_polar(parse("x*y + x~*y~", XY)).as_report()
     assert none_rep["polar"] == "no" and none_rep["p"] is None
+    assert none_rep["status"] == "none" and "forced to zero" in none_rep["reason"]
 
 
 def test_lattice_basis_spans_brute_solutions(rng):
     """Every brute-force (p, k) lies in the reported solution lattice."""
     for _ in range(40):
         F = random_mixed(rng, n_vars=2, max_terms=3, max_degree=2)
-        sol = solve_polar(F, bound=5)
+        sol = solve_polar(F)
         brute = brute_polar_solutions(F, 5, require_nonzero_k=False)
         if not brute:
             continue
