@@ -12,10 +12,11 @@ carry all first-order real information.
 Polynomials live in sympy's sparse polynomial ring over the Gaussian
 rationals QQ_I, in 2n generators z1..zn, z1~..zn~, and ring arithmetic does
 the symbolic work.  The three hot operations avoid sympy's per-coefficient
-conversions: powers clear denominators once and run in the ring's clone over
-ZZ_I, Wirtinger gradients scale coefficient parts by exponents directly, and
-f * conj(g) is an outer product of cleared-denominator integer pairs.  Each
-returns exactly the element sympy's generic path would.
+conversions: powers clear denominators once and follow sympy's own power
+dispatch on plain (re, im) integer pairs, Wirtinger gradients scale
+coefficient parts by exponents directly, and f * conj(g) is an outer product
+of cleared-denominator integer pairs.  Each returns exactly the element
+sympy's generic path would.
 
 Scalars are ring elements too.  ComplexRational is the public exact value
 and carries no arithmetic: _gaussian maps an int, Fraction or
@@ -38,7 +39,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.domains import QQ, QQ_I, ZZ_I
+from sympy.ntheory.multinomial import multinomial_coefficients
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing, ring
 
@@ -51,7 +53,7 @@ __all__ = [
     "from_pair",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexRational:
     """A Gaussian rational re + im*i with auto-reduced Fraction parts: a
     plain value with no arithmetic (exact scalar work runs in QQ_I)."""
@@ -96,9 +98,10 @@ def _gaussian(x):
     """An int, Fraction or ComplexRational as an element of QQ_I."""
     if isinstance(x, ComplexRational):
         re, im = x.re, x.im
-        return QQ_I.dtype.new(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+        q = QQ.dtype
+        return QQ_I.dtype.new(q(re.numerator, re.denominator), q(im.numerator, im.denominator))
     if isinstance(x, (int, Fraction)):
-        return QQ_I.dtype.new(QQ(x.numerator, x.denominator), QQ.zero)
+        return QQ_I.dtype.new(QQ.dtype(x.numerator, x.denominator), QQ.zero)
     raise TypeError(f"expected int, Fraction or ComplexRational, got {type(x).__name__}")
 
 
@@ -117,23 +120,115 @@ def _ring(n_vars: int) -> PolyRing:
     return ring([sp.Symbol(s) for s in names], QQ_I, order=grlex)[0]
 
 
-@cache
-def _integer_ring(n_vars: int) -> PolyRing:
-    """_ring(n_vars) over the Gaussian integers ZZ_I, for cleared powers."""
-    return _ring(n_vars).clone(domain=ZZ_I)
-
-
-def _cleared(poly) -> tuple[int, list]:
-    """(d, [(monom, re, im)]): d is the lcm of every coefficient part's
-    denominator and re + im*i = d * c is a Gaussian integer, in term order."""
+def _cleared(poly) -> tuple[int, dict]:
+    """(d, {monom: (re, im)}): d is the lcm of every coefficient part's
+    denominator and re + im*i = d * c is a Gaussian integer, in the
+    element's own order."""
     d = math.lcm(*(q.denominator for c in poly.values() for q in (c.x, c.y)))
-    return d, [
-        (m, c.x.numerator * (d // c.x.denominator), c.y.numerator * (d // c.y.denominator))
+    return d, {
+        m: (c.x.numerator * (d // c.x.denominator), c.y.numerator * (d // c.y.denominator))
         for m, c in poly.items()
-    ]
+    }
 
 
-@dataclass(frozen=True)
+def _uncleared(ring, d: int, pairs: dict):
+    """The inverse of _cleared: the element of ring with coefficient
+    (re + im*i) / d at each monomial of {monom: (re, im)}."""
+    new, q = QQ_I.dtype.new, QQ.dtype
+    return ring.dtype({m: new(q(x, d), q(y, d)) for m, (x, y) in pairs.items()})
+
+
+# Gaussian-integer kernels on {monom: (re, im)} dicts.  Each mirrors the sympy
+# PolyElement routine it replaces, loop for loop, so the result has the same
+# terms in the same dict order; only the coefficient type differs.
+
+_ZERO = (0, 0)
+
+
+def _mul_pairs(ring, p: dict, q: dict) -> dict:
+    """p * q, as PolyElement.__mul__."""
+    mul = ring.monomial_mul
+    out: dict = {}
+    get = out.get
+    q_items = list(q.items())
+    for m1, (a, b) in p.items():
+        for m2, (c, d) in q_items:
+            m = mul(m1, m2)
+            x, y = get(m, _ZERO)
+            out[m] = (x + a * c - b * d, y + a * d + b * c)
+    return {m: v for m, v in out.items() if v != _ZERO}
+
+
+def _square_pairs(ring, p: dict) -> dict:
+    """p * p, as PolyElement.square: cross terms once and doubled, then the
+    squares of the terms."""
+    mul = ring.monomial_mul
+    items = list(p.items())
+    out: dict = {}
+    get = out.get
+    for i, (m1, (a, b)) in enumerate(items):
+        for m2, (c, d) in items[:i]:
+            m = mul(m1, m2)
+            x, y = get(m, _ZERO)
+            out[m] = (x + a * c - b * d, y + a * d + b * c)
+    out = {m: (2 * x, 2 * y) for m, (x, y) in out.items()}
+    get = out.get
+    for m, (a, b) in items:
+        m2 = mul(m, m)
+        x, y = get(m2, _ZERO)
+        out[m2] = (x + a * a - b * b, y + 2 * a * b)
+    return {m: v for m, v in out.items() if v != _ZERO}
+
+
+def _multinomial_pairs(ring, p: dict, e: int) -> dict:
+    """p ** e for 2..5 terms, as PolyElement._pow_multinomial: one term per
+    multinomial coefficient, from a table of each base term's powers."""
+    tables = []
+    for m, (x, y) in p.items():
+        row, a, b = [(ring.zero_monom, 1, 0)], 1, 0
+        for k in range(1, e + 1):
+            a, b = a * x - b * y, a * y + b * x
+            row.append((ring.monomial_pow(m, k), a, b))
+        tables.append(row)
+    mul = ring.monomial_mul
+    out: dict = {}
+    for exps, coeff in multinomial_coefficients(len(tables), e).items():
+        m, a, b = ring.zero_monom, coeff, 0
+        for k, row in zip(exps, tables):
+            if k:
+                mk, x, y = row[k]
+                m = mul(m, mk)
+                a, b = a * x - b * y, a * y + b * x
+        x, y = out.get(m, _ZERO)
+        a, b = a + x, b + y
+        if a or b:
+            out[m] = (a, b)
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _power_pairs(ring, p: dict, e: int) -> dict:
+    """p ** e for e >= 2, with PolyElement.__pow__'s dispatch: square, cube,
+    multinomial up to five terms, else square-and-multiply."""
+    if e == 2:
+        return _square_pairs(ring, p)
+    if e == 3:
+        return _mul_pairs(ring, p, _square_pairs(ring, p))
+    if len(p) <= 5:
+        return _multinomial_pairs(ring, p, e)
+    acc = None
+    while True:
+        if e & 1:
+            acc = p if acc is None else _mul_pairs(ring, acc, p)
+            e -= 1
+            if not e:
+                return acc
+        p = _square_pairs(ring, p)
+        e //= 2
+
+
+@dataclass(frozen=True, slots=True)
 class ExponentPair:
     """Multi-index pair (nu, mu): exponents of z and of conj(z)."""
 
@@ -208,7 +303,7 @@ class MixedPolynomial:
                 )
             monom = pair.nu + pair.mu
             acc[monom] = acc.get(monom, QQ_I.zero) + _gaussian(coeff)
-        object.__setattr__(self, "_poly", _ring(n_vars).from_dict(acc))
+        object.__setattr__(self, "_poly", _ring(n_vars).dtype({m: c for m, c in acc.items() if c}))
         object.__setattr__(self, "_terms", None)
 
     @classmethod
@@ -358,19 +453,21 @@ class MixedPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MixedPolynomial":
-        """self ** e, computed as (d*self) ** e over ZZ_I, then divided by d**e,
-        where d clears every denominator; sympy's own power dispatch runs on
-        the integer ring."""
+        """self ** e, computed as (d*self) ** e on Gaussian-integer pairs, then
+        divided by d**e, where d clears every denominator."""
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        d, terms = _cleared(self._poly)
-        integer = ZZ_I.dtype.new
-        p = _integer_ring(self.n_vars).dtype({m: integer(x, y) for m, x, y in terms}) ** e
-        de = d ** e
-        new = QQ_I.dtype.new
-        return MixedPolynomial._from_poly(
-            self._poly.ring.dtype({m: new(QQ(c.x, de), QQ(c.y, de)) for m, c in p.items()})
-        )
+        ring = self._poly.ring
+        if not self._poly:
+            if not e:
+                raise ValueError("0**0")
+            return self
+        if not e:
+            return MixedPolynomial._from_poly(ring.one)
+        if e == 1:
+            return self
+        d, pairs = _cleared(self._poly)
+        return MixedPolynomial._from_poly(_uncleared(ring, d ** e, _power_pairs(ring, pairs, e)))
 
     # -- the operations that matter --------------------------------------------
 
@@ -378,9 +475,7 @@ class MixedPolynomial:
         """Complex conjugate: swaps nu <-> mu and conjugates coefficients."""
         n = self.n_vars
         return MixedPolynomial._from_poly(
-            self._poly.ring.from_dict(
-                {m[n:] + m[:n]: c.new(c.x, -c.y) for m, c in self._poly.items()}
-            )
+            self._poly.ring.dtype({m[n:] + m[:n]: c.new(c.x, -c.y) for m, c in self._poly.items()})
         )
 
     def wirtinger(self) -> WirtingerGradient:
@@ -455,11 +550,10 @@ def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     n = f.n_vars
     df, f_terms = _cleared(f._poly)
     dg, g_terms = _cleared(g._poly)
-    d = df * dg
-    new = QQ_I.dtype.new
+    g_items = list(g_terms.items())
     out = {}
-    for mf, ax, ay in f_terms:
+    for mf, (ax, ay) in f_terms.items():
         head = mf[:n]
-        for mg, bx, by in g_terms:
-            out[head + mg[:n]] = new(QQ(ax * bx + ay * by, d), QQ(ay * bx - ax * by, d))
-    return MixedPolynomial._from_poly(f._poly.ring.dtype(out))
+        for mg, (bx, by) in g_items:
+            out[head + mg[:n]] = (ax * bx + ay * by, ay * bx - ax * by)
+    return MixedPolynomial._from_poly(_uncleared(f._poly.ring, df * dg, out))

@@ -16,12 +16,14 @@ operation, so no conjugation nodes survive; the result is always a plain
 MixedPolynomial.
 
 Every rejection raises ParseError carrying the byte offset of the offending
-token.  Exponents are capped at 64 and variable counts at 8; this is a desk
+token.  Exponents are capped at 64, variable counts at 8, and every product
+and power at 10,000 terms, bounded before it is expanded; this is a desk
 calculator, not a CAS.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +34,7 @@ __all__ = ["ParseError", "SourceExpr", "parse_mixed", "parse", "format_mixed"]
 
 MAX_EXPONENT = 64
 MAX_VARIABLES = 8
+MAX_TERMS = 10_000
 _RESERVED = {"i", "conj"}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -138,8 +141,10 @@ class _Parser:
     def term(self) -> MixedPolynomial:
         value = self.unary()
         while self.peek().kind == "OP" and self.peek().value == "*":
-            self.next()
-            value = value * self.unary()
+            op = self.next()
+            rhs = self.unary()
+            _check_terms(op, len(value._poly) * len(rhs._poly))
+            value = value * rhs
         return value
 
     def unary(self) -> MixedPolynomial:
@@ -160,6 +165,9 @@ class _Parser:
             exponent = int(e.value)
             if exponent > MAX_EXPONENT:
                 raise ParseError(e.pos, f"exponent {exponent} exceeds bound {MAX_EXPONENT}")
+            if value.is_zero and not exponent:
+                raise ParseError(e.pos, "0^0 is undefined")
+            _check_terms(tok, _power_terms_bound(value, exponent))
             value = value ** exponent
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "^":
@@ -205,6 +213,25 @@ class _Parser:
                 return MixedPolynomial.constant(Fraction(num, den), self.n_vars)
             return MixedPolynomial.constant(num, self.n_vars)
         raise ParseError(tok.pos, f"unexpected {tok.value or 'end of input'!r}")
+
+
+def _power_terms_bound(F: MixedPolynomial, e: int) -> int:
+    """An upper bound on the terms of F ** e: the multinomial count
+    C(e+m-1, m-1) for m terms, or the product over the generators of
+    e * deg + 1 when that is smaller (dense bases in few variables)."""
+    m = len(F._poly)
+    if m <= 1:
+        return m
+    grid = math.prod(e * d + 1 for d in F._poly.degrees())
+    return min(math.comb(e + m - 1, m - 1), grid)
+
+
+def _check_terms(op: _Token, bound: int) -> None:
+    """Refuse, at the operator, a product or power that may exceed MAX_TERMS."""
+    if bound > MAX_TERMS:
+        raise ParseError(
+            op.pos, f"{op.value!r} may give up to {bound} terms, over the cap of {MAX_TERMS}"
+        )
 
 
 def parse_mixed(src: SourceExpr) -> MixedPolynomial:

@@ -286,6 +286,16 @@ class TestErrorContract:
         assert rep["error"]["type"] == "parse"
         assert "position" in rep["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "expr,variables,at",
+        [("(x+y+z+x~+y~+z~+1)^64", "x,y,z", 18), ("0^0", "x", 2)],
+    )
+    def test_refused_power_exit_2_with_position(self, capsys, expr, variables, at):
+        code, rep = run_json(capsys, "wirtinger", "--expr", expr, "--vars", variables)
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert rep["error"]["message"].startswith(f"at position {at}:")
+
     def test_unknown_fixture_exit_2(self, capsys):
         code, rep = run_json(capsys, "analyze", "missing-case")
         assert code == 2

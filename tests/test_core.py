@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ_I
+from sympy.polys.domains.domain import Domain
 
 from mixedsing import (
     ComplexRational,
@@ -321,6 +323,54 @@ class TestKernels:
         assert calls, "the counter must see sympy's own diff convert"
         calls.clear()
         F.wirtinger()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x*x~ + x + x~",                # products of terms collide on x^a*x~^b
+            "x^2 + 2*x*y - 2*y^2",          # 4*x^2*y^2 - 4*x^2*y^2 cancels in the square
+            "i",                            # a Gaussian unit: i^k cycles through 1, i, -1, -i
+            "i*x - i",
+            "(1/2 + 1/2*i)*x + (1/2 - 1/2*i)*y~",
+            "1 + x + x^2 + x~ + 2/3*x*x~",            # five terms: the multinomial path
+            "1 + x + x^2 + x~ + 2/3*x*x~ - i*x~^2",   # six terms: square-and-multiply
+        ],
+    )
+    def test_power_cases_match_ring_power(self, text):
+        F = parse(text, ("x", "y"))
+        for e in (*range(10), 16):
+            assert F ** e == MixedPolynomial._from_poly(F._poly ** e), (text, e)
+
+    def test_power_cancellation_leaves_no_zero_key(self):
+        F = parse("x^2 + 2*x*y - 2*y^2", ("x", "y"))
+        assert (2, 2, 0, 0) not in (F ** 2)._poly
+        assert (F ** 2)._poly == F._poly ** 2
+
+    def test_power_boundary_and_every_exponent(self, rng):
+        for k in (2, 5, 6):
+            F = _gaussian_poly(rng, k, n_vars=1)
+            for e in (*range(10), 16):
+                got, want = (F ** e)._poly, F._poly ** e
+                assert got == want, (F, e)
+                # the same terms in sympy's own dict order
+                assert list(got) == list(want), (F, e)
+
+    def test_power_makes_no_domain_conversion(self, rng, monkeypatch):
+        calls = []
+        convert = Domain.convert
+        monkeypatch.setattr(
+            Domain, "convert", lambda self, *a, **k: calls.append(a) or convert(self, *a, **k)
+        )
+        F = parse("2*x + y~ - 3*i", ("x", "y"))
+        integer = F._poly.ring.clone(domain=ZZ_I)
+        integer({m: ZZ_I.new(c.x.numerator, c.y.numerator) for m, c in F._poly.items()}) ** 5
+        assert calls, "the counter must see sympy's own ZZ_I power convert"
+        bases = (F, _gaussian_poly(rng, 1), _gaussian_poly(rng, 4), _gaussian_poly(rng, 7))
+        calls.clear()
+        for G in bases:
+            for e in (0, 1, 2, 3, 5):
+                G ** e
         assert calls == []
 
     def test_term_view_matches_validated_pairs(self, rng):

@@ -7,7 +7,7 @@ import pytest
 
 from mixedsing import MixedPolynomial, ParseError, SourceExpr, format_mixed, format_scalar, parse, parse_mixed
 from mixedsing.core import CR_I, ComplexRational
-from mixedsing.parsing import canonical_variables
+from mixedsing.parsing import MAX_TERMS, canonical_variables
 from oracles import random_mixed
 
 XY = ("x", "y")
@@ -88,6 +88,10 @@ def test_source_expr_validation():
         ("(x", XY, 2),           # unclosed paren
         ("x $ y", XY, 2),        # stray character
         ("", XY, 0),             # empty input
+        ("0^0", XY, 2),          # 0^0, at its exponent
+        ("(x - x)^0", XY, 8),
+        ("(x+y+z+x~+y~+z~+1)^16", XYZ, 18),      # C(22, 6) terms, over the cap
+        ("(x+y+z+1)^24*(x+y+z+1)^24", XYZ, 12),  # 2,925^2 terms, over the cap
     ],
 )
 def test_error_positions(text, variables, at):
@@ -139,3 +143,28 @@ def test_powered_sum_expansion_scale(text, variables, n_terms, nu, mu, coeff):
     assert len(p.terms) == n_terms
     assert p.coefficient(nu, mu) == ComplexRational(coeff)
     assert elapsed < budget
+
+
+def test_term_budget_refuses_before_expanding():
+    """C(70, 6) terms would take hours; the bound is checked first."""
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=f"cap of {MAX_TERMS}") as err:
+        parse("(x+y+z+x~+y~+z~+1)^64", XYZ)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.position == 18
+
+
+def test_term_budget_admits_the_cap():
+    p100 = " + ".join(f"x^{a}*y^{b}" for a in range(10) for b in range(10))
+    q100 = " + ".join(f"z^{c}*x~^{d}" for c in range(10) for d in range(10))
+    assert len(parse(f"({p100})*({q100})", XYZ).terms) == MAX_TERMS
+    with pytest.raises(ParseError, match="10100 terms") as err:
+        parse(f"({p100})*({q100} + y~)", XYZ)
+    assert err.value.position == len(p100) + 2
+
+
+def test_term_budget_admits_dense_powers():
+    """C(19, 9) = 92,378 by the multinomial count, but x has degree 9, so at
+    most 10*9 + 1 = 91 terms."""
+    text = "(" + " + ".join(f"x^{k}" for k in range(10)) + ")^10"
+    assert len(parse(text, ("x",)).terms) == 91
