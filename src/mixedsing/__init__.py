@@ -33,9 +33,7 @@ from .discgeom import (
 from .milnorprobe import (
     ScanResult,
     TubeVerdict,
-    milnor_residual,
     milnor_scan,
-    sing_residual,
     tube_verdict,
 )
 from .parsing import (
@@ -46,7 +44,7 @@ from .parsing import (
     parse,
     parse_mixed,
 )
-from .polar import PolarSolution, PolarWeights, orbit_check, solve_polar
+from .polar import PolarSolution, PolarWeights, solve_polar
 from .thomprobe import (
     CurveGerm,
     NormalFamily,
@@ -54,9 +52,7 @@ from .thomprobe import (
     Stratum,
     default_curve_battery,
     limit_normal_plane,
-    normal_family,
     normal_family_symbolic,
-    pair_normal_family,
     thom_test,
 )
 
@@ -77,7 +73,6 @@ __all__ = [
     "parse_mixed",
     "PolarSolution",
     "PolarWeights",
-    "orbit_check",
     "solve_polar",
     "CurveGerm",
     "NormalFamily",
@@ -85,9 +80,7 @@ __all__ = [
     "Stratum",
     "default_curve_battery",
     "limit_normal_plane",
-    "normal_family",
     "normal_family_symbolic",
-    "pair_normal_family",
     "thom_test",
     "IsolatedVerdict",
     "LineComponent",
@@ -105,9 +98,7 @@ __all__ = [
     "sing_decomposition",
     "ScanResult",
     "TubeVerdict",
-    "milnor_residual",
     "milnor_scan",
-    "sing_residual",
     "tube_verdict",
     "__version__",
 ]

@@ -1,17 +1,12 @@
-"""Milnor-set scans, singularity residuals, and tube/Thom verdict routing.
+"""Milnor-set scans and tube/Thom verdict routing.
 
-Two scalar certificates drive the numerics:
-
-* sing_residual: with a = conj(dF)(z) and b = dbarF(z), the value
-  (|a||b| - |<a,b>|) + (|a| - |b|)^2 vanishes exactly when a = lam*b for
-  some unimodular lam (including a = b = 0), i.e. exactly at singular
-  points of the mixed polynomial.
-
-* milnor_residual: distance from the unit radial direction z/|z| to its
-  projection onto the normal 2-plane; zero exactly at rho-nonregular
-  points (sphere tangent to the fibre), the Milnor set.  The plane comes
-  from _numeric.normal_plane and its rank rule (s_1 > s_0 * RANK_RTOL);
-  a frame of rank < 2 is degenerate and certifies nothing.
+One certificate drives the numerics.  With a = conj(dF)(z) and
+b = dbarF(z), _batch_residual measures the distance from the unit radial
+direction z/|z| to its projection onto the normal 2-plane span_R{a+b,
+i(a-b)}; it is zero exactly at rho-nonregular points (sphere tangent to the
+fibre), the Milnor set.  The plane comes from _numeric.normal_plane and its
+rank rule (s_1 > s_0 * RANK_RTOL); a frame of rank < 2 is degenerate,
+certifies nothing and scores 2.
 
 milnor_scan hunts for Milnor-set points away from the zero fibre on
 spheres of decreasing radius.  Seeded sphere points are projected onto
@@ -39,18 +34,14 @@ import numpy as np
 
 from . import discgeom
 from ._numeric import compile_frame, compile_hessian, compile_poly, normal_plane, realify, unrealify
-from .core import MixedPolynomial, complex_point
+from .core import MixedPolynomial
 from .polar import PolarSolution, solve_polar
 from .thomprobe import DEFAULT_SEED, ProbeResult
 
 __all__ = [
-    "SingResidual",
-    "MilnorResidual",
     "ShellEvidence",
     "ScanResult",
     "TubeVerdict",
-    "sing_residual",
-    "milnor_residual",
     "milnor_scan",
     "tube_verdict",
 ]
@@ -61,47 +52,6 @@ STEPS = 15
 NEAR_ZERO_TOL = 1e-6
 OFF_FIBRE_TOL = 1e-6
 RATIO_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class SingResidual:
-    """Vanishes exactly on the singular locus of the mixed polynomial."""
-
-    value: float
-    point: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class MilnorResidual:
-    """Distance in [0, 1] from the radial direction to the normal plane."""
-
-    value: float
-    point: tuple[complex, ...]
-    degenerate: bool = False
-
-
-def sing_residual(F: MixedPolynomial, z) -> SingResidual:
-    """Scalar singularity certificate at z (exact zero iff singular)."""
-    pt = complex_point(z, F.n_vars)
-    a, b = compile_frame(F)(np.array(pt))
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    inner = abs(complex(np.vdot(b, a)))  # |<a, b>| hermitian
-    # Cauchy-Schwarz guarantees na*nb >= inner; rounding can dip below by ~eps
-    value = max(0.0, na * nb - inner) + (na - nb) ** 2
-    return SingResidual(value=value, point=pt)
-
-
-def milnor_residual(F: MixedPolynomial, z) -> MilnorResidual:
-    """rho-nonregularity certificate at z != 0 (zero iff z in the Milnor set)."""
-    pt = complex_point(z, F.n_vars)
-    x = np.array(pt)
-    norm = float(np.linalg.norm(realify(x)))
-    if norm == 0.0:
-        raise ValueError("milnor_residual is undefined at the origin")
-    plane = normal_plane(*compile_frame(F)(x))
-    value = plane.distance(realify(x) / norm)
-    return MilnorResidual(value=float(value), point=pt, degenerate=bool(plane.rank < 2))
 
 
 @dataclass(frozen=True)
@@ -125,8 +75,8 @@ class ScanResult:
 
 
 def _batch_residual(frame, Z: np.ndarray) -> np.ndarray:
-    """Vectorized milnor_residual over rows of Z (N, n); degenerate rows, which
-    certify nothing, -> 2."""
+    """The Milnor certificate over rows of Z (N, n), values in [0, 1];
+    degenerate rows, which certify nothing, -> 2."""
     plane = normal_plane(*frame(Z))
     radial = realify(Z)
     radial = radial / np.linalg.norm(radial, axis=1, keepdims=True)

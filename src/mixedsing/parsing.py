@@ -318,7 +318,3 @@ def format_scalar(c: ComplexRational) -> str:
     negative, body = _coeff_str(c)
     return f"-{body}" if negative else body
 
-
-def canonical_variables(n: int) -> tuple[str, ...]:
-    """The variable names format_mixed writes against: z1..zn."""
-    return tuple(f"z{j+1}" for j in range(n))

@@ -31,9 +31,9 @@ import numpy as np
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from .core import MixedPolynomial, complex_point
+from .core import MixedPolynomial
 
-__all__ = ["PolarWeights", "PolarSolution", "solve_polar", "orbit_check", "integer_kernel"]
+__all__ = ["PolarWeights", "PolarSolution", "solve_polar", "integer_kernel"]
 
 _ENUM_CAP = 5_000_000
 _CHUNK_ROWS = 1 << 13
@@ -240,15 +240,3 @@ def solve_polar(F: MixedPolynomial) -> PolarSolution:
         if best_pk is not None:
             return PolarSolution(PolarWeights(*best_pk), basis_t, "found")
         S *= 2
-
-
-def orbit_check(F: MixedPolynomial, weights: PolarWeights, lam: complex, z) -> float:
-    """Residual |F(lam . z) - lam^k F(z)| for the weighted circle action."""
-    if len(weights.p) != F.n_vars:
-        raise ValueError("weight vector length does not match polynomial arity")
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError(f"lam must lie on the unit circle, |lam| = {abs(lam)!r}")
-    pt = complex_point(z, F.n_vars)
-    moved = tuple(lam ** w * zj for w, zj in zip(weights.p, pt))
-    return abs(F.evaluate(moved) - lam ** weights.k * F.evaluate(pt))

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -44,20 +43,16 @@ from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from ._numeric import compile_vector, real_span_basis, unrealify
-from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian
-from .core import _gaussian, complex_point
+from ._numeric import real_span_basis, unrealify
+from .core import ComplexRational, MixedPolynomial, _from_gaussian, _gaussian, complex_point
 from .parsing import format_scalar
 
 __all__ = [
     "NormalFamily",
-    "NormalFrame",
     "CurveGerm",
     "Stratum",
     "ProbeResult",
     "normal_family_symbolic",
-    "pair_normal_family",
-    "normal_family",
     "default_curve_battery",
     "limit_normal_plane",
     "thom_test",
@@ -71,7 +66,7 @@ _TQ = ring("t", QQ)[0]  # the realified frame and its Plucker coordinates
 
 @dataclass(frozen=True)
 class NormalFamily:
-    """Symbolic halves of the normal family: n_mu = mu*a + conj(mu)*b."""
+    """Exact halves of the normal family n_mu = mu*a + conj(mu)*b."""
 
     a: tuple[MixedPolynomial, ...]  # conj of the z-gradient, as polynomials
     b: tuple[MixedPolynomial, ...]  # the zbar-gradient
@@ -79,37 +74,6 @@ class NormalFamily:
     @property
     def n_vars(self) -> int:
         return len(self.a)
-
-    @cached_property
-    def _evaluate(self):
-        """Compiled evaluator z -> (a(z), b(z)), built on first use."""
-        a_ev, b_ev = compile_vector(self.a), compile_vector(self.b)
-        return lambda Z: (a_ev(Z), b_ev(Z))
-
-    def frame_at(self, z) -> "NormalFrame":
-        pt = complex_point(z, self.n_vars)
-        av, bv = self._evaluate(pt)
-        return NormalFrame(
-            point=pt,
-            n_one=tuple(av + bv),
-            n_i=tuple(1j * (av - bv)),
-        )
-
-    def n_mu_at(self, z, mu: complex) -> tuple[complex, ...]:
-        mu = complex(mu)
-        if abs(abs(mu) - 1.0) > 1e-12:
-            raise ValueError("mu must lie on the unit circle")
-        av, bv = self._evaluate(complex_point(z, self.n_vars))
-        return tuple(mu * av + np.conj(mu) * bv)
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """The two frame vectors spanning the normal 2-plane at a point."""
-
-    point: tuple[complex, ...]
-    n_one: tuple[complex, ...]
-    n_i: tuple[complex, ...]
 
 
 def normal_family_symbolic(F: MixedPolynomial) -> NormalFamily:
@@ -119,26 +83,6 @@ def normal_family_symbolic(F: MixedPolynomial) -> NormalFamily:
         a=tuple(p.conjugate() for p in grad.dF),
         b=grad.dbarF,
     )
-
-
-def pair_normal_family(f: MixedPolynomial, g: MixedPolynomial) -> NormalFamily:
-    """Normal family of f * conj(g) computed the pair way.
-
-    a = g * conj(df) and b = f * conj(dg); agrees exactly with
-    normal_family_symbolic(from_pair(f, g)).
-    """
-    _check_holomorphic_pair(f, g, "pair_normal_family")
-    df = f.wirtinger().dF
-    dg = g.wirtinger().dF
-    return NormalFamily(
-        a=tuple(g * p.conjugate() for p in df),
-        b=tuple(f * p.conjugate() for p in dg),
-    )
-
-
-def normal_family(F: MixedPolynomial, z) -> NormalFrame:
-    """Numeric frame of the normal 2-plane of F at z."""
-    return normal_family_symbolic(F).frame_at(z)
 
 
 def _exact(x):

@@ -118,6 +118,56 @@ def fd_real_gradients(F: MixedPolynomial, point, h: float = 1e-5):
     return dx, dy
 
 
+# ---- pointwise singularity, Milnor and orbit residuals ----------------------------
+#
+# Scalar float references for the Milnor scan's certificate and the polar
+# circle action.  Frames come from the exact normal family evaluated term by
+# term (MixedPolynomial.evaluate); nothing here goes through _numeric.
+
+
+def _frame(F: MixedPolynomial, point):
+    """(a, b) = (conj(dF), dbarF) at point, from normal_family_symbolic."""
+    from mixedsing import normal_family_symbolic
+
+    fam = normal_family_symbolic(F)
+    a = np.array([p.evaluate(point) for p in fam.a], dtype=complex)
+    b = np.array([p.evaluate(point) for p in fam.b], dtype=complex)
+    return a, b
+
+
+def _real(v: np.ndarray) -> np.ndarray:
+    return np.concatenate([v.real, v.imag])
+
+
+def sing_residual(F: MixedPolynomial, point) -> float:
+    """(|a||b| - |<a,b>|) + (|a| - |b|)^2: zero exactly when a = lam*b for
+    some unimodular lam (a = b = 0 included), i.e. at singular points."""
+    a, b = _frame(F, point)
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    # Cauchy-Schwarz gives na*nb >= |<a,b>|; rounding can dip below by ~eps
+    return max(0.0, na * nb - abs(complex(np.vdot(b, a)))) + (na - nb) ** 2
+
+
+def milnor_residual(F: MixedPolynomial, point) -> float:
+    """Distance from z/|z| to the real span of (a+b, i(a-b)), by least squares;
+    2.0 when that span has rank < 2 (s_1 <= s_0 * 1e-13)."""
+    a, b = _frame(F, point)
+    M = np.stack([_real(a + b), _real(1j * (a - b))], axis=-1)
+    r = _real(np.array([complex(v) for v in point]))
+    r = r / np.linalg.norm(r)
+    c, _, rank, _ = np.linalg.lstsq(M, r, rcond=1e-13)
+    if rank < 2:
+        return 2.0
+    return float(np.linalg.norm(r - M @ c))
+
+
+def orbit_residual(F: MixedPolynomial, weights, lam: complex, point) -> float:
+    """|F(lam . z) - lam^k F(z)| for the weighted circle action of weights."""
+    pt = tuple(complex(v) for v in point)
+    moved = tuple(lam ** w * zj for w, zj in zip(weights.p, pt))
+    return abs(F.evaluate(moved) - lam ** weights.k * F.evaluate(pt))
+
+
 # ---- brute-force polar enumeration ----------------------------------------------
 
 

@@ -1,0 +1,84 @@
+"""The names the benchmark harness under bench/ reaches into the package by.
+
+bench/spans.TRACED wraps functions by (module, attribute), and
+Tracer.installed() looks each one up with no default, so a renamed or
+deleted function breaks every traced run.  bench/worker.py and bench/run.py
+call the package through its top-level exports.  These tests read bench/
+as it stands and check that every such name still resolves.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import mixedsing
+import mixedsing.cli  # noqa: F401  (loads every module TRACED names)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import spans  # noqa: E402
+
+
+def _resolve(mod_name, attr):
+    obj = importlib.import_module(mod_name)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        return getattr(obj, cls_name).__dict__[meth]
+    return getattr(obj, attr)
+
+
+def _package_uses(path: Path):
+    """(attributes read off the mixedsing package, (module, name) imported
+    from its submodules) in one bench script.
+
+    An alias counts in the function that binds it (``import mixedsing as m``
+    or ``m = mixedsing``) and in the functions nested in it; ``mixedsing``
+    itself counts everywhere.
+    """
+    tree = ast.parse(path.read_text())
+    attrs, imported = set(), set()
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
+    for scope in scopes:
+        aliases = {"mixedsing"}
+        for node in ast.walk(scope) if scope is not tree else ():
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names if a.name == "mixedsing" and a.asname}
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "mixedsing":
+                aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mixedsing."):
+                imported |= {(node.module, a.name) for a in node.names}
+    return attrs, imported
+
+
+def test_traced_names_resolve():
+    for mod_name, attr, _layer, _counter in spans.TRACED:
+        assert mod_name in sys.modules, f"{mod_name} is not loaded by mixedsing.cli"
+        assert callable(_resolve(mod_name, attr)), f"{mod_name}.{attr}"
+
+
+def test_tracer_installs_and_restores():
+    originals = {(m, a): _resolve(m, a) for m, a, _layer, _counter in spans.TRACED}
+    with spans.Tracer().installed():
+        for (mod_name, attr), original in originals.items():
+            assert _resolve(mod_name, attr) is not original, f"{mod_name}.{attr} not wrapped"
+    for (mod_name, attr), original in originals.items():
+        assert _resolve(mod_name, attr) is original, f"{mod_name}.{attr} not restored"
+
+
+def test_bench_scripts_call_exported_names():
+    for script in ("worker.py", "run.py"):
+        attrs, imported = _package_uses(BENCH / script)
+        for name in attrs:
+            assert name in mixedsing.__all__, f"bench/{script} calls unexported mixedsing.{name}"
+        for mod_name, name in imported:
+            assert hasattr(importlib.import_module(mod_name), name), \
+                f"bench/{script} imports missing {mod_name}.{name}"
+    assert _package_uses(BENCH / "worker.py")[0] >= {"parse", "solve_polar", "tube_verdict"}
+    assert _package_uses(BENCH / "run.py")[0] >= {"parse", "format_mixed", "from_pair"}

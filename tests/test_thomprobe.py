@@ -14,16 +14,13 @@ from mixedsing import (
     format_mixed,
     from_pair,
     limit_normal_plane,
-    normal_family,
     normal_family_symbolic,
-    pair_normal_family,
     parse,
     thom_test,
 )
 from mixedsing._numeric import RANK_RTOL, compile_frame, normal_plane, real_span_basis
 from mixedsing._numeric import realify, unrealify
 from mixedsing.fixtures import load_all, load_fixture
-from conftest import random_points
 from oracles import curve_at, grassmann_distance, least_squares_mu, random_mixed
 from oracles import track_normal_plane
 
@@ -94,14 +91,20 @@ class TestSymbolicFamilies:
         assert [format_mixed(p) for p in fam.b] == [b_x, "0 (n=3)", "0 (n=3)"]
 
     def test_pair_route_equals_direct_route(self, rng):
+        """The pair way, a = g*conj(df) and b = f*conj(dg), gives the
+        family of f*conj(g) exactly."""
+
+        def assert_pair_route(f, g):
+            direct = normal_family_symbolic(from_pair(f, g))
+            assert direct.a == tuple(g * p.conjugate() for p in f.wirtinger().dF)
+            assert direct.b == tuple(f * p.conjugate() for p in g.wirtinger().dF)
+
         fixed = [
             (parse("x*y", XY), parse("x", XY)),
             (parse("x^2 - z*y^2", XYZ), parse("y", XYZ)),
         ]
         for f, g in fixed:
-            direct = normal_family_symbolic(from_pair(f, g))
-            paired = pair_normal_family(f, g)
-            assert paired.a == direct.a and paired.b == direct.b
+            assert_pair_route(f, g)
         for _ in range(20):
             n = int(rng.integers(1, 4))
             f = random_mixed(rng, n_vars=n, max_terms=3).conjugate()
@@ -110,51 +113,19 @@ class TestSymbolicFamilies:
             g = g if g.is_holomorphic else g.conjugate()
             if not (f.is_holomorphic and g.is_holomorphic):
                 continue  # conjugate trick only strips pure-antiholomorphic inputs
-            direct = normal_family_symbolic(from_pair(f, g))
-            paired = pair_normal_family(f, g)
-            assert paired.a == direct.a and paired.b == direct.b
-
-    def test_pair_route_rejects_mixed_inputs(self):
-        with pytest.raises(ValueError):
-            pair_normal_family(parse("x~", XY), parse("x", XY))
+            assert_pair_route(f, g)
 
 
 class TestFrames:
     def test_frame_values_frozen(self):
-        fam = pair_normal_family(parse("x*y", XY), parse("x", XY))
-        fr = fam.frame_at((1, 1))
-        assert np.allclose(fr.n_one, (2, 1))
-        assert np.allclose(fr.n_i, (0, 1j))
-        direct = normal_family(from_pair(parse("x*y", XY), parse("x", XY)), (1, 1))
-        assert np.allclose(direct.n_one, fr.n_one)
-        assert np.allclose(direct.n_i, fr.n_i)
-
-    def test_mu_family_endpoints(self, rng):
-        fam = normal_family_symbolic(XYXBAR)
-        for pt in random_points(rng, 2, 5):
-            fr = fam.frame_at(pt)
-            assert np.allclose(fam.n_mu_at(pt, 1.0), fr.n_one)
-            assert np.allclose(fam.n_mu_at(pt, 1j), fr.n_i)
-            mu = np.exp(2j * np.pi * rng.uniform())
-            assert np.allclose(
-                fam.n_mu_at(pt, -mu), tuple(-np.array(fam.n_mu_at(pt, mu)))
-            )
-
-    def test_mu_spans_the_frame_plane(self, rng):
-        fam = normal_family_symbolic(parse("x~*y*(x + z^2)", XYZ))
-        for pt in random_points(rng, 3, 5):
-            fr = fam.frame_at(pt)
-            A = np.stack([realify(np.array(fr.n_one)), realify(np.array(fr.n_i))]).T
-            for _ in range(4):
-                mu = np.exp(2j * np.pi * rng.uniform())
-                w = realify(np.array(fam.n_mu_at(pt, mu)))
-                _, res, *_ = np.linalg.lstsq(A, w, rcond=None)
-                assert float(res[0] if res.size else 0.0) <= 1e-18 * (1 + w @ w)
-
-    def test_mu_must_be_unimodular(self):
-        fam = normal_family_symbolic(XYXBAR)
-        with pytest.raises(ValueError):
-            fam.n_mu_at((1, 1), 0.5)
+        """The live evaluator against frozen values and the exact family."""
+        F = from_pair(parse("x*y", XY), parse("x", XY))
+        a, b = compile_frame(F)(np.array((1, 1)))
+        assert np.allclose(a + b, (2, 1))
+        assert np.allclose(1j * (a - b), (0, 1j))
+        fam = normal_family_symbolic(F)
+        assert np.allclose(a, [p.evaluate((1, 1)) for p in fam.a])
+        assert np.allclose(b, [p.evaluate((1, 1)) for p in fam.b])
 
 
 class TestNumericHelpers:
