@@ -28,28 +28,30 @@ provides the shear (f + g^k, g) that removes non-axis lines.
 
 Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
-tests above, the slope polynomial of line_components (a gcd and a
-factorisation in QQ_I[a]), and the Groebner checks of the n >= 3 verdict
-and of sing_decomposition (in QQ_I[x1..xn, w], grevlex).  Both plane
-factorisations, of the Jacobian and of the slope polynomial, go through the
-norm over Q (_factor_gaussian): one factorisation over QQ and one gcd per
-rational factor, with Trager's algorithm over QQ<i> only for a rational
-factor that may split into a conjugate pair dividing the polynomial.
+tests above and the slope polynomial of line_components (a gcd and a
+factorisation in QQ_I[a]).  Both plane factorisations, of the Jacobian and
+of the slope polynomial, go through the norm over Q (_factor_gaussian): one
+factorisation over QQ and one gcd per rational factor, with Trager's
+algorithm over QQ<i> only for a rational factor that may split into a
+conjugate pair dividing the polynomial.  The Groebner bases of the n >= 3
+verdict and of sing_decomposition (in QQ_I[x1..xn, w], grevlex) come from
+the in-package Buchberger kernel _groebner, which takes and returns ring
+elements but computes on Gaussian-integer pairs, as core's power kernels do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import grevlex
 from sympy.polys.rings import PolyRing, ring
 
 from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian, _gaussian
-from .core import _ring
+from .core import _ZERO, _cleared, _ring, _uncleared
 from .parsing import format_mixed, parse
 
 __all__ = [
@@ -178,6 +180,161 @@ def _factor_gaussian(p) -> list:
 def _groebner_ring(n: int) -> PolyRing:
     """QQ_I[x1..xn, w] in grevlex; w is the Rabinowitsch variable."""
     return ring([f"x{j + 1}" for j in range(n)] + ["w"], QQ_I, order=grevlex)[0]
+
+
+def _groebner(polys, R) -> list:
+    """The reduced Groebner basis of the ideal of polys (elements of R, a
+    ring over QQ_I), monic and sorted by leading monomial, greatest first.
+
+    It is the list sympy's own groebner(polys, R) returns, and follows the
+    same algorithm step for step: interreduce the input, admit each element
+    through update with the Gebauer-Moeller criteria (Becker-Weispfenning,
+    Groebner Bases (1993), p. 232, GROEBNERNEWS2), reduce the S-polynomial
+    of the pair with the least lcm, then interreduce the basis.  Only the
+    arithmetic differs.  Each element is a {monom: (re, im)} dict of
+    Gaussian integers from core._cleared, kept primitive (integer content
+    1) with a positive integer leading coefficient n; any two Q(i)-multiples
+    of one polynomial get the same dict, so the interreduction's fixed-point
+    test compares dicts.  Reduction is fraction-free,
+    p <- (n/d)*p - (c/d)*(m/lm)*g with d = gcd(n, c), and divides out the
+    content after each step that scaled p.  Leading monomials and
+    coefficients are cached, and each monomial's order key is computed
+    once.  On the way out each element is divided by n, its only exact
+    division.
+
+    Equal to sympy's: an ideal has exactly one reduced Groebner basis for a
+    fixed order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    Thm. 2.7.5), and both return it sorted by its distinct leading
+    monomials.  An ideal holding a nonzero constant is the unit ideal, with
+    basis [1], so the kernel answers [R.one] as soon as one appears.  So
+    verdicts and report bytes do not depend on which of the two runs.
+    """
+    key = cache(R.order)
+    mul, div, lcm = R.monomial_mul, R.monomial_div, R.monomial_lcm
+    gcd = math.gcd
+
+    def primitive(p):
+        """(lm, n, u*p) for the u in Q(i) that makes u*p primitive with
+        leading coefficient n > 0."""
+        lm = max(p, key=key)
+        a, b = p[lm]
+        if b:
+            p = {m: (x * a + y * b, y * a - x * b) for m, (x, y) in p.items()}
+        elif a < 0:
+            p = {m: (-x, -y) for m, (x, y) in p.items()}
+        c = gcd(*(v for xy in p.values() for v in xy))
+        if c > 1:
+            p = {m: (x // c, y // c) for m, (x, y) in p.items()}
+        return lm, p[lm][0], p
+
+    def sub(h, a, b, q, g):
+        """h - (a + b*i) * x^q * g, in place."""
+        for m, (x, y) in g.items():
+            k = mul(m, q)
+            u, v = h.get(k, _ZERO)
+            u, v = u - a * x + b * y, v - a * y - b * x
+            if u or v:
+                h[k] = (u, v)
+            else:
+                del h[k]
+        return h
+
+    def rem(p, G):
+        """A positive rational multiple of the full remainder of p on
+        division by G (a list of (lm, n, g)), trying the divisors in G's
+        order as PolyElement.rem does."""
+        f, r = dict(p), {}
+        while f:
+            m = max(f, key=key)
+            for lm, n, g in G:
+                q = div(m, lm)
+                if q is not None:
+                    break
+            else:
+                r[m] = f.pop(m)
+                continue
+            a, b = f[m]
+            d = gcd(n, a, b)
+            s, a, b = n // d, a // d, b // d
+            if s > 1:
+                f = {k: (s * x, s * y) for k, (x, y) in f.items()}
+                r = {k: (s * x, s * y) for k, (x, y) in r.items()}
+            sub(f, a, b, q, g)
+            if s > 1:
+                c = gcd(*(v for h in (f, r) for xy in h.values() for v in xy))
+                if c > 1:
+                    f = {k: (x // c, y // c) for k, (x, y) in f.items()}
+                    r = {k: (x // c, y // c) for k, (x, y) in r.items()}
+        return r
+
+    def spoly(i, j):
+        """A positive integer multiple of the S-polynomial of f[i], f[j]."""
+        (lm1, n1, p1), (lm2, n2, p2) = f[i], f[j]
+        L = lcm(lm1, lm2)
+        q1, q2 = div(L, lm1), div(L, lm2)
+        c = gcd(n1, n2)
+        s1, s2 = n2 // c, n1 // c
+        return sub({mul(m, q1): (s1 * x, s1 * y) for m, (x, y) in p1.items()}, s2, 0, q2, p2)
+
+    def update(G, B, ih):
+        """[BW] p. 230: admit f[ih] to G and its critical pairs to B."""
+        mh = f[ih][0]
+        C, D = set(G), set()
+        while C:
+            ig = C.pop()
+            mg = f[ig][0]
+            LCMhg = lcm(mh, mg)
+
+            def lcm_divides(ip):
+                return div(LCMhg, lcm(mh, f[ip][0]))
+
+            if mul(mh, mg) == LCMhg or (
+                not any(lcm_divides(ipx) for ipx in C) and not any(lcm_divides(pr[1]) for pr in D)
+            ):
+                D.add((ih, ig))
+        E = {pr for pr in D if mul(mh, f[pr[1]][0]) != lcm(mh, f[pr[1]][0])}
+        B_new = set()
+        for ig1, ig2 in B:
+            mg1, mg2 = f[ig1][0], f[ig2][0]
+            LCM12 = lcm(mg1, mg2)
+            if not div(LCM12, mh) or lcm(mg1, mh) == LCM12 or lcm(mg2, mh) == LCM12:
+                B_new.add((ig1, ig2))
+        B_new |= E
+        G_new = {ig for ig in G if not div(f[ig][0], mh)}
+        G_new.add(ih)
+        return G_new, B_new
+
+    const = R.zero_monom
+    f1 = [primitive(_cleared(p)[1]) for p in polys if p]
+    while True:  # interreduce the input, [BW] p. 203
+        f, f1 = f1, []
+        for i, (_, _, p) in enumerate(f):
+            r = rem(p, f[:i])
+            if r:
+                f1.append(primitive(r))
+                if f1[-1][0] == const:
+                    return [R.one]
+        if f == f1:
+            break
+
+    G, CP = set(), set()
+    for ih in sorted(range(len(f)), key=lambda i: key(f[i][0])):
+        G, CP = update(G, CP, ih)
+    while CP:
+        pair = min(CP, key=lambda pr: key(lcm(f[pr[0]][0], f[pr[1]][0])))
+        CP.remove(pair)
+        r = rem(spoly(*pair), [f[i] for i in sorted(G, key=lambda i: key(f[i][0]))])
+        if r:
+            f.append(primitive(r))
+            if f[-1][0] == const:
+                return [R.one]
+            G, CP = update(G, CP, len(f) - 1)
+
+    # an element whose leading monomial another one divides reduces to 0
+    remainders = (rem(f[i][2], [f[j] for j in G if j != i]) for i in G)
+    basis = [primitive(r) for r in remainders if r]
+    basis.sort(key=lambda t: key(t[0]), reverse=True)
+    return [_uncleared(R, n, p) for _, n, p in basis]
 
 
 def _embed(F: MixedPolynomial, R: PolyRing):
@@ -505,11 +662,15 @@ def _jacobian_minors(
 
 
 def _vanishes_on_critical_set(target: MixedPolynomial, minors) -> bool:
-    """Radical membership: does target vanish wherever all minors do?"""
+    """Radical membership: does target vanish wherever all minors do?
+
+    By the Rabinowitsch trick: exactly when the minors and 1 - w*target
+    generate the unit ideal, whose reduced basis from _groebner is [1].
+    """
     R = _groebner_ring(target.n_vars)
     w = R.gens[-1]
     polys = [_embed(m, R) for m in minors]
-    return groebner([*polys, 1 - w * _embed(target, R)], R) == [R.one]
+    return _groebner([*polys, 1 - w * _embed(target, R)], R) == [R.one]
 
 
 def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVerdict:
@@ -581,13 +742,15 @@ class SingDecomposition:
 
 
 def _reduced_basis(gens) -> tuple[MixedPolynomial, ...]:
+    """The reduced grevlex basis from _groebner of the ideal of the nonzero
+    gens, monic and sorted by format_mixed; (1,) for the unit ideal."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         return ()
     n = nonzero[0].n_vars
     R = _groebner_ring(n)
     out = []
-    for p in groebner([_embed(g, R) for g in nonzero], R):
+    for p in _groebner([_embed(g, R) for g in nonzero], R):
         h = _monic(p, n)
         if h.total_degree() == 0:
             return (MixedPolynomial.one(n),)  # unit ideal: empty set

@@ -382,8 +382,9 @@ def _cr(c) -> ComplexRational:
 
 
 def random_mixed(rng: np.random.Generator, *, n_vars=None, max_terms=4,
-                 max_degree=3, allow_zero=False) -> MixedPolynomial:
-    """Small random mixed polynomial with rational coefficients."""
+                 max_degree=3, allow_zero=False, holomorphic=False) -> MixedPolynomial:
+    """Small random mixed polynomial with rational coefficients; with
+    holomorphic=True every conjugate exponent is 0 (and is not drawn)."""
     from mixedsing.core import ExponentPair
 
     n = int(n_vars if n_vars is not None else rng.integers(1, 4))
@@ -391,7 +392,7 @@ def random_mixed(rng: np.random.Generator, *, n_vars=None, max_terms=4,
     terms = {}
     for _ in range(n_terms):
         nu = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=n))
-        mu = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=n))
+        mu = (0,) * n if holomorphic else tuple(int(e) for e in rng.integers(0, max_degree + 1, size=n))
         re = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
         im = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
         if re == 0 and im == 0:

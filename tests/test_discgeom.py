@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.domains.algebraicfield import AlgebraicField
+from sympy.polys.groebnertools import groebner
 
 from mixedsing import (
     ComplexRational,
@@ -39,6 +40,8 @@ from mixedsing.discgeom import (
     _XYA,
     _embed,
     _factor_gaussian,
+    _groebner,
+    _groebner_ring,
     _jacobian_minors,
     _vanishes_on_critical_set,
 )
@@ -542,6 +545,68 @@ class TestIsolatedValueVerdict:
             isolated_value_verdict(
                 *pair("y*(x + z^2)", "x", XYZ), branches=(parse_branch("u = t; v = t"),)
             )
+
+
+def random_element(rng, R, n, max_deg=5, terms=(2, 4)):
+    """A seeded element of R in its first n generators: terms of degree 1 to
+    max_deg, each coefficient Gaussian (small integer parts) or rational."""
+    out = {}
+    for _ in range(int(rng.integers(terms[0], terms[1] + 1))):
+        e = [0] * R.ngens
+        for _ in range(int(rng.integers(1, max_deg + 1))):
+            e[int(rng.integers(0, n))] += 1
+        if rng.random() < 0.5:
+            c = QQ_I(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        else:
+            c = QQ_I(QQ(int(rng.integers(-5, 6)), int(rng.integers(1, 5))), 0)
+        out[tuple(e)] = c or QQ_I(1, 1)
+    return R.from_dict(out)
+
+
+class TestGroebnerKernel:
+    """_groebner against sympy's groebnertools, the reference it replaces,
+    by == on ring elements."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_ideals_plain_and_rabinowitsch(self, rng, n):
+        """Twelve ideals of two generators (degree <= 5, 2 to 4 terms), each
+        also in the containment check's form [*P, 1 - w*t]: t is the
+        product of the generators (in the ideal, so the unit ideal) on every
+        other draw and a small random t otherwise."""
+        R = _groebner_ring(n)
+        w = R.gens[-1]
+        saturated = []
+        for k in range(12):
+            P = [random_element(rng, R, n) for _ in range(2)]
+            t = P[0] * P[1] if k % 2 else random_element(rng, R, n, max_deg=2, terms=(1, 2))
+            for ideal in (P, [*P, 1 - w * t]):
+                want = groebner(ideal, R)
+                assert _groebner(ideal, R) == want, ideal
+            saturated.append(want == [R.one])
+        # both answers of the containment check occur
+        assert all(saturated[1::2]) and not all(saturated[::2])
+
+    def test_edge_cases(self):
+        R = _groebner_ring(3)
+        x, y, z, w = R.gens
+        p = QQ_I(2, 1) * x**2 * y - QQ(1, 3) * z**3 + QQ_I(0, 1)
+        q = x * y * z - QQ_I(1, -2) * y**2
+        reduced = groebner([p, q], R)
+        cases = [
+            [p],  # one generator: its monic multiple
+            [p, p, q],  # a duplicate generator
+            [p, QQ_I(3, -4) * p],  # a scalar multiple
+            [R(QQ_I(5, 2))],  # a nonzero constant: the unit ideal
+            [p, R.one, q],
+            reduced,  # already reduced: returned as it is
+            [R.zero],  # the zero ideal: the empty basis
+            [1 - w * x, x],  # Rabinowitsch on a generator: the unit ideal
+        ]
+        for ideal in cases:
+            assert _groebner(ideal, R) == groebner(ideal, R), ideal
+        assert _groebner(reduced, R) == reduced
+        assert _groebner([R(QQ_I(5, 2))], R) == [R.one]
+        assert _groebner([R.zero], R) == []
 
 
 class TestShear:

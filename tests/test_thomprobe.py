@@ -95,9 +95,11 @@ class TestSymbolicFamilies:
         family of f*conj(g) exactly."""
 
         def assert_pair_route(f, g):
+            """True when both halves of the checked family are nonzero."""
             direct = normal_family_symbolic(from_pair(f, g))
             assert direct.a == tuple(g * p.conjugate() for p in f.wirtinger().dF)
             assert direct.b == tuple(f * p.conjugate() for p in g.wirtinger().dF)
+            return any(not p.is_zero for p in direct.a) and any(not p.is_zero for p in direct.b)
 
         fixed = [
             (parse("x*y", XY), parse("x", XY)),
@@ -105,15 +107,15 @@ class TestSymbolicFamilies:
         ]
         for f, g in fixed:
             assert_pair_route(f, g)
+        live = []
         for _ in range(20):
             n = int(rng.integers(1, 4))
-            f = random_mixed(rng, n_vars=n, max_terms=3).conjugate()
-            f = f if f.is_holomorphic else f.conjugate()
-            g = random_mixed(rng, n_vars=n, max_terms=2).conjugate()
-            g = g if g.is_holomorphic else g.conjugate()
-            if not (f.is_holomorphic and g.is_holomorphic):
-                continue  # conjugate trick only strips pure-antiholomorphic inputs
-            assert_pair_route(f, g)
+            f = random_mixed(rng, n_vars=n, max_terms=3, holomorphic=True)
+            g = random_mixed(rng, n_vars=n, max_terms=2, holomorphic=True)
+            live.append(assert_pair_route(f, g))
+        # every random case ran, and most have both halves nonzero (18 of 20
+        # at the suite's seed; a constant f or g zeroes one half)
+        assert len(live) == 20 and sum(live) >= 15
 
 
 class TestFrames:
