@@ -7,6 +7,10 @@ a fixture name, --expr or --pair; the last two need --vars.  No flag
 changes a verdict: the polar search, in particular, has no bound to set.
 Exit codes: 0 verdict produced, 2 parse/input error, 3 internal degeneracy,
 4 internal fault (any other exception; its traceback goes to stderr).
+
+A report holds the package's result objects as they are: _sanitize writes
+any dataclass instance as the dict of its fields, so a section spells out
+only what it renames or leaves out.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .core import ComplexRational, MixedPolynomial, from_pair
@@ -57,31 +60,28 @@ def _round12(x: float) -> float:
 
 def _sanitize(obj):
     """Make a report JSON-safe and byte-stable: floats to 12 significant
-    digits, complex as [re, im], exact scalars as strings, non-finite to null."""
+    digits and never a signed zero, complex as [re, im], exact scalars and
+    polynomials as strings, non-finite to null, and any other dataclass as
+    the dict of its fields."""
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return _round12(v) if np.isfinite(v) else None
-    if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return [_sanitize(c.real), _sanitize(c.imag)]
+    if isinstance(obj, float):
+        # + 0.0 turns -0.0, whose sign depends on the float path, into 0.0
+        return _round12(obj) + 0.0 if math.isfinite(obj) else None
+    if isinstance(obj, complex):
+        return [_sanitize(obj.real), _sanitize(obj.imag)]
     if isinstance(obj, ComplexRational):
         return format_scalar(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, MixedPolynomial):
         return format_mixed(obj)
+    if is_dataclass(obj):  # after ComplexRational, a dataclass written as text
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -147,9 +147,9 @@ def _input_echo(fixture, F, pair, variables) -> dict:
     return {
         "fixture": fixture.name if fixture else None,
         "description": fixture.description if fixture else None,
-        "expression": format_mixed(F),
-        "pair": [format_mixed(pair[0]), format_mixed(pair[1])] if pair else None,
-        "variables": list(variables),
+        "expression": F,
+        "pair": pair,
+        "variables": variables,
         "n_vars": F.n_vars,
     }
 
@@ -157,43 +157,12 @@ def _input_echo(fixture, F, pair, variables) -> dict:
 # section builders ---------------------------------------------------------------
 
 
-def _line_component_dict(c):
-    return {
-        "kind": c.kind,
-        "slope": complex(c.slope) if c.slope is not None else None,
-        "slope_exact": c.slope_exact,
-        "exact": c.exact,
-        "minpoly": c.minpoly,
-        "halfline_direction": c.halfline_direction,
-    }
-
-
-def _line_report_section(report):
-    return {
-        "has_slope_lines": report.has_slope_lines,
-        "unresolved_slope_factors": list(report.unresolved_slope_factors),
-        "components": [_line_component_dict(c) for c in report.components],
-    }
-
-
 def _isolated_section(verdict):
-    if verdict is None:
-        return None
-    out = {
-        "status": verdict.status,
-        "route": verdict.route,
-        "notes": list(verdict.notes),
-        "witnesses": [_line_component_dict(c) for c in verdict.witnesses],
-    }
+    """An isolated-value verdict without its lines, which disc and analyze
+    report apart, and with its discriminant only when it has one."""
+    out = {name: getattr(verdict, name) for name in ("status", "route", "notes", "witnesses")}
     if verdict.discriminant is not None:
-        disc = verdict.discriminant
-        out["discriminant"] = {
-            "origin_only": disc.origin_only,
-            "h": disc.h,
-            "components": list(disc.components),
-            "off_origin_components": list(disc.off_origin_components),
-            "non_line_factors": list(disc.non_line_factors),
-        }
+        out["discriminant"] = verdict.discriminant
     return out
 
 
@@ -207,20 +176,18 @@ def _probe_sections(F, strata, curves, *, seed):
         rows.append(
             {
                 "stratum": stratum.label or "stratum",
-                "base_point": list(stratum.base_point),
+                "base_point": stratum.base_point,
                 "verdict": probe.verdict,
                 "reason": probe.reason,
                 "worst_projection": probe.projection,
-                "witness": _witness_dict(probe.witness),
+                "witness": probe.witness,
                 "curves": [
                     {
                         "curve": curve.label,
                         "verdict": p.verdict,
                         "reason": p.reason,
                         "projection": p.projection,
-                        "limit_plane": [list(v) for v in p.limit_plane]
-                        if p.limit_plane is not None
-                        else None,
+                        "limit_plane": p.limit_plane,
                         "plucker": p.plucker,
                     }
                     for curve, p in zip(used, probe.per_curve)
@@ -228,17 +195,6 @@ def _probe_sections(F, strata, curves, *, seed):
             }
         )
     return probes, rows
-
-
-def _witness_dict(w):
-    if w is None:
-        return None
-    return {
-        "curve": w["curve"],
-        "mu": complex(w["mu"]),
-        "direction": list(w["direction"]),
-        "projection": w["projection"],
-    }
 
 
 def _scan_section(scan):
@@ -252,7 +208,7 @@ def _scan_section(scan):
         ],
         "fitted_c": scan.fitted_c,
         "supports_transversality": scan.supports_transversality,
-        "points": [list(p) for p in scan.points],
+        "points": scan.points,
     }
 
 
@@ -262,7 +218,7 @@ def _discriminant_section(v):
     if v.isolated is not None:
         out = _isolated_section(v.isolated)
         if v.isolated.lines is not None:
-            out["lines"] = _line_report_section(v.isolated.lines)
+            out["lines"] = v.isolated.lines
         return out
     for r in v.routes:
         if r.name == "disc-lines" and r.conclusion == "unavailable":
@@ -277,21 +233,8 @@ def _verdict_section(v):
         "thom": v.thom_status,
         "thom_route": v.thom_route,
         "probe_summary": v.probe_summary,
-        "routes": [
-            {"name": r.name, "conclusion": r.conclusion, "detail": r.detail}
-            for r in v.routes
-        ],
-        "witness": _witness_dict(v.witness),
-    }
-
-
-def _sing_section(sd):
-    return {
-        "common_zero": list(sd.common_zero),
-        "sing_f": list(sd.sing_f),
-        "sing_g": list(sd.sing_g),
-        "off_v_minors": list(sd.off_v_minors),
-        "simplified": sd.simplified,
+        "routes": v.routes,
+        "witness": v.witness,
     }
 
 
@@ -342,7 +285,7 @@ def _cmd_analyze(args) -> int:
         thom_probes=probe_rows,
         milnor=_scan_section(scan),
         verdict=_verdict_section(verdict),
-        expected=dict(fixture.expect) if fixture else None,
+        expected=fixture.expect if fixture else None,
     )
     _emit(report, args.out)
     return 0
@@ -352,13 +295,12 @@ def _cmd_wirtinger(args) -> int:
     loaded = _load_input(args)
     _, F, _, _ = loaded
     grad = F.wirtinger()
-    fam = normal_family_symbolic(F)
     report = _report(
         "wirtinger",
         loaded,
-        dF=list(grad.dF),
-        dbarF=list(grad.dbarF),
-        normal_family={"a": list(fam.a), "b": list(fam.b)},
+        dF=grad.dF,
+        dbarF=grad.dbarF,
+        normal_family=normal_family_symbolic(F),
     )
     _emit(report, args.out)
     return 0
@@ -386,16 +328,12 @@ def _cmd_disc(args) -> int:
         loaded,
         jacobian_det=jacobian_det(f, g) if F.n_vars == 2 else None,
         isolated=_isolated_section(isolated),
-        lines=_line_report_section(isolated.lines) if isolated.lines is not None else None,
+        lines=isolated.lines,
         branches=[
-            {
-                "p": b.p,
-                "terms": [[c, e] for c, e in b.terms],
-                "line": branch_restriction_singular(b),
-            }
+            {"p": b.p, "terms": b.terms, "line": branch_restriction_singular(b)}
             for b in branches
         ],
-        sing_decomposition=_sing_section(sing_decomposition(f, g)),
+        sing_decomposition=sing_decomposition(f, g),
     )
     _emit(report, args.out)
     return 0

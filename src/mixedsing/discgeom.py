@@ -1,9 +1,12 @@
 """Discriminant geometry for holomorphic pairs (f, g).
 
-f * conj(g) has isolated critical value 0 exactly when the discriminant germ
-at 0 of (f, g): (C^2, 0) -> (C^2, 0) contains no line through 0 other than
-the axes; each extra line gives a half-line of critical values (Pichon-Seade,
-Fibred multilinks and singularities f g-bar, Math. Ann. 342 (2008)).
+A line through 0 other than the axes in the discriminant germ at 0 of
+(f, g): (C^2, 0) -> (C^2, 0) makes 0 a non-isolated critical value of
+f * conj(g): the line gives a half-line of critical values (Pichon-Seade,
+Fibred multilinks and singularities f g-bar, Math. Ann. 342 (2008)).  The
+converse does not hold: a branch only tangent to such a line also puts
+critical values next to 0, as for (x, x + x^2 + y^2), so the plane verdict's
+"isolated" (no such line) can be wrong.
 
 That germ is the image of {J = 0} near the source origin, so only the
 Q(i)-irreducible Jacobian factors P with P(0, 0) = 0 count; the others are
@@ -23,8 +26,9 @@ one of, by exact division in QQ_I[x, y]:
 
 line_components reads the lines off the product of the line forms (u, v,
 u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
-restricted to a curve germ is non-submersive iff the germ is a line) and
-provides the shear (f + g^k, g) that removes non-axis lines.
+is critical along the whole of a curve germ iff the germ is a line, and a
+line makes 0 a non-isolated critical value) and provides the shear
+(f + g^k, g) that removes non-axis lines.
 
 Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
@@ -599,11 +603,14 @@ class PuiseuxBranch:
 
 
 def branch_restriction_singular(branch: PuiseuxBranch) -> bool:
-    """Is u * conj(v) restricted to this branch non-submersive near 0?
+    """Is u * conj(v) restricted to this branch critical at every point near 0?
 
     True exactly when the branch is a line: a single v-term with the same
     exponent as u (leading-order balance forces equal exponents, and any
-    second term breaks the required identity).
+    second term breaks the required identity).  True makes 0 a non-isolated
+    critical value; False does not make it isolated, since critical points
+    of the restriction can still accumulate at 0: on u = t, v = t + t^2 they
+    lie along a real curve through 0.
     """
     return len(branch.terms) == 1 and branch.terms[0][1] == branch.p
 

@@ -1,13 +1,15 @@
 """Fixture corpus and the JSON command-line front end."""
 
 import json
+import math
 
 import pytest
 
-from mixedsing import cli, discgeom, format_mixed, from_pair
+from mixedsing import ComplexRational, LineComponent, cli, discgeom, format_mixed, from_pair
 from mixedsing.cli import main
 from mixedsing.discgeom import ShearSearchExhausted
 from mixedsing.fixtures import FixtureError, fixture_names, load_all, load_fixture
+from mixedsing.milnorprobe import RouteRecord
 
 ALL_FIXTURES = (
     "polar-k2",
@@ -115,6 +117,69 @@ def test_fixture_expectations(name, capsys):
         if got != want:
             failures.append(f"{name}/{key}: expected {want!r}, got {got!r}")
     assert not failures, "\n".join(failures)
+
+
+COMMANDS = ("analyze", "wirtinger", "polar", "disc", "thom-probe", "milnor-scan", "shear")
+
+# the runs refused as input errors: polar-k2 and polar-k3 are no pair, and
+# shear-x-xy2 has no stratum to probe
+REFUSED = {
+    ("disc", "polar-k2"),
+    ("disc", "polar-k3"),
+    ("shear", "polar-k2"),
+    ("shear", "polar-k3"),
+    ("thom-probe", "shear-x-xy2"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_fixture_gives_a_report_or_an_input_error(command, capsys):
+    """No fixture makes a command fail inside the package (exit 3 or 4)."""
+    samples = ("--samples", "20") if command in ("analyze", "milnor-scan") else ()
+    codes = {}
+    for name in ALL_FIXTURES:
+        code, rep = run_json(capsys, command, name, *samples)
+        codes[name] = code
+        assert rep["schema"] == 4
+        if code == 2:
+            assert rep["error"]["type"] == "parse", rep
+    assert codes == {name: 2 if (command, name) in REFUSED else 0 for name in ALL_FIXTURES}
+
+
+class TestSanitize:
+    def test_dataclasses_serialize_as_their_fields(self):
+        route = RouteRecord("disc-lines", "isolated", "no slope line")
+        assert cli._sanitize(route) == {
+            "name": "disc-lines", "conclusion": "isolated", "detail": "no slope line"
+        }
+        line = LineComponent(kind="slope", slope=1j, slope_exact=ComplexRational(0, 1),
+                             halfline_direction=-1j)
+        assert cli._sanitize({"witnesses": [line]}) == {
+            "witnesses": [
+                {
+                    "kind": "slope",
+                    "slope": [0.0, 1.0],
+                    "slope_exact": "i",
+                    "exact": True,
+                    "minpoly": None,
+                    "halfline_direction": [0.0, -1.0],
+                }
+            ]
+        }
+
+    def test_exact_scalar_stays_text(self):
+        # ComplexRational is a dataclass too; the field rule must not reach it
+        assert cli._sanitize(ComplexRational(1, 2)) == "(1+2*i)"
+
+    def test_floats(self):
+        zero = cli._sanitize(-0.0)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert cli._sanitize(float("nan")) is None
+        assert cli._sanitize(1 / 3) == 0.333333333333
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError):
+            cli._sanitize(object())
 
 
 class TestAnalyze:
