@@ -1,10 +1,13 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
-Every command emits a single JSON document (schema 4) on stdout or --out;
+Every command emits a single JSON document (schema 5) on stdout or --out;
 reruns with the same seed are byte-identical.  The input is exactly one of
 a fixture name, --expr or --pair; the last two need --vars.  No flag
 changes a verdict: the polar search, in particular, has no bound to set.
+analyze runs the Milnor scan only when no exact route decides the tube;
+otherwise its milnor section is null and the verdict's tube_route names
+the route that decided.
 Exit codes: 0 verdict produced, 2 parse/input error, 3 internal degeneracy,
 4 internal fault (any other exception; its traceback goes to stderr).
 
@@ -48,7 +51,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 4
+SCHEMA = 5
 
 
 # serialization helpers ----------------------------------------------------------
@@ -269,12 +272,14 @@ def _cmd_analyze(args) -> int:
     fixture, F, pair, _ = loaded
     strata, curves = _probe_inputs(args, fixture)
     polar = solve_polar(F)
-
     probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
-
-    scan = milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
-
     verdict = tube_verdict(F, pair=pair, polar=polar, probes=tuple(probes))
+    # the scan is evidence, worth running only while no exact route decides
+    milnor = None
+    if verdict.tube_status == "unknown":
+        milnor = _scan_section(
+            milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
+        )
 
     report = _report(
         "analyze",
@@ -283,7 +288,7 @@ def _cmd_analyze(args) -> int:
         polar=polar.as_report(),
         discriminant=_discriminant_section(verdict),
         thom_probes=probe_rows,
-        milnor=_scan_section(scan),
+        milnor=milnor,
         verdict=_verdict_section(verdict),
         expected=fixture.expect if fixture else None,
     )
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full pipeline with verdict")
+    p = sub.add_parser("analyze", help="full pipeline; Milnor scan only if the tube is unknown")
     _add_input_flags(p)
     p.add_argument("--stratum", action="append",
                    help="stratum 'base = (...); tangent = (...), (...); label = ...'")
@@ -457,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_milnor_scan)
 
-    p = sub.add_parser("shear", help="search k with (f + g^k, g) isolated")
+    p = sub.add_parser("shear", help="least k at which the verdict calls (f + g^k, g) "
+                       "isolated; the shear keeps the critical set and does not repair "
+                       "isolation")
     _add_input_flags(p)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)

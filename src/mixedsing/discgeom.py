@@ -28,7 +28,11 @@ line_components reads the lines off the product of the line forms (u, v,
 u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
 is critical along the whole of a curve germ iff the germ is a line, and a
 line makes 0 a non-isolated critical value) and provides the shear
-(f + g^k, g) that removes non-axis lines.
+(f + g^k, g).  The shear can remove non-axis lines from the discriminant,
+but it does not repair isolation: Jac(f + g^k, g) = Jac(f, g), so Sigma, the
+critical set of the pair, does not change.  At k = 2, (x + (x + y^2)^2,
+x + y^2) is still singular on |x + 1/3| = 1/3 in {y = 0}, where
+|F| ~ |x|^2, although the line-only verdict calls it isolated.
 
 Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
@@ -810,7 +814,14 @@ def axis_shear(f: MixedPolynomial, g: MixedPolynomial, k: int):
 def shear_search(
     f: MixedPolynomial, g: MixedPolynomial, *, k_min: int = 2, k_max: int = 8
 ) -> ShearResult:
-    """Increase k until the sheared pair has isolated critical value."""
+    """The least k in [k_min, k_max] whose sheared pair
+    isolated_value_verdict calls isolated.
+
+    That is the verdict's answer, not a repair of the germ: the shear keeps
+    the critical set (Jac(f + g^k, g) = Jac(f, g)), so critical values that
+    pile up at 0 before the shear still do after it.  For a plane pair the
+    answer inherits the line-only rule's defect (see the module docstring).
+    """
     for k in range(k_min, k_max + 1):
         fs, gs = axis_shear(f, g, k)
         verdict = isolated_value_verdict(fs, gs)

@@ -110,7 +110,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name, "--samples", "60")
     assert code == 0
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key, capsys, name)
@@ -118,6 +118,13 @@ def test_fixture_expectations(name, capsys):
             failures.append(f"{name}/{key}: expected {want!r}, got {got!r}")
     assert not failures, "\n".join(failures)
 
+
+# inputs whose tube no exact route decides, so analyze scans them
+UNDECIDED = (
+    ("--pair", "x^2+y^3", "x*y+y^3", "--vars", "x,y"),
+    ("--expr", "x*x~ + y", "--vars", "x,y"),
+    ("--expr", "x*x~ + y*y~", "--vars", "x,y"),
+)
 
 COMMANDS = ("analyze", "wirtinger", "polar", "disc", "thom-probe", "milnor-scan", "shear")
 
@@ -140,7 +147,7 @@ def test_every_fixture_gives_a_report_or_an_input_error(command, capsys):
     for name in ALL_FIXTURES:
         code, rep = run_json(capsys, command, name, *samples)
         codes[name] = code
-        assert rep["schema"] == 4
+        assert rep["schema"] == 5
         if code == 2:
             assert rep["error"]["type"] == "parse", rep
     assert codes == {name: 2 if (command, name) in REFUSED else 0 for name in ALL_FIXTURES}
@@ -190,10 +197,32 @@ class TestAnalyze:
         assert out1 == out2
 
     def test_seed_is_echoed_and_changes_scan(self, capsys):
-        _, a = run_json(capsys, "analyze", "polar-k2", "--samples", "40", "--seed", "1")
-        _, b = run_json(capsys, "analyze", "polar-k2", "--samples", "40", "--seed", "2")
+        _, a = run_json(capsys, "analyze", *UNDECIDED[0], "--samples", "40", "--seed", "1")
+        _, b = run_json(capsys, "analyze", *UNDECIDED[0], "--samples", "40", "--seed", "2")
         assert a["seed"] == 1 and b["seed"] == 2
         assert a["milnor"]["points"] != b["milnor"]["points"]
+
+    def test_decided_tube_runs_no_scan(self, capsys, monkeypatch):
+        """Every fixture's tube is decided by an exact route, which the
+        verdict names, so analyze never scans them."""
+        calls = []
+        monkeypatch.setattr(cli, "milnor_scan", lambda *a, **k: calls.append(a))
+        for name in ALL_FIXTURES:
+            code, rep = run_json(capsys, "analyze", name)
+            assert code == 0
+            assert rep["verdict"]["tube"] in ("yes", "no") and rep["verdict"]["tube_route"]
+            assert rep["milnor"] is None
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", UNDECIDED)
+    def test_undecided_tube_carries_the_scan(self, capsys, argv):
+        """An open tube keeps the scan milnor-scan gives for the same seed."""
+        flags = ("--samples", "20", "--seed", "3")
+        code, rep = run_json(capsys, "analyze", *argv, *flags)
+        assert code == 0
+        assert rep["verdict"]["tube"] == "unknown"
+        _, scan = run_json(capsys, "milnor-scan", *argv, *flags)
+        assert rep["milnor"] == scan["milnor"]
 
     def test_expr_input(self, capsys):
         code, report = run_json(
@@ -432,9 +461,10 @@ class TestErrorContract:
     def test_reports_never_contain_nan(self, capsys):
         # allow_nan=False would raise instead of printing Infinity/NaN
         for name in ALL_FIXTURES:
-            code, out = run_cli(capsys, "analyze", name, "--samples", "40")
-            assert code == 0
-            assert "NaN" not in out and "Infinity" not in out
+            for command in ("analyze", "milnor-scan"):
+                code, out = run_cli(capsys, command, name, "--samples", "40")
+                assert code == 0
+                assert "NaN" not in out and "Infinity" not in out
 
     def _flag_error(self, capsys, *argv):
         code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y", *argv)

@@ -67,11 +67,18 @@ class TestSingResidual:
             assert sing_residual(F, z) <= 1e-12
             assert abs(F.evaluate(z)) > 0.0
 
-    def test_tangent_branch_critical_values_reach_zero(self):
+    @pytest.mark.parametrize(
+        "pair",
+        [("x", "x + x^2 + y^2"), ("x + (x + y^2)^2", "x + y^2")],
+        ids=["tangent", "sheared"],
+    )
+    def test_tangent_branch_critical_values_reach_zero(self, pair):
         """(x, x + x^2 + y^2): on y = 0, F = |x|^2 (1 + conj(x)) is singular
         on the circle |1 + x| = |1 + 2x| through 0, where |F| ~ |x|^2 > 0.
+        The k = 2 shear of (x, x + y^2) keeps its critical set y = 0, where
+        F = |x|^2 (1 + x) is singular on the same circle.
         The bound is 1e-14 of the frame's scale |a|^2 + |b|^2 ~ 2|x|^2."""
-        F = from_pair(parse("x", XY), parse("x + x^2 + y^2", XY))
+        F = from_pair(*(parse(p, XY) for p in pair))
         for theta in (1.0, 0.1, 0.01):
             x = -1 / 3 + np.exp(1j * theta) / 3
             z = (x, 0.0)
