@@ -2,8 +2,10 @@
 
 Exact mixed-polynomial arithmetic, polar weighted-homogeneity detection,
 discriminant geometry for holomorphic pairs, exact limit normal planes for
-Thom probes along curves, and numeric Milnor scans for tube fibrations, with
-a deterministic JSON CLI.
+Thom probes along curves, and tube/Thom verdicts that name the route that
+decided them, with a deterministic JSON CLI.  The numeric Milnor scan
+(milnor_scan) stays in the library; no command runs it, since no verdict
+reads it.
 """
 
 from .core import (

@@ -1,13 +1,11 @@
 """Command-line front end: fixture analysis and JSON reports.
 
-Commands: analyze, wirtinger, polar, disc, thom-probe, milnor-scan, shear.
-Every command emits a single JSON document (schema 5) on stdout or --out;
+Commands: analyze, wirtinger, polar, disc, thom-probe, list-fixtures.
+Every command emits a single JSON document (schema 6) on stdout or --out;
 reruns with the same seed are byte-identical.  The input is exactly one of
 a fixture name, --expr or --pair; the last two need --vars.  No flag
-changes a verdict: the polar search, in particular, has no bound to set.
-analyze runs the Milnor scan only when no exact route decides the tube;
-otherwise its milnor section is null and the verdict's tube_route names
-the route that decided.
+changes a verdict: the polar search, in particular, has no bound to set,
+and --seed only draws the Thom curve battery.
 Exit codes: 0 verdict produced, 2 parse/input error, 3 internal degeneracy,
 4 internal fault (any other exception; its traceback goes to stderr).
 
@@ -31,16 +29,12 @@ from .core import ComplexRational, MixedPolynomial, from_pair
 from .discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
-    ShearSearchExhausted,
     isolated_value_verdict,
     jacobian_det,
-    parse_branch,
-    branch_restriction_singular,
-    shear_search,
     sing_decomposition,
 )
 from .fixtures import FixtureError, _parse_stratum, _split_top, fixture_names, load_fixture
-from .milnorprobe import DEFAULT_SAMPLES, milnor_scan, tube_verdict
+from .milnorprobe import tube_verdict
 from .parsing import ParseError, format_mixed, format_scalar, parse
 from .polar import solve_polar
 from .thomprobe import (
@@ -51,7 +45,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 5
+SCHEMA = 6
 
 
 # serialization helpers ----------------------------------------------------------
@@ -200,21 +194,6 @@ def _probe_sections(F, strata, curves, *, seed):
     return probes, rows
 
 
-def _scan_section(scan):
-    return {
-        "seed": scan.seed,
-        "samples_per_shell": scan.samples_per_shell,
-        "params": scan.params,
-        "shells": [
-            {"radius": s.radius, "hits": s.count, "min_fibre_distance": s.min_distance}
-            for s in scan.shells
-        ],
-        "fitted_c": scan.fitted_c,
-        "supports_transversality": scan.supports_transversality,
-        "points": scan.points,
-    }
-
-
 def _discriminant_section(v):
     """The isolated-value verdict a tube verdict used, or the reason its
     disc-lines route gives for having none; None without a pair."""
@@ -274,13 +253,6 @@ def _cmd_analyze(args) -> int:
     polar = solve_polar(F)
     probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
     verdict = tube_verdict(F, pair=pair, polar=polar, probes=tuple(probes))
-    # the scan is evidence, worth running only while no exact route decides
-    milnor = None
-    if verdict.tube_status == "unknown":
-        milnor = _scan_section(
-            milnor_scan(F, pair=pair, seed=args.seed, samples_per_shell=args.samples)
-        )
-
     report = _report(
         "analyze",
         loaded,
@@ -288,7 +260,6 @@ def _cmd_analyze(args) -> int:
         polar=polar.as_report(),
         discriminant=_discriminant_section(verdict),
         thom_probes=probe_rows,
-        milnor=milnor,
         verdict=_verdict_section(verdict),
         expected=fixture.expect if fixture else None,
     )
@@ -320,13 +291,10 @@ def _cmd_polar(args) -> int:
 
 def _cmd_disc(args) -> int:
     loaded = _load_input(args)
-    fixture, F, pair, _ = loaded
+    _, F, pair, _ = loaded
     if pair is None:
         raise ParseError(0, "disc needs a holomorphic pair (--pair or a pair fixture)")
     f, g = pair
-    branches = [parse_branch(b) for b in (args.branch or [])]
-    if fixture and fixture.branches:
-        branches.extend(fixture.branches)
     isolated = isolated_value_verdict(f, g)
     report = _report(
         "disc",
@@ -334,10 +302,6 @@ def _cmd_disc(args) -> int:
         jacobian_det=jacobian_det(f, g) if F.n_vars == 2 else None,
         isolated=_isolated_section(isolated),
         lines=isolated.lines,
-        branches=[
-            {"p": b.p, "terms": b.terms, "line": branch_restriction_singular(b)}
-            for b in branches
-        ],
         sing_decomposition=sing_decomposition(f, g),
     )
     _emit(report, args.out)
@@ -358,48 +322,6 @@ def _cmd_thom_probe(args) -> int:
         thom_probes=rows,
     )
     _emit(report, args.out)
-    return 0
-
-
-def _shell_radii(text: str) -> tuple[float, ...]:
-    try:
-        shells = tuple(float(s) for s in text.split(","))
-    except ValueError:
-        shells = ()
-    if not shells or not all(math.isfinite(r) and r > 0 for r in shells):
-        raise ParseError(0, f"--shells must be comma-separated positive numbers, got {text!r}")
-    return shells
-
-
-def _cmd_milnor_scan(args) -> int:
-    loaded = _load_input(args)
-    _, F, pair, _ = loaded
-    kwargs = {"pair": pair, "seed": args.seed, "samples_per_shell": args.samples}
-    if args.shells:
-        kwargs["shells"] = _shell_radii(args.shells)
-    scan = milnor_scan(F, **kwargs)
-    _emit(_report("milnor-scan", loaded, milnor=_scan_section(scan)), args.out)
-    return 0
-
-
-def _cmd_shear(args) -> int:
-    loaded = _load_input(args)
-    _, _, pair, _ = loaded
-    if pair is None:
-        raise ParseError(0, "shear needs a holomorphic pair (--pair or a pair fixture)")
-    try:
-        res = shear_search(*pair, k_min=args.k_min, k_max=args.k_max)
-    except ShearSearchExhausted as exc:
-        shear = {"found": False, "reason": str(exc),
-                 "k_min": args.k_min, "k_max": args.k_max}
-    else:
-        shear = {
-            "found": True,
-            "k": res.k,
-            "pair": [res.f_sheared, res.g],
-            "isolated": _isolated_section(res.verdict),
-        }
-    _emit(_report("shear", loaded, shear=shear), args.out)
     return 0
 
 
@@ -424,14 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full pipeline; Milnor scan only if the tube is unknown")
+    p = sub.add_parser("analyze", help="full pipeline: polar, discriminant, Thom probes, verdict")
     _add_input_flags(p)
     p.add_argument("--stratum", action="append",
                    help="stratum 'base = (...); tangent = (...), (...); label = ...'")
     p.add_argument("--curve", action="append",
                    help="probe curve components, e.g. 't, 1, 0'")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("wirtinger", help="both Wirtinger gradients and the normal family")
@@ -444,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disc", help="discriminant geometry of a pair")
     _add_input_flags(p)
-    p.add_argument("--branch", action="append",
-                   help="discriminant branch 'u = t^p; v = ...'")
     p.set_defaults(func=_cmd_disc)
 
     p = sub.add_parser("thom-probe", help="limit normal planes against strata")
@@ -454,21 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", action="append")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_thom_probe)
-
-    p = sub.add_parser("milnor-scan", help="hunt Milnor-set points off the fibre")
-    _add_input_flags(p)
-    p.add_argument("--shells", help="comma-separated shell radii")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_milnor_scan)
-
-    p = sub.add_parser("shear", help="least k at which the verdict calls (f + g^k, g) "
-                       "isolated; the shear keeps the critical set and does not repair "
-                       "isolation")
-    _add_input_flags(p)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=8)
-    p.set_defaults(func=_cmd_shear)
 
     p = sub.add_parser("list-fixtures", help="names of bundled fixtures")
     p.add_argument("--out", help="write the JSON report to this file")
@@ -482,26 +386,18 @@ def _cmd_list_fixtures(args) -> int:
     return 0
 
 
-def _check_counts(args) -> None:
-    """Reject out-of-range integer flags before any work starts."""
+def _check_seed(args) -> None:
+    """Reject a negative --seed before any work starts."""
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise ParseError(0, f"--seed must be a non-negative integer, got {seed}")
-    for flag in ("samples", "k_min"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            name = "--" + flag.replace("_", "-")
-            raise ParseError(0, f"{name} must be a positive integer, got {value}")
-    k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
-    if k_max is not None and k_max < k_min:
-        raise ParseError(0, f"--k-max must be at least --k-min ({k_min}), got {k_max}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
-        _check_counts(args)
+        _check_seed(args)
         return args.func(args)
     except (DegenerateEliminationError, DegreeBoundError) as exc:
         return _error_report("degeneracy", str(exc), out, 3)

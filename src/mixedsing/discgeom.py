@@ -30,9 +30,7 @@ is critical along the whole of a curve germ iff the germ is a line, and a
 line makes 0 a non-isolated critical value) and provides the shear
 (f + g^k, g).  The shear can remove non-axis lines from the discriminant,
 but it does not repair isolation: Jac(f + g^k, g) = Jac(f, g), so Sigma, the
-critical set of the pair, does not change.  At k = 2, (x + (x + y^2)^2,
-x + y^2) is still singular on |x + 1/3| = 1/3 in {y = 0}, where
-|F| ~ |x|^2, although the line-only verdict calls it isolated.
+critical set of the pair, does not change (see shear_search).
 
 Everything here is exact; floats never decide a verdict.  Every exact step
 runs on elements of sympy's sparse polynomial rings over QQ_I: the division
@@ -821,6 +819,9 @@ def shear_search(
     the critical set (Jac(f + g^k, g) = Jac(f, g)), so critical values that
     pile up at 0 before the shear still do after it.  For a plane pair the
     answer inherits the line-only rule's defect (see the module docstring).
+    For (x, x + y^2) it returns k = 2, yet (x + (x + y^2)^2, x + y^2) is
+    still singular on |x + 1/3| = 1/3 in {y = 0}, where |F| ~ |x|^2,
+    although the line-only verdict calls it isolated.
     """
     for k in range(k_min, k_max + 1):
         fs, gs = axis_shear(f, g, k)

@@ -10,14 +10,13 @@ geometry, and the expected verdict:
     g: x + y^2
     stratum: base = (0, 1); tangent = (0, 1), (0, i); label = y-axis
     curve: t, 1
-    branch: u = t; v = t
     expect: tube = no
 
 Either "expression:" (a mixed polynomial) or the pair "f:"/"g:"
-(holomorphic) defines the input; "stratum:", "curve:" and "branch:" may
-repeat.  Vectors are parenthesized component lists; components and curve
-entries use the ordinary expression grammar ("i" is the imaginary unit)
-and stay exact Gaussian rationals.
+(holomorphic) defines the input; "stratum:" and "curve:" may repeat.
+Vectors are parenthesized component lists; components and curve entries
+use the ordinary expression grammar ("i" is the imaginary unit) and stay
+exact Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from ..core import ComplexRational, MixedPolynomial, from_pair
-from ..discgeom import PuiseuxBranch, parse_branch
 from ..parsing import ParseError, parse
 from ..thomprobe import CurveGerm, Stratum
 
@@ -46,7 +44,6 @@ class Fixture:
     pair: tuple[MixedPolynomial, MixedPolynomial] | None
     strata: tuple[Stratum, ...] = ()
     curves: tuple[CurveGerm, ...] = ()
-    branches: tuple[PuiseuxBranch, ...] = ()
     expect: dict = field(default_factory=dict)
 
 
@@ -115,7 +112,6 @@ def _parse_fixture(name: str, text: str) -> Fixture:
     fields: dict[str, str] = {}
     strata: list[Stratum] = []
     curve_lines: list[str] = []
-    branches: list[PuiseuxBranch] = []
     expect: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -130,8 +126,6 @@ def _parse_fixture(name: str, text: str) -> Fixture:
             strata.append(_parse_stratum(value))
         elif key == "curve":
             curve_lines.append(value)
-        elif key == "branch":
-            branches.append(parse_branch(value))
         elif key == "expect":
             if "=" not in value:
                 raise FixtureError(f"{name}:{lineno}: expect needs 'key = value'")
@@ -186,7 +180,6 @@ def _parse_fixture(name: str, text: str) -> Fixture:
         pair=pair,
         strata=tuple(strata),
         curves=curves,
-        branches=tuple(branches),
         expect=expect,
     )
 

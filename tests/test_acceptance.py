@@ -341,7 +341,7 @@ def test_09_fixture_reports_deterministic(tmp_path, capsys):
     for name in fixture_names():
         paths = [tmp_path / f"{name}-{i}.json" for i in (0, 1)]
         for path in paths:
-            code = main(["analyze", name, "--samples", "120", "--out", str(path)])
+            code = main(["analyze", name, "--out", str(path)])
             assert code == 0
         blobs = [path.read_bytes() for path in paths]
         if blobs[0] != blobs[1]:

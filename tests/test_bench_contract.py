@@ -3,17 +3,20 @@
 bench/spans.TRACED wraps functions by (module, attribute), and
 Tracer.installed() looks each one up with no default, so a renamed or
 deleted function breaks every traced run.  bench/worker.py and bench/run.py
-call the package through its top-level exports.  These tests read bench/
-as it stands and check that every such name still resolves.
+call the package through its top-level exports, and bench/run.py reads
+analyze reports by key.  These tests read bench/ as it stands and check
+that every such name and key still resolves.
 """
 
 import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import mixedsing
 import mixedsing.cli  # noqa: F401  (loads every module TRACED names)
+from mixedsing.fixtures import fixture_names
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -82,3 +85,19 @@ def test_bench_scripts_call_exported_names():
                 f"bench/{script} imports missing {mod_name}.{name}"
     assert _package_uses(BENCH / "worker.py")[0] >= {"parse", "solve_polar", "tube_verdict"}
     assert _package_uses(BENCH / "run.py")[0] >= {"parse", "format_mixed", "from_pair"}
+
+
+def test_bench_reads_every_fixture_report(capsys):
+    """bench/run.check_report, as it stands, answers every fixture's fresh
+    analyze report and finds no expect line wrong, so a report change the
+    benchmark cannot read fails here too."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    expectations = run.fixture_expectations()
+    assert sorted(expectations) == sorted(fixture_names())
+    for name, expect in expectations.items():
+        rec = {"exit": mixedsing.cli.main(["analyze", name]), "stdout": capsys.readouterr().out}
+        run.check_report(rec, expect)
+        assert rec["answered"], (name, rec.get("error"))
+        assert rec["wrong"] == [], (name, rec["wrong"])

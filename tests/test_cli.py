@@ -5,9 +5,8 @@ import math
 
 import pytest
 
-from mixedsing import ComplexRational, LineComponent, cli, discgeom, format_mixed, from_pair
+from mixedsing import ComplexRational, LineComponent, cli, discgeom, from_pair
 from mixedsing.cli import main
-from mixedsing.discgeom import ShearSearchExhausted
 from mixedsing.fixtures import FixtureError, fixture_names, load_all, load_fixture
 from mixedsing.milnorprobe import RouteRecord
 
@@ -59,11 +58,9 @@ class TestFixtureCorpus:
         assert f.variables == ("x", "y")
         assert [s.label for s in f.strata] == ["y-axis"]
         assert [c.label for c in f.curves] == ["t, 1"]
-        b = load_fixture("shear-x-xy2").branches
-        assert len(b) == 1 and b[0].p == 1
 
 
-def expected_value(report, key, capsys, fixture):
+def expected_value(report, key):
     """Resolve one fixture expectation key against a produced report."""
     verdict = report["verdict"]
     disc = report.get("discriminant") or {}
@@ -95,46 +92,37 @@ def expected_value(report, key, capsys, fixture):
             if c["kind"] == "slope"
         ]
         return "(" + ", ".join(slopes) + ")"
-    if key == "shear-k":
-        f, g = (format_mixed(p) for p in load_fixture(fixture).pair)
-        n = load_fixture(fixture).expression.n_vars
-        names = ",".join(f"z{j+1}" for j in range(n))
-        code, rep = run_json(capsys, "shear", "--pair", f, g, "--vars", names)
-        assert code == 0 and rep["shear"]["found"]
-        return str(rep["shear"]["k"])
     raise AssertionError(f"unmapped expectation key {key!r}")
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
-    code, report = run_json(capsys, "analyze", name, "--samples", "60")
+    code, report = run_json(capsys, "analyze", name)
     assert code == 0
-    assert report["schema"] == 5
+    assert report["schema"] == 6
     failures = []
     for key, want in load_fixture(name).expect.items():
-        got = expected_value(report, key, capsys, name)
+        got = expected_value(report, key)
         if got != want:
             failures.append(f"{name}/{key}: expected {want!r}, got {got!r}")
     assert not failures, "\n".join(failures)
 
 
-# inputs whose tube no exact route decides, so analyze scans them
+# inputs whose tube no exact route decides
 UNDECIDED = (
     ("--pair", "x^2+y^3", "x*y+y^3", "--vars", "x,y"),
     ("--expr", "x*x~ + y", "--vars", "x,y"),
     ("--expr", "x*x~ + y*y~", "--vars", "x,y"),
 )
 
-COMMANDS = ("analyze", "wirtinger", "polar", "disc", "thom-probe", "milnor-scan", "shear")
+COMMANDS = ("analyze", "wirtinger", "polar", "disc", "thom-probe")
 
 # the runs refused as input errors: polar-k2 and polar-k3 are no pair, and
 # shear-x-xy2 has no stratum to probe
 REFUSED = {
     ("disc", "polar-k2"),
     ("disc", "polar-k3"),
-    ("shear", "polar-k2"),
-    ("shear", "polar-k3"),
     ("thom-probe", "shear-x-xy2"),
 }
 
@@ -142,12 +130,11 @@ REFUSED = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_fixture_gives_a_report_or_an_input_error(command, capsys):
     """No fixture makes a command fail inside the package (exit 3 or 4)."""
-    samples = ("--samples", "20") if command in ("analyze", "milnor-scan") else ()
     codes = {}
     for name in ALL_FIXTURES:
-        code, rep = run_json(capsys, command, name, *samples)
+        code, rep = run_json(capsys, command, name)
         codes[name] = code
-        assert rep["schema"] == 5
+        assert rep["schema"] == 6
         if code == 2:
             assert rep["error"]["type"] == "parse", rep
     assert codes == {name: 2 if (command, name) in REFUSED else 0 for name in ALL_FIXTURES}
@@ -196,38 +183,27 @@ class TestAnalyze:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_seed_is_echoed_and_changes_scan(self, capsys):
-        _, a = run_json(capsys, "analyze", *UNDECIDED[0], "--samples", "40", "--seed", "1")
-        _, b = run_json(capsys, "analyze", *UNDECIDED[0], "--samples", "40", "--seed", "2")
+    def test_seed_is_echoed_and_changes_nothing_else(self, capsys):
+        """The seed draws only the Thom curve battery, which an input with no
+        stratum never runs, so an undecided tube reads the same under any
+        seed."""
+        _, a = run_json(capsys, "analyze", *UNDECIDED[0], "--seed", "1")
+        _, b = run_json(capsys, "analyze", *UNDECIDED[0], "--seed", "2")
         assert a["seed"] == 1 and b["seed"] == 2
-        assert a["milnor"]["points"] != b["milnor"]["points"]
+        assert a["verdict"]["tube"] == "unknown"
+        assert {**a, "seed": None} == {**b, "seed": None}
 
-    def test_decided_tube_runs_no_scan(self, capsys, monkeypatch):
+    def test_decided_tube_runs_no_scan(self, capsys):
         """Every fixture's tube is decided by an exact route, which the
-        verdict names, so analyze never scans them."""
-        calls = []
-        monkeypatch.setattr(cli, "milnor_scan", lambda *a, **k: calls.append(a))
+        verdict names, and no report carries a scan."""
         for name in ALL_FIXTURES:
             code, rep = run_json(capsys, "analyze", name)
             assert code == 0
             assert rep["verdict"]["tube"] in ("yes", "no") and rep["verdict"]["tube_route"]
-            assert rep["milnor"] is None
-        assert calls == []
-
-    @pytest.mark.parametrize("argv", UNDECIDED)
-    def test_undecided_tube_carries_the_scan(self, capsys, argv):
-        """An open tube keeps the scan milnor-scan gives for the same seed."""
-        flags = ("--samples", "20", "--seed", "3")
-        code, rep = run_json(capsys, "analyze", *argv, *flags)
-        assert code == 0
-        assert rep["verdict"]["tube"] == "unknown"
-        _, scan = run_json(capsys, "milnor-scan", *argv, *flags)
-        assert rep["milnor"] == scan["milnor"]
+            assert "milnor" not in rep
 
     def test_expr_input(self, capsys):
-        code, report = run_json(
-            capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y", "--samples", "40"
-        )
+        code, report = run_json(capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y")
         assert code == 0
         assert report["input"]["expression"] == "1*z1*z1~*z2"
         assert report["input"]["fixture"] is None
@@ -236,8 +212,7 @@ class TestAnalyze:
 
     def test_out_file_matches_stdout_payload(self, capsys, tmp_path):
         target = tmp_path / "report.json"
-        code, out = run_cli(capsys, "analyze", "polar-k2", "--samples", "40",
-                            "--out", str(target))
+        code, out = run_cli(capsys, "analyze", "polar-k2", "--out", str(target))
         assert code == 0
         written = target.read_text()
         assert json.loads(written)["command"] == "analyze"
@@ -275,7 +250,7 @@ class TestSubcommands:
         assert code == 0
         assert rep["polar"]["status"] == "found"
         assert rep["polar"]["p"] == [35, 11, -73] and rep["polar"]["k"] == 139
-        code, rep = run_json(capsys, "analyze", *argv, "--samples", "20")
+        code, rep = run_json(capsys, "analyze", *argv)
         assert code == 0
         assert (rep["verdict"]["tube"], rep["verdict"]["tube_route"]) == ("yes", "polar")
 
@@ -289,8 +264,7 @@ class TestSubcommands:
     def test_real_valued_sum_of_squares_is_not_a_tube(self, capsys):
         """|x|^2 + |y|^2 is real-valued, so it has no tube fibration; its
         only polar weights have k = 0, which never count."""
-        code, rep = run_json(capsys, "analyze", "--expr", "x*x~ + y*y~", "--vars", "x,y",
-                             "--samples", "20")
+        code, rep = run_json(capsys, "analyze", "--expr", "x*x~ + y*y~", "--vars", "x,y")
         assert code == 0
         assert rep["polar"]["polar"] == "no"
         assert "forced to zero" in rep["polar"]["reason"]
@@ -309,8 +283,7 @@ class TestSubcommands:
 
         monkeypatch.setattr(discgeom, "isolated_value_verdict", counted)
         monkeypatch.setattr(cli, "isolated_value_verdict", counted)
-        code, rep = run_json(capsys, "analyze", "--pair", *pair, "--vars", "x,y",
-                             "--samples", "20")
+        code, rep = run_json(capsys, "analyze", "--pair", *pair, "--vars", "x,y")
         assert code == 0
         assert len(calls) == 1
         disc_lines = [r for r in rep["verdict"]["routes"] if r["name"] == "disc-lines"]
@@ -319,15 +292,6 @@ class TestSubcommands:
                                    "detail": rep["discriminant"]["reason"]}]
         else:
             assert rep["discriminant"]["status"] == "not-isolated"
-
-    def test_disc_with_branches(self, capsys):
-        code, rep = run_json(
-            capsys, "disc", "--pair", "x", "x + y^2", "--vars", "x,y",
-            "--branch", "u = t; v = t", "--branch", "u = t^2; v = t^3",
-        )
-        assert code == 0
-        assert rep["isolated"]["status"] == "not-isolated"
-        assert [b["line"] for b in rep["branches"]] == [True, False]
 
     def test_disc_requires_pair(self, capsys):
         code, rep = run_json(capsys, "disc", "--expr", "x*y*x~", "--vars", "x,y")
@@ -344,28 +308,6 @@ class TestSubcommands:
         assert probe["verdict"] == "fail-witness"
         assert probe["stratum"] == "y-axis"
         assert probe["witness"]["projection"] > 0.9
-
-    def test_milnor_scan_options(self, capsys):
-        code, rep = run_json(
-            capsys, "milnor-scan", "--expr", "x", "--vars", "x,y",
-            "--shells", "0.2,0.1", "--samples", "50",
-        )
-        assert code == 0
-        assert [s["radius"] for s in rep["milnor"]["shells"]] == [0.2, 0.1]
-        assert rep["milnor"]["samples_per_shell"] == 50
-        assert rep["milnor"]["supports_transversality"] is True
-
-    def test_shear_exhaustion_is_reported_not_raised(self, capsys, monkeypatch):
-        def exhausted(*args, k_min, k_max, **kwargs):
-            raise ShearSearchExhausted(f"no shear exponent in [{k_min}, {k_max}]")
-
-        monkeypatch.setattr("mixedsing.cli.shear_search", exhausted)
-        code, rep = run_json(
-            capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
-            "--k-min", "2", "--k-max", "3",
-        )
-        assert code == 0
-        assert rep["shear"]["found"] is False
 
     def test_list_fixtures(self, capsys):
         code, rep = run_json(capsys, "list-fixtures")
@@ -404,8 +346,8 @@ class TestErrorContract:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("mixedsing.cli.milnor_scan", broken)
-        code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y")
+        monkeypatch.setattr("mixedsing.cli.solve_polar", broken)
+        code, rep = run_json(capsys, "analyze", "--expr", "x", "--vars", "x,y")
         assert code == 4
         assert rep["error"] == {"type": "internal", "message": "RuntimeError: boom"}
 
@@ -413,7 +355,7 @@ class TestErrorContract:
     def test_curve_off_the_stratum_base_is_rejected(self, capsys, curve):
         # both curves pass through regular points only, never through (0, 1)
         code, rep = run_json(
-            capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y", "--samples", "20",
+            capsys, "analyze", "--expr", "x*y*x~", "--vars", "x,y",
             "--stratum", "base = (0, 1); tangent = (0, 1), (0, i); label = y-axis",
             "--curve", curve,
         )
@@ -460,28 +402,21 @@ class TestErrorContract:
 
     def test_reports_never_contain_nan(self, capsys):
         # allow_nan=False would raise instead of printing Infinity/NaN
-        for name in ALL_FIXTURES:
-            for command in ("analyze", "milnor-scan"):
-                code, out = run_cli(capsys, command, name, "--samples", "40")
-                assert code == 0
-                assert "NaN" not in out and "Infinity" not in out
+        runs = [(command, name) for command in COMMANDS for name in ALL_FIXTURES]
+        runs += [("analyze", *argv) for argv in UNDECIDED]
+        for command, *argv in runs:
+            code, out = run_cli(capsys, command, *argv)
+            assert code == (2 if (command, *argv) in REFUSED else 0)
+            assert "NaN" not in out and "Infinity" not in out
 
     def _flag_error(self, capsys, *argv):
-        code, rep = run_json(capsys, "milnor-scan", "--expr", "x", "--vars", "x,y", *argv)
+        code, rep = run_json(capsys, "thom-probe", "--expr", "x", "--vars", "x,y", *argv)
         assert code == 2
         assert rep["error"]["type"] == "parse"
         return rep["error"]["message"]
 
     def test_negative_seed_names_the_flag(self, capsys):
         assert "--seed" in self._flag_error(capsys, "--seed", "-1")
-
-    def test_nonpositive_samples_name_the_flag(self, capsys):
-        assert "--samples" in self._flag_error(capsys, "--samples", "-3")
-        assert "--samples" in self._flag_error(capsys, "--samples", "0")
-
-    def test_bad_shells_name_the_flag(self, capsys):
-        for shells in ("0.1,-0.2", "0", "0.1,abc", "inf"):
-            assert "--shells" in self._flag_error(capsys, "--shells", shells)
 
     @pytest.mark.parametrize("command", ["analyze", "polar"])
     def test_k_bound_flag_is_gone(self, capsys, command):
@@ -490,6 +425,28 @@ class TestErrorContract:
             main([command, "--expr", "x*y~", "--vars", "x,y", "--k-bound", "64"])
         assert exc.value.code == 2
         assert "--k-bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("analyze", "--expr", "x*y~", "--vars", "x,y", "--samples", "20"), "--samples"),
+            (("disc", "--pair", "x", "x + y^2", "--vars", "x,y", "--branch", "u = t; v = t"),
+             "--branch"),
+        ],
+    )
+    def test_scan_and_branch_flags_are_gone(self, capsys, argv, flag):
+        # neither the scan size nor a typed branch ever changed a verdict
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["milnor-scan", "shear"])
+    def test_scan_and_shear_commands_are_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pair", "x", "x + y^2", "--vars", "x,y"])
+        assert exc.value.code == 2
+        assert command in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,flags",
@@ -507,15 +464,3 @@ class TestErrorContract:
         code, rep = run_json(capsys, *argv)
         assert code == 2 and rep["error"]["type"] == "parse"
         assert all(flag in rep["error"]["message"] for flag in flags)
-
-    def test_nonpositive_k_min_names_the_flag(self, capsys):
-        code, rep = run_json(capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
-                             "--k-min", "0")
-        assert code == 2 and rep["error"]["type"] == "parse"
-        assert "--k-min" in rep["error"]["message"]
-
-    def test_empty_shear_range_names_the_flag(self, capsys):
-        code, rep = run_json(capsys, "shear", "--pair", "x", "x + y^2", "--vars", "x,y",
-                             "--k-min", "5", "--k-max", "3")
-        assert code == 2 and rep["error"]["type"] == "parse"
-        assert "--k-max" in rep["error"]["message"]

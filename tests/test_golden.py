@@ -1,12 +1,10 @@
 """Report bytes pinned against checked-in golden files.
 
-The files under tests/golden/ hold the input, polar, discriminant, milnor
-and verdict sections of `analyze --samples 20` for every fixture, and the
-whole `disc` report for the pair fixtures and one Gaussian three-variable
-pair.  An exact route decides the tube of every fixture, so each milnor
-section is null: analyze scans only when the tube is unknown.  A change that
-moves a verdict, a line, a Groebner basis or a float digit, or that brings
-the scan back, shows up here as a byte difference.
+The files under tests/golden/ hold the input, polar, discriminant and
+verdict sections of `analyze` for every fixture, and the whole `disc` report
+for the pair fixtures and one Gaussian three-variable pair.  A change that
+moves a verdict, a line, a Groebner basis or a float digit shows up here as
+a byte difference.
 
 Regenerate (only when a report change is intended) with
 
@@ -31,7 +29,7 @@ ANALYZE_FIXTURES = (
     "xy-xbar",
     "xz2y-xbar",
 )
-ANALYZE_SECTIONS = ("input", "polar", "discriminant", "milnor", "verdict")
+ANALYZE_SECTIONS = ("input", "polar", "discriminant", "verdict")
 
 DISC_CASES = {
     "separate-x2-y3": ("separate-x2-y3",),
@@ -50,7 +48,7 @@ def render(case: str, run) -> str:
     """The golden text of one case; run(argv) returns (exit code, stdout)."""
     command, *argv = CASES[case]
     if command == "analyze":
-        code, out = run(["analyze", *argv, "--samples", "20"])
+        code, out = run(["analyze", *argv])
         report = json.loads(out)
         out = json.dumps({key: report[key] for key in ANALYZE_SECTIONS},
                          sort_keys=True, indent=2) + "\n"

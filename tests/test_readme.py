@@ -30,8 +30,7 @@ def test_shell_examples_exit_0(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # one example writes report.json
     commands = _commands()
     assert {argv[0] for argv in commands} == {
-        "analyze", "wirtinger", "polar", "disc", "thom-probe", "milnor-scan", "shear",
-        "list-fixtures",
+        "analyze", "wirtinger", "polar", "disc", "thom-probe", "list-fixtures",
     }
     for argv in commands:
         assert main(argv) == 0, argv
