@@ -1,7 +1,7 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, list-fixtures.
-Every command emits a single JSON document (schema 6) on stdout or --out;
+Every command emits a single JSON document (schema 7) on stdout or --out;
 reruns with the same seed are byte-identical.  The input is exactly one of
 a fixture name, --expr or --pair; the last two need --vars.  No flag
 changes a verdict: the polar search, in particular, has no bound to set,
@@ -45,7 +45,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 6
+SCHEMA = 7
 
 
 # serialization helpers ----------------------------------------------------------
@@ -154,15 +154,6 @@ def _input_echo(fixture, F, pair, variables) -> dict:
 # section builders ---------------------------------------------------------------
 
 
-def _isolated_section(verdict):
-    """An isolated-value verdict without its lines, which disc and analyze
-    report apart, and with its discriminant only when it has one."""
-    out = {name: getattr(verdict, name) for name in ("status", "route", "notes", "witnesses")}
-    if verdict.discriminant is not None:
-        out["discriminant"] = verdict.discriminant
-    return out
-
-
 def _probe_sections(F, strata, curves, *, seed):
     probes = []
     rows = []
@@ -198,10 +189,7 @@ def _discriminant_section(v):
     """The isolated-value verdict a tube verdict used, or the reason its
     disc-lines route gives for having none; None without a pair."""
     if v.isolated is not None:
-        out = _isolated_section(v.isolated)
-        if v.isolated.lines is not None:
-            out["lines"] = v.isolated.lines
-        return out
+        return v.isolated
     for r in v.routes:
         if r.name == "disc-lines" and r.conclusion == "unavailable":
             return {"status": "unavailable", "reason": r.detail}
@@ -295,13 +283,11 @@ def _cmd_disc(args) -> int:
     if pair is None:
         raise ParseError(0, "disc needs a holomorphic pair (--pair or a pair fixture)")
     f, g = pair
-    isolated = isolated_value_verdict(f, g)
     report = _report(
         "disc",
         loaded,
         jacobian_det=jacobian_det(f, g) if F.n_vars == 2 else None,
-        isolated=_isolated_section(isolated),
-        lines=isolated.lines,
+        isolated=isolated_value_verdict(f, g),
         sing_decomposition=sing_decomposition(f, g),
     )
     _emit(report, args.out)

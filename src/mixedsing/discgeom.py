@@ -24,8 +24,8 @@ one of, by exact division in QQ_I[x, y]:
 - not a line: none of these.  An irreducible curve that is not a line
   contains no line germ, so P adds no line.
 
-line_components reads the lines off the product of the line forms (u, v,
-u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
+line_components reads the lines off each irreducible line form alone (u,
+v, u^d * m(v/u)).  The module also decides the branch criterion (u * conj(v)
 is critical along the whole of a curve germ iff the germ is a line, and a
 line makes 0 a non-isolated critical value) and provides the shear
 (f + g^k, g).  The shear can remove non-axis lines from the discriminant,
@@ -33,16 +33,15 @@ but it does not repair isolation: Jac(f + g^k, g) = Jac(f, g), so Sigma, the
 critical set of the pair, does not change (see shear_search).
 
 Everything here is exact; floats never decide a verdict.  Every exact step
-runs on elements of sympy's sparse polynomial rings over QQ_I: the division
-tests above and the slope polynomial of line_components (a gcd and a
-factorisation in QQ_I[a]).  Both plane factorisations, of the Jacobian and
-of the slope polynomial, go through the norm over Q (_factor_gaussian): one
-factorisation over QQ and one gcd per rational factor, with Trager's
-algorithm over QQ<i> only for a rational factor that may split into a
-conjugate pair dividing the polynomial.  The Groebner bases of the n >= 3
-verdict and of sing_decomposition (in QQ_I[x1..xn, w], grevlex) come from
-the in-package Buchberger kernel _groebner, which takes and returns ring
-elements but computes on Gaussian-integer pairs, as core's power kernels do.
+runs on elements of sympy's sparse polynomial rings over QQ_I.  The one
+plane factorisation, of the Jacobian, goes through the norm over Q
+(_factor_gaussian): one factorisation over QQ and one gcd per rational
+factor, with Trager's algorithm over QQ<i> only for a rational factor that
+may split into a conjugate pair dividing it.  The Groebner bases of the
+n >= 3 verdict and of sing_decomposition (in QQ_I[x1..xn, w], grevlex)
+come from the in-package Buchberger kernel _groebner, which takes and
+returns ring elements but computes on Gaussian-integer pairs, as core's
+power kernels do.
 """
 
 from __future__ import annotations
@@ -89,6 +88,8 @@ _XYA = ring("x y a", QQ_I)[0]
 _YXA = ring("y x a", QQ_I)[0]
 # QQ_I[a]: the slopes a of the lines {v = a*u}
 _A = ring("a", QQ_I)[0]
+# the line forms u and v of the axes {u = 0} and {v = 0}, in (u, v) = (z1, z2)
+_U, _V = (MixedPolynomial.variable(j, 2) for j in range(2))
 
 
 class DegreeBoundError(ValueError):
@@ -377,22 +378,21 @@ def jacobian_det(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
 class PlaneCurve:
     """The lines through 0 of a plane pair's discriminant germ at 0.
 
-    components are the distinct line forms in (u, v) = (z1, z2) and h is
-    their product, None when there is no line.  non_line_factors and
-    off_origin_components are the Jacobian factors in (x, y) = (z1, z2)
+    Each of components is one distinct irreducible line form in (u, v) =
+    (z1, z2): u, v, or u^d * m(v/u) (see _slope_form).  non_line_factors
+    and off_origin_components are the Jacobian factors in (x, y) = (z1, z2)
     through the source origin whose image is not a line, and those that
     miss the source origin.  origin_only: the germ is the point 0.
     """
 
-    h: MixedPolynomial | None
     origin_only: bool
     components: tuple[MixedPolynomial, ...] = ()
     off_origin_components: tuple[MixedPolynomial, ...] = ()
     non_line_factors: tuple[MixedPolynomial, ...] = ()
 
     def __post_init__(self):
-        if self.origin_only != (self.h is None and not self.non_line_factors):
-            raise ValueError("origin_only must hold exactly without h and non-line factors")
+        if self.origin_only != (not self.components and not self.non_line_factors):
+            raise ValueError("origin_only must hold exactly without line forms and non-line factors")
 
 
 def _jac(h, P):
@@ -404,9 +404,25 @@ def _jac(h, P):
 def _slope_form(P, f, g) -> MixedPolynomial:
     """u^d * m(v/u) for a slope factor P: the lines {v = a*u} of its image.
 
-    Along each branch of {P = 0}, g = a_j * f, so Res_t(P, g - a*f) is
-    c(s) * prod (a_j - a) with s the other variable; dividing out the
-    content c(s) leaves a polynomial in a alone.
+    m is the minimal polynomial over Q(i) of the slope of any one component
+    of {P = 0}, so line_components can read the form alone.
+
+    Proof: P is Q(i)-irreducible, divides neither f nor g, and g/f is
+    constant on each branch of {P = 0}.  Its absolutely irreducible factors
+    P_1..P_r form one orbit of G = Gal(Qbar/Q(i)), and g = a_j * f on the
+    irreducible {P_j = 0} for a constant a_j.  As f, g have coefficients in
+    Q(i), P_j | g - a_j*f gives sigma(P_j) | g - sigma(a_j)*f: sigma in G
+    maps the slope of a component to that of its image.  With t the
+    eliminated variable (P involves it) and s the other, each root t_k(s)
+    of P lies on some {P_j = 0}, where g - a*f = (a_j - a) * f, so
+    Res_t(P, g - a*f) = C(s) * prod_j (a_j - a)^(n_j), n_j the t-degree of
+    P_j; C(s) = lc_t(P)^e * prod_k f(t_k(s), s) is not 0, as P_j | f gives
+    P | f (apply G).  G permutes the P_j and keeps n_j, so the product is
+    in Q(i)[a] and the content in s is C(s) up to a unit.  Its roots are
+    the sigma(a_1), so its square-free part m is the minimal polynomial of
+    a_1: irreducible, and m(0) != 0, as a_1 = 0 gives P_1 | g, so P | g.
+    Hence the form is irreducible, divisible by neither u nor v, and slope
+    factors that share a slope give one monic form, kept once.
     """
     a = _XYA.gens[2]
     R = _XYA if P.degree(0) > 0 else _YXA  # eliminate a variable P involves
@@ -430,7 +446,6 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
             "jacobian determinant vanishes identically; the pair has generic rank < 2"
         )
 
-    x, y, _ = _XYA.gens
     fp, gp = _embed(f, _XYA), _embed(g, _XYA)
     forms: list[MixedPolynomial] = []
     off_origin: list[MixedPolynomial] = []
@@ -443,7 +458,7 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
         if on_u and on_v:
             continue  # the factor maps to the origin
         if on_u or on_v:
-            form = _monic(x if on_u else y, 2)  # the line {u = 0} or {v = 0}
+            form = _U if on_u else _V  # the line {u = 0} or {v = 0}
         elif not (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P):
             form = _slope_form(P, fp, gp)
         else:
@@ -454,7 +469,6 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
 
     forms.sort(key=format_mixed)
     return PlaneCurve(
-        h=reduce(lambda p, q: p * q, forms) if forms else None,
         origin_only=not forms and not non_line,
         components=tuple(forms),
         off_origin_components=tuple(sorted(off_origin, key=format_mixed)),
@@ -494,9 +508,9 @@ class LineComponent:
 class LineReport:
     """All line components plus exact existence data for slope lines.
 
-    has_slope_lines is decided exactly (degree of the coefficient gcd),
+    has_slope_lines is decided exactly (a line form other than u and v),
     independent of root isolation; unresolved_slope_factors lists degree > 4
-    factors whose individual roots were not isolated.
+    slope polynomials whose individual roots were not isolated.
     """
 
     components: tuple[LineComponent, ...]
@@ -511,73 +525,46 @@ class LineReport:
 
 
 def line_components(curve: PlaneCurve) -> LineReport:
-    """Exact line detection in a discriminant curve."""
-    if curve.h is None:
-        return LineReport(components=(), has_slope_lines=False)
-    h = curve.h
-    comps: list[LineComponent] = []
-    # axis tests: u | h <=> h(0, v) == 0 (the v-axis), v | h <=> h(u, 0) == 0
-    if all(p.nu[1] > 0 for p in h.terms):
-        comps.append(LineComponent(kind="axis-u"))
-    if all(p.nu[0] > 0 for p in h.terms):
-        comps.append(LineComponent(kind="axis-v"))
+    """The lines of a discriminant curve, read off its line forms one at a time.
 
-    # h(u, a*u) = sum_j c_j(a) u^j; the slopes are the common roots of the c_j
-    coeffs: dict[int, dict] = {}
-    for (eu, ev, _, _), c in h._poly.items():
-        coeffs.setdefault(eu + ev, {})[(ev,)] = c
-    g = reduce(lambda p, q: p.gcd(q), (_A.from_dict(c) for c in coeffs.values()))
-    has_slopes = False
-    unresolved: list[str] = []
-    slope_comps: list[LineComponent] = []
-    for fac, _mult in _factor_gaussian(g):
-        deg = fac.degree()
-        if deg == 1:
-            cr = _from_gaussian(QQ_I.quo(-fac.coeff(1), fac.LC))
-            if cr.is_zero:
-                continue  # the a = 0 root is the u-axis, not a slope line
-            has_slopes = True
-            slope_comps.append(
-                LineComponent(
-                    kind="slope",
-                    slope=complex(cr),
-                    slope_exact=cr,
-                    exact=True,
-                    halfline_direction=_halfline(complex(cr)),
-                )
-            )
-        elif deg <= 4:
-            # irreducible of degree >= 2 over QQ_I never has the root 0
-            has_slopes = True
-            minpoly = fac.as_expr()
-            for root in sp.Poly(minpoly, domain=QQ_I).nroots(n=20):
-                rv = complex(root)
-                slope_comps.append(
-                    LineComponent(
-                        kind="slope",
-                        slope=rv,
-                        exact=False,
-                        minpoly=str(minpoly),
-                        halfline_direction=_halfline(rv),
-                    )
-                )
+    u is {u = 0} (axis-v) and v is {v = 0} (axis-u).  Any other form
+    u^d * m(v/u) is the lines {v = a*u} for the roots of the monic
+    m(a) = form(1, a), irreducible with m(0) != 0 (see _slope_form): an
+    exact slope for degree 1, numeric roots and the minimal polynomial for
+    degrees 2..4, and an unresolved slope factor above.
+    """
+    axes = [LineComponent(kind=kind) for kind, form in (("axis-u", _V), ("axis-v", _U))
+            if form in curve.components]
+    slopes, unresolved = [], []
+    for form in curve.components:
+        if form in (_U, _V):
+            continue
+        m = _A.from_dict({(e[1],): c for e, c in form._poly.items()}).monic()
+        if m.degree() == 1:
+            cr = _from_gaussian(-m.coeff(1))
+            slopes.append(_slope_line(complex(cr), slope_exact=cr))
+        elif m.degree() <= 4:
+            minpoly = m.as_expr()
+            slopes.extend(_slope_line(complex(root), exact=False, minpoly=str(minpoly))
+                          for root in sp.Poly(minpoly, domain=QQ_I).nroots(n=20))
         else:
-            has_slopes = True
-            unresolved.append(str(fac.as_expr()))
-    slope_comps.sort(key=lambda c: (c.slope.real, c.slope.imag))
-    comps.extend(slope_comps)
+            unresolved.append(m)
+    slopes.sort(key=lambda c: (c.slope.real, c.slope.imag))
+    unresolved.sort(key=lambda m: (len(d := m.to_dense()), d))  # sympy's factor order
     return LineReport(
-        components=tuple(comps),
-        has_slope_lines=has_slopes,
-        unresolved_slope_factors=tuple(unresolved),
+        components=tuple(axes + slopes),
+        has_slope_lines=bool(slopes or unresolved),
+        unresolved_slope_factors=tuple(str(m.as_expr()) for m in unresolved),
     )
 
 
-def _halfline(slope: complex) -> complex:
-    """Critical values along {v = a*u} sweep the half-line R+ * conj(a);
-    + 0.0 turns a signed zero part (conj of a real a) into 0.0."""
+def _slope_line(slope: complex, **exactness) -> LineComponent:
+    """The line {v = slope*u}.  Critical values along it sweep the half-line
+    R+ * conj(slope); + 0.0 turns a signed zero part (conj of a real slope)
+    into 0.0."""
     w = slope.conjugate() / abs(slope)
-    return complex(w.real + 0.0, w.imag + 0.0)
+    return LineComponent(kind="slope", slope=slope, **exactness,
+                         halfline_direction=complex(w.real + 0.0, w.imag + 0.0))
 
 
 # branch criterion -----------------------------------------------------------------
@@ -703,8 +690,7 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
     if f.n_vars == 2:
         disc = discriminant_curve(f, g)
         report = line_components(disc)
-        slope_witnesses = tuple(c for c in report if c.kind == "slope")
-        if disc.origin_only or not report.has_slope_lines:
+        if not report.has_slope_lines:  # in particular when disc.origin_only
             return IsolatedVerdict(
                 status="isolated", route="discriminant-curve", discriminant=disc,
                 lines=report,
@@ -712,7 +698,7 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
         return IsolatedVerdict(
             status="not-isolated",
             route="discriminant-curve",
-            witnesses=slope_witnesses,
+            witnesses=tuple(c for c in report if c.kind == "slope"),
             discriminant=disc,
             notes=("each non-axis line yields a half-line of critical values",),
             lines=report,

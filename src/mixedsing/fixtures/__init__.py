@@ -13,7 +13,8 @@ geometry, and the expected verdict:
     expect: tube = no
 
 Either "expression:" (a mixed polynomial) or the pair "f:"/"g:"
-(holomorphic) defines the input; "stratum:" and "curve:" may repeat.
+(holomorphic) defines the input; "stratum:" and "curve:" may repeat, and
+any other key is an error.
 Vectors are parenthesized component lists; components and curve entries
 use the ordinary expression grammar ("i" is the imaginary unit) and stay
 exact Gaussian rationals.
@@ -133,9 +134,11 @@ def _parse_fixture(name: str, text: str) -> Fixture:
             if ek.strip() in expect:
                 raise FixtureError(f"{name}:{lineno}: duplicate expect {ek.strip()!r}")
             expect[ek.strip()] = ev.strip()
+        elif key not in ("name", "description", "variables", "expression", "f", "g"):
+            raise FixtureError(f"{name}:{lineno}: unknown key {key!r}")
+        elif key in fields:
+            raise FixtureError(f"{name}:{lineno}: duplicate field {key!r}")
         else:
-            if key in fields:
-                raise FixtureError(f"{name}:{lineno}: duplicate field {key!r}")
             fields[key] = value
 
     for required in ("name", "variables"):

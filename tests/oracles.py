@@ -269,11 +269,13 @@ def rational_pinv_colmax(basis):
 # ---- sympy-expression references for line reading and Groebner checks -----------
 
 
-def expr_line_components(curve):
-    """line_components(curve) recomputed on sympy expressions.
+def expr_line_components(h: MixedPolynomial):
+    """The lines through 0 in the plane curve {h = 0}, as line_components
+    reports them, read on sympy expressions.
 
-    The coefficients c_j(a) of u^j in h(u, a*u) are sympy expressions; their
-    gcd and its factorisation over QQ(i) come from sp.gcd and sp.factor_list.
+    The axes are the variables dividing h.  The slopes are the common roots
+    of the coefficients c_j(a) of u^j in h(u, a*u); their gcd and its
+    factorisation over QQ(i) come from sp.gcd and sp.factor_list.
     """
     from mixedsing.core import _from_gaussian
     from mixedsing.discgeom import LineComponent, LineReport
@@ -282,9 +284,6 @@ def expr_line_components(curve):
         w = slope.conjugate() / abs(slope)
         return complex(w.real + 0.0, w.imag + 0.0)  # no signed zero parts
 
-    if curve.h is None:
-        return LineReport(components=(), has_slope_lines=False)
-    h = curve.h
     comps = []
     if all(p.nu[1] > 0 for p in h.terms):
         comps.append(LineComponent(kind="axis-u"))
@@ -445,19 +444,16 @@ def recursive_box_search(basis, boxes, n, bound, require_nonzero_k):
 # ---- germ-local elimination reference for plane discriminants -------------------
 
 
-def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial):
+def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """The discriminant germ at 0 of a plane pair, by lex elimination.
 
     Each Gaussian-irreducible Jacobian factor P with P(0, 0) = 0 gives the
     prime ideal (P, f - u, g - v).  Its elimination ideal in (u, v) is
     principal when P maps onto a curve (the generator is kept) and maximal
     when P maps to a point (the origin, which adds nothing to the germ).
-    The product of the kept curves comes back as a PlaneCurve, so that
-    line_components can read its lines.
+    Returns h, the product of the kept curves in (u, v) = (z1, z2): 1 when
+    there is none.
     """
-    from mixedsing import PlaneCurve
-    from mixedsing.core import ExponentPair
-
     zs, ws = mixed_symbols(2)
     x, y = zs
     u, v = sp.symbols("u v")
@@ -472,13 +468,35 @@ def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial):
         elim = [e for e in G.exprs if not e.free_symbols & {x, y}]
         if len(elim) == 1:
             h *= elim[0]
-    if h == 1:
-        return PlaneCurve(h=None, origin_only=True)
-    terms = expr_to_dict(h, (u, v), ws)
-    hp = MixedPolynomial(
-        2, {ExponentPair(nu, mu): ComplexRational(*c) for (nu, mu), c in terms.items()}
+    return _from_expr(h, (u, v), ws)
+
+
+def line_forms(h: MixedPolynomial) -> tuple[MixedPolynomial, ...]:
+    """The distinct Q(i)-irreducible homogeneous factors of a plane h, each
+    divided by its leading coefficient, by sp.factor_list.
+
+    They are the line forms of the lines through 0 in {h = 0}: a line
+    through 0 is a homogeneous linear factor, an irreducible homogeneous
+    factor is a union of such lines, and any other irreducible factor holds
+    none.  Lex on (z1, z2) and grlex agree on a homogeneous form, so each is
+    normalised as discriminant_curve normalises its forms.
+    """
+    zs, ws = mixed_symbols(2)
+    forms = []
+    for fac, _mult in sp.factor_list(to_sympy(h, zs, ws), *zs, gaussian=True)[1]:
+        p = sp.Poly(fac, *zs, domain="QQ_I")
+        if p.is_homogeneous:
+            forms.append(_from_expr(p.monic().as_expr(), zs, ws))
+    return tuple(forms)
+
+
+def _from_expr(expr, zs, ws) -> MixedPolynomial:
+    from mixedsing.core import ExponentPair
+
+    terms = expr_to_dict(expr, zs, ws)
+    return MixedPolynomial(
+        len(zs), {ExponentPair(nu, mu): ComplexRational(*c) for (nu, mu), c in terms.items()}
     )
-    return PlaneCurve(h=hp, origin_only=False, components=(hp,))
 
 
 # ---- float normal-plane tracker for limit planes along curves -------------------

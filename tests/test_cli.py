@@ -7,7 +7,7 @@ import pytest
 
 from mixedsing import ComplexRational, LineComponent, cli, discgeom, from_pair
 from mixedsing.cli import main
-from mixedsing.fixtures import FixtureError, fixture_names, load_all, load_fixture
+from mixedsing.fixtures import FixtureError, _parse_fixture, fixture_names, load_all, load_fixture
 from mixedsing.milnorprobe import RouteRecord
 
 ALL_FIXTURES = (
@@ -47,6 +47,13 @@ class TestFixtureCorpus:
     def test_unknown_fixture(self):
         with pytest.raises(FixtureError):
             load_fixture("no-such-case")
+
+    def test_unknown_key_is_rejected(self):
+        # a misspelt expect line and a key the format no longer has
+        for line, key in (("expcet: tube = yes", "expcet"), ("branch: u = t; v = t", "branch")):
+            text = f"name: t\nvariables: x, y\nf: x\ng: y\n{line}\nexpect: tube = no\n"
+            with pytest.raises(FixtureError, match=f"^t:5: unknown key '{key}'$"):
+                _parse_fixture("t", text)
 
     def test_pair_fixtures_carry_their_product(self):
         for f in load_all():
@@ -100,7 +107,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name)
     assert code == 0
-    assert report["schema"] == 6
+    assert report["schema"] == 7
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key)
@@ -134,7 +141,7 @@ def test_every_fixture_gives_a_report_or_an_input_error(command, capsys):
     for name in ALL_FIXTURES:
         code, rep = run_json(capsys, command, name)
         codes[name] = code
-        assert rep["schema"] == 6
+        assert rep["schema"] == 7
         if code == 2:
             assert rep["error"]["type"] == "parse", rep
     assert codes == {name: 2 if (command, name) in REFUSED else 0 for name in ALL_FIXTURES}

@@ -1,12 +1,14 @@
 """Exact target-space geometry: discriminants, lines, branches, verdicts."""
 
 import math
+import operator
 import os
 import subprocess
 import sys
 import textwrap
 import time
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from mixedsing import (
     branch_restriction_singular,
     discriminant_curve,
     format_mixed,
+    from_pair,
     isolated_value_verdict,
     jacobian_det,
     line_components,
@@ -31,6 +34,7 @@ from mixedsing import (
     parse_branch,
     shear_search,
     sing_decomposition,
+    tube_verdict,
 )
 from mixedsing.discgeom import (
     DegenerateEliminationError,
@@ -50,6 +54,7 @@ from oracles import (
     expr_line_components,
     expr_reduced_basis,
     expr_vanishes_on_critical_set,
+    line_forms,
     numeric_branch_singular,
 )
 
@@ -72,9 +77,14 @@ def binomial(rng, monomials, variables):
     return parse(f"{c1}*{m1} + {c2}*{m2}", variables)
 
 
+def forms_curve(h):
+    """The PlaneCurve whose components are the line forms of h."""
+    forms = line_forms(h)
+    return PlaneCurve(origin_only=not forms, components=forms)
+
+
 def curve_from(htext):
-    h = parse(htext, UV)
-    return PlaneCurve(h=h, origin_only=False, components=(h,))
+    return forms_curve(parse(htext, UV))
 
 
 class TestJacobianDet:
@@ -100,17 +110,16 @@ class TestDiscriminantCurve:
     def test_slope_line_pair(self):
         disc = discriminant_curve(*pair("x", "x + y^2"))
         assert not disc.origin_only
-        assert format_mixed(disc.h) == "1*z1 - 1*z2"
         assert [format_mixed(c) for c in disc.components] == ["1*z1 - 1*z2"]
 
     def test_origin_only_pair(self):
         disc = discriminant_curve(*pair("x*y", "x"))
         assert disc.origin_only
-        assert disc.h is None and disc.components == ()
+        assert disc.components == ()
 
     def test_axes_pair(self):
         disc = discriminant_curve(*pair("x^2", "y^3"))
-        assert format_mixed(disc.h) == "1*z1*z2"
+        assert format_mixed(reduce(operator.mul, disc.components)) == "1*z1*z2"
         assert sorted(format_mixed(c) for c in disc.components) == ["1*z1", "1*z2"]
 
     def test_off_origin_component_excluded_but_reported(self):
@@ -133,9 +142,11 @@ class TestDiscriminantCurve:
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            PlaneCurve(h=None, origin_only=False)
+            PlaneCurve(origin_only=False)
         with pytest.raises(ValueError):
-            PlaneCurve(h=parse("u", UV), origin_only=True)
+            PlaneCurve(origin_only=True, components=(parse("u", UV),))
+        with pytest.raises(ValueError):
+            PlaneCurve(origin_only=True, non_line_factors=(parse("x^2 - y^3", XY),))
 
     @pytest.mark.parametrize(
         "f,g,crit_points",
@@ -148,10 +159,10 @@ class TestDiscriminantCurve:
     )
     def test_image_of_critical_points_lies_on_curve(self, f, g, crit_points):
         fp, gp = pair(f, g)
-        disc = discriminant_curve(fp, gp)
+        h = reduce(operator.mul, discriminant_curve(fp, gp).components)
         for z in crit_points:
             value = (fp.evaluate(z), gp.evaluate(z))
-            assert abs(disc.h.evaluate(value)) <= 1e-10
+            assert abs(h.evaluate(value)) <= 1e-10
 
 
 class TestGermLocalLines:
@@ -182,7 +193,7 @@ class TestGermLocalLines:
         assert time.perf_counter() - t0 < 1.0
         assert v.status == "isolated"
         disc = v.discriminant
-        assert disc.h is None and disc.non_line_factors and not disc.origin_only
+        assert disc.components == () and disc.non_line_factors and not disc.origin_only
         assert len(v.lines) == 0
 
     def test_lines_match_elimination_on_seeded_binomial_pairs(self, rng):
@@ -191,10 +202,10 @@ class TestGermLocalLines:
             f, g = (binomial(rng, PLANE_MONOMIALS, XY) for _ in range(2))
             if jacobian_det(f, g).is_zero:
                 continue
-            curve = discriminant_curve(f, g)
-            got = line_components(curve)
-            assert got == line_components(elimination_discriminant(f, g)), (f, g)
-            assert got == expr_line_components(curve), (f, g)
+            got = line_components(discriminant_curve(f, g))
+            h = elimination_discriminant(f, g)
+            assert got == expr_line_components(h), (f, g)
+            assert got == line_components(forms_curve(h)), (f, g)
             reports.append(got)
         # both verdicts occur in the draw
         assert any(r.has_slope_lines for r in reports)
@@ -205,7 +216,7 @@ class TestGermLocalLines:
             "x^3 - x^2*y + 2*x*y^2 - y^3", "3*x^3 + 2*x^2*y + 3*x*y^2 + 2*y^3"
         )
         got = line_components(discriminant_curve(f, g))
-        assert got == line_components(elimination_discriminant(f, g))
+        assert got == expr_line_components(elimination_discriminant(f, g))
         assert len(got) == 4 and all(c.kind == "slope" and not c.exact for c in got)
         assert len({c.minpoly for c in got}) == 1 and "a**4" in got.components[0].minpoly
 
@@ -370,7 +381,7 @@ class TestLineComponents:
         assert slope.slope_exact == ComplexRational(Fraction(1))
 
     def test_origin_only_curve_has_no_lines(self):
-        report = line_components(PlaneCurve(h=None, origin_only=True))
+        report = line_components(PlaneCurve(origin_only=True))
         assert len(report) == 0 and not report.has_slope_lines
 
     @pytest.mark.parametrize(
@@ -384,20 +395,19 @@ class TestLineComponents:
         ],
     )
     def test_curves_match_expression_reference(self, htext):
-        curve = curve_from(htext)
-        assert line_components(curve) == expr_line_components(curve)
+        assert line_components(curve_from(htext)) == expr_line_components(parse(htext, UV))
 
     def test_seeded_curves_match_expression_reference(self, rng):
         """Seeded h with up to four terms of degree <= 6, homogeneous or not."""
-        curves = []
-        while len(curves) < 40:
+        hs = []
+        while len(hs) < 40:
             exps = {tuple(int(e) for e in rng.integers(0, 4, size=2)) for _ in range(4)}
             htext = " + ".join(f"{rng.choice(COEFFS)}*u^{a}*v^{b}" for a, b in exps)
             h = parse(htext, UV)
             if h.total_degree() > 0:
-                curves.append(PlaneCurve(h=h, origin_only=False, components=(h,)))
-        reports = [line_components(c) for c in curves]
-        assert reports == [expr_line_components(c) for c in curves]
+                hs.append(h)
+        reports = [line_components(forms_curve(h)) for h in hs]
+        assert reports == [expr_line_components(h) for h in hs]
         assert any(r.has_slope_lines for r in reports)
         assert any(not c.exact for r in reports for c in r)
 
@@ -484,6 +494,18 @@ class TestIsolatedValueVerdict:
         v = isolated_value_verdict(*pair("x*y", "x"))
         assert v.status == "isolated" and v.route == "discriminant-curve"
         assert v.discriminant.origin_only
+
+    def test_unresolved_slope_polynomial_is_not_isolated(self):
+        # the one slope form has an irreducible degree-6 slope polynomial
+        f, g = pair("x^4 + 2*x^3*y - x*y^3 + 3*y^4", "x^4 - x^2*y^2 + 2*x*y^3 + y^4")
+        v = isolated_value_verdict(f, g)
+        assert v.status == "not-isolated" and v.route == "discriminant-curve"
+        assert v.witnesses == () and len(v.lines) == 0
+        (minpoly,) = v.lines.unresolved_slope_factors
+        assert minpoly.startswith("a**6 ")
+        assert v.lines == expr_line_components(elimination_discriminant(f, g))
+        tv = tube_verdict(from_pair(f, g), pair=(f, g))
+        assert (tv.tube_status, tv.tube_route) == ("no", "disc-lines")
 
     def test_containment_route(self):
         v = isolated_value_verdict(*pair("x^2 - z*y^2", "y", XYZ))

@@ -38,6 +38,9 @@ DISC_CASES = {
     "x2zy2-ybar": ("x2zy2-ybar",),
     "xz2y-xbar": ("xz2y-xbar",),
     "gaussian-xyz": ("--pair", "x*y + i*z^2", "x^2 - (1+2*i)*y*z", "--vars", "x,y,z"),
+    # one irreducible degree-6 slope polynomial: not isolated, no slope resolved
+    "unresolved-sextic": ("--pair", "x^4 + 2*x^3*y - x*y^3 + 3*y^4",
+                          "x^4 - x^2*y^2 + 2*x*y^3 + y^4", "--vars", "x,y"),
 }
 
 CASES = {f"analyze-{name}": ("analyze", name) for name in ANALYZE_FIXTURES}
