@@ -49,6 +49,7 @@ from .parsing import (
 from .polar import PolarSolution, PolarWeights, solve_polar
 from .thomprobe import (
     CurveGerm,
+    CurveProbe,
     NormalFamily,
     ProbeResult,
     Stratum,
@@ -77,6 +78,7 @@ __all__ = [
     "PolarWeights",
     "solve_polar",
     "CurveGerm",
+    "CurveProbe",
     "NormalFamily",
     "ProbeResult",
     "Stratum",

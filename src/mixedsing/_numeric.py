@@ -25,7 +25,6 @@ __all__ = [
     "compile_hessian",
     "realify",
     "unrealify",
-    "real_span_basis",
     "RANK_RTOL",
     "NormalPlane",
     "normal_plane",
@@ -122,21 +121,6 @@ def unrealify(r: np.ndarray) -> np.ndarray:
     return r[..., :n] + 1j * r[..., n:]
 
 
-def real_span_basis(vectors, rtol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (rows, R^{2n}) of the real span of complex vectors.
-
-    Rank is decided by singular values relative to the largest; an all-zero
-    input yields a (0, 2n) basis.
-    """
-    M = np.stack([realify(np.asarray(v, dtype=complex)) for v in vectors])
-    scale = np.abs(M).max()
-    if scale == 0.0 or not np.isfinite(scale):
-        return np.zeros((0, M.shape[1]))
-    _, s, vt = np.linalg.svd(M / scale, full_matrices=False)
-    rank = int((s > s[0] * rtol).sum()) if s.size and s[0] > 0 else 0
-    return vt[:rank]
-
-
 # frame vectors are exact products evaluated in floats, so the rank cut can sit
 # near machine precision; a cut at 1e-9 would collapse the plane of an
 # asymmetric frame (|a| >> |b|), where the Milnor certificate still holds
@@ -167,7 +151,7 @@ def normal_plane(a: np.ndarray, b: np.ndarray) -> NormalPlane:
     """Batched normal plane of the frames a, b (..., n); see NormalPlane.
 
     Each frame is divided by max(|a|, |b|), then by its largest realified
-    entry as real_span_basis does, before the SVD; s is returned unscaled.
+    entry, before the SVD; s is returned unscaled.
     A zero or non-finite frame has rank 0 and s of nan.
     """
     scale = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))[..., None]

@@ -1,7 +1,7 @@
 """Command-line front end: fixture analysis and JSON reports.
 
 Commands: analyze, wirtinger, polar, disc, thom-probe, list-fixtures.
-Every command emits a single JSON document (schema 7) on stdout or --out;
+Every command emits a single JSON document (schema 8) on stdout or --out;
 reruns with the same seed are byte-identical.  The input is exactly one of
 a fixture name, --expr or --pair; the last two need --vars.  No flag
 changes a verdict: the polar search, in particular, has no bound to set,
@@ -45,7 +45,7 @@ from .thomprobe import (
     thom_test,
 )
 
-SCHEMA = 7
+SCHEMA = 8
 
 
 # serialization helpers ----------------------------------------------------------
@@ -154,35 +154,10 @@ def _input_echo(fixture, F, pair, variables) -> dict:
 # section builders ---------------------------------------------------------------
 
 
-def _probe_sections(F, strata, curves, *, seed):
-    probes = []
-    rows = []
-    for stratum in strata:
-        used = curves or default_curve_battery(stratum.base_point, seed=seed)
-        probe = thom_test(F, stratum, curves=used)
-        probes.append(probe)
-        rows.append(
-            {
-                "stratum": stratum.label or "stratum",
-                "base_point": stratum.base_point,
-                "verdict": probe.verdict,
-                "reason": probe.reason,
-                "worst_projection": probe.projection,
-                "witness": probe.witness,
-                "curves": [
-                    {
-                        "curve": curve.label,
-                        "verdict": p.verdict,
-                        "reason": p.reason,
-                        "projection": p.projection,
-                        "limit_plane": p.limit_plane,
-                        "plucker": p.plucker,
-                    }
-                    for curve, p in zip(used, probe.per_curve)
-                ],
-            }
-        )
-    return probes, rows
+def _thom_probes(F, strata, curves, *, seed):
+    """One thom_test per stratum, on the given curves or its seeded battery."""
+    return tuple(thom_test(F, s, curves=curves or default_curve_battery(s.base_point, seed=seed))
+                 for s in strata)
 
 
 def _discriminant_section(v):
@@ -239,15 +214,15 @@ def _cmd_analyze(args) -> int:
     fixture, F, pair, _ = loaded
     strata, curves = _probe_inputs(args, fixture)
     polar = solve_polar(F)
-    probes, probe_rows = _probe_sections(F, strata, curves, seed=args.seed)
-    verdict = tube_verdict(F, pair=pair, polar=polar, probes=tuple(probes))
+    probes = _thom_probes(F, strata, curves, seed=args.seed)
+    verdict = tube_verdict(F, pair=pair, polar=polar, probes=probes)
     report = _report(
         "analyze",
         loaded,
         seed=args.seed,
         polar=polar.as_report(),
         discriminant=_discriminant_section(verdict),
-        thom_probes=probe_rows,
+        thom_probes=probes,
         verdict=_verdict_section(verdict),
         expected=fixture.expect if fixture else None,
     )
@@ -300,14 +275,8 @@ def _cmd_thom_probe(args) -> int:
     strata, curves = _probe_inputs(args, fixture)
     if not strata:
         raise ParseError(0, "thom-probe needs at least one stratum")
-    _, rows = _probe_sections(F, strata, curves, seed=args.seed)
-    report = _report(
-        "thom-probe",
-        loaded,
-        seed=args.seed,
-        thom_probes=rows,
-    )
-    _emit(report, args.out)
+    probes = _thom_probes(F, strata, curves, seed=args.seed)
+    _emit(_report("thom-probe", loaded, seed=args.seed, thom_probes=probes), args.out)
     return 0
 
 
@@ -324,6 +293,15 @@ def _add_input_flags(p):
     p.add_argument("--out", help="write the JSON report to this file")
 
 
+def _add_probe_flags(p):
+    p.add_argument("--stratum", action="append",
+                   help="stratum 'base = (...); tangent = (...), (...); label = ...'")
+    p.add_argument("--curve", action="append",
+                   help="probe curve components, e.g. 't, 1, 0'")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seeds the Thom curve battery")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mixedsing",
@@ -334,11 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline: polar, discriminant, Thom probes, verdict")
     _add_input_flags(p)
-    p.add_argument("--stratum", action="append",
-                   help="stratum 'base = (...); tangent = (...), (...); label = ...'")
-    p.add_argument("--curve", action="append",
-                   help="probe curve components, e.g. 't, 1, 0'")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_probe_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("wirtinger", help="both Wirtinger gradients and the normal family")
@@ -355,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thom-probe", help="limit normal planes against strata")
     _add_input_flags(p)
-    p.add_argument("--stratum", action="append")
-    p.add_argument("--curve", action="append")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_probe_flags(p)
     p.set_defaults(func=_cmd_thom_probe)
 
     p = sub.add_parser("list-fixtures", help="names of bundled fixtures")

@@ -22,28 +22,27 @@ fails exactly when the contraction iota_tau L is nonzero.
 So a per-curve verdict ("compatible", "fail-witness", "inconclusive") is
 decided by exact algebra, and a fail witness is a proof of Thom
 irregularity along that curve.  "compatible" over a finite battery of
-curves is still only evidence.  The witness's mu and the reported limit
-plane basis and projection are floats, derived from the exact data.
+curves is still only evidence.  The limit plane is reported exactly; the
+witness's mu and direction and the projection norms are floats from it.
 
 Exact scalar work runs on the ring's elements: curve coefficients and
-stratum tangents enter QQ_I through core._gaussian, and L, its contractions
-and the rank check are QQ.  ComplexRational and Fraction appear only in
-the public fields (CurveGerm, Stratum, ProbeResult.plucker).
+stratum tangents enter QQ_I through core._gaussian, and L, its contractions,
+the plane's basis and the projection's 2x2 matrix are QQ.  ComplexRational
+and Fraction appear only in the public fields (CurveGerm, Stratum, CurveProbe).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from ._numeric import real_span_basis, unrealify
 from .core import ComplexRational, MixedPolynomial, _from_gaussian, _gaussian, complex_point
 from .parsing import format_scalar
 
@@ -51,6 +50,7 @@ __all__ = [
     "NormalFamily",
     "CurveGerm",
     "Stratum",
+    "CurveProbe",
     "ProbeResult",
     "normal_family_symbolic",
     "default_curve_battery",
@@ -98,6 +98,12 @@ def _exact(x):
 def _realify_exact(v) -> list:
     """A vector of QQ_I elements in QQ^(2n): real parts, then imaginary parts."""
     return [c.x for c in v] + [c.y for c in v]
+
+
+def _unrealify_exact(r) -> tuple[ComplexRational, ...]:
+    """Inverse of _realify_exact, as ComplexRational values."""
+    n = len(r) // 2
+    return tuple(_from_gaussian(QQ_I.dtype.new(x, y)) for x, y in zip(r[:n], r[n:]))
 
 
 @dataclass(frozen=True)
@@ -163,31 +169,52 @@ class Stratum:
         if DomainMatrix(rows, (len(rows), 2 * len(base)), QQ).rank() != len(tang):
             raise ValueError("tangent vectors must be linearly independent over R")
 
-    def tangent_basis(self) -> np.ndarray:
-        return real_span_basis([[complex(w) for w in v] for v in self.tangent])
+
+@dataclass(frozen=True)
+class CurveProbe:
+    """The exact limit normal plane along one curve, checked against a stratum.
+
+    plucker is the plane's Plucker vector L, one coordinate per pair i < j
+    of realified coordinates (lexicographic); limit_plane its unique reduced
+    row echelon basis over QQ, each realified row as n Gaussian rationals.
+    verdict is "fail-witness" when iota_tau L != 0 for a stratum tangent
+    tau, else "compatible"; "inconclusive", with no plane, when the curve
+    lies in the critical locus.  projection is the spectral norm of the
+    orthogonal projection of the stratum's real tangent space onto the
+    plane.  witness holds the curve label, the unit mu selecting the failing
+    normal direction, that direction and projection.
+    """
+
+    curve: str
+    verdict: str
+    reason: str
+    plucker: tuple[Fraction, ...] | None = None
+    limit_plane: tuple[tuple[ComplexRational, ...], ...] | None = None
+    projection: float | None = None
+    witness: dict | None = None
+
+    @property
+    def plane_dims(self) -> tuple[int, ...]:
+        """(2,) when a limit plane exists, () when the curve is critical."""
+        return () if self.limit_plane is None else (2,)
 
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of a limit normal plane probe (optionally against a stratum).
+    """A stratified Thom test: the stratum, its verdict and each curve's probe.
 
-    verdict is "compatible", "fail-witness" or "inconclusive".  plucker is
-    the exact Plucker vector L of the limit plane, one coordinate per pair
-    i < j of realified coordinates (lexicographic), and limit_plane a float
-    orthonormal basis of the same plane; plane_dims is (2,) when a limit
-    plane exists and () when the curve lies in the critical locus.  For a
-    stratified test, witness carries the offending curve label, the unit mu
-    selecting the failing normal direction, and that direction itself.
+    verdict is "fail-witness" when some curve is, "compatible" (evidence
+    only) when every curve is, and "inconclusive" otherwise.  projection is
+    the largest projection over the curves (None when no curve has a limit
+    plane), and witness the first fail-witness curve's witness.
     """
 
+    stratum: Stratum
     verdict: str
-    limit_plane: tuple[tuple[complex, ...], ...] | None
-    plane_dims: tuple[int, ...]
-    reason: str = ""
-    witness: dict | None = None
-    per_curve: tuple["ProbeResult", ...] = field(default=())
-    projection: float | None = None
-    plucker: tuple[Fraction, ...] | None = None
+    reason: str
+    projection: float | None
+    witness: dict | None
+    per_curve: tuple[CurveProbe, ...]
 
 
 def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
@@ -246,42 +273,67 @@ def _limit_mu(A, B, d) -> complex:
     return mu / abs(mu)
 
 
-def _probe_curve(family, curve, label, tangents=(), T=None) -> ProbeResult:
+def _plane_basis(L, dim) -> DomainMatrix:
+    """The unique reduced row echelon basis over QQ of the plane with
+    Plucker vector L.  L = u ^ v is decomposable, so iota_{e_r} L is
+    u_r v - v_r u; at L's first nonzero coordinate (i, j) the rows for
+    r = i, j span the plane, since their wedge is L_ij L."""
+    i, j = next(ij for ij, c in zip(itertools.combinations(range(dim), 2), L) if c)
+    rows = [_contract(L, [QQ.one if k == r else QQ.zero for k in range(dim)]) for r in (i, j)]
+    return DomainMatrix(rows, (2, dim), QQ).rref()[0]
+
+
+def _projection(B: DomainMatrix, tangents) -> float:
+    """Spectral norm of the orthogonal projection of the span of the real
+    tangent rows T onto the span of the rows of B; only the last step is float.
+
+    With G = B B^T, H = T T^T and the orthonormal bases Q = G^(-1/2) B and
+    P = H^(-1/2) T, the norm squared is the largest eigenvalue of
+    Q P^T P Q^T = YX for X = G^(-1/2), Y = G^(-1/2) (B T^T) H^-1 (T B^T).
+    XY and YX have the same eigenvalues, so W = XY, 2x2 over QQ, has real
+    nonnegative ones, and the largest is (tr W + sqrt(tr^2 - 4 det W)) / 2.
+    """
+    T = DomainMatrix(tangents, (len(tangents), B.shape[1]), QQ)
+    BT = B * T.transpose()
+    W = (B * B.transpose()).inv() * BT * (T * T.transpose()).inv() * BT.transpose()
+    (w00, w01), (w10, w11) = W.to_list()
+    tr, det = w00 + w11, w00 * w11 - w01 * w10
+    return sqrt((float(tr) + sqrt(float(tr * tr - 4 * det))) / 2)
+
+
+def _probe_curve(family, curve, label, tangents=()) -> CurveProbe:
     """Exact limit plane along one curve, checked against realified stratum
     tangents: the first tau with iota_tau L != 0 makes a fail witness."""
     A, B = _frame_along(family, curve)
     P = [A[i] * B[j] - A[j] * B[i] for i, j in itertools.combinations(range(len(A)), 2)]
     m = _lowest_order(P)
     if m is None:
-        return ProbeResult("inconclusive", None, (), reason="frame degenerate along the "
-                           "whole curve: every Plucker coordinate vanishes, so the curve "
-                           "lies in the critical locus")
+        return CurveProbe(label, "inconclusive", "frame degenerate along the whole curve: "
+                          "every Plucker coordinate vanishes, so the curve lies in the "
+                          "critical locus")
     L = [p.get((m,), QQ.zero) for p in P]
-    M = np.zeros((len(A), len(A)))
-    for (i, j), c in zip(itertools.combinations(range(len(A)), 2), L):
-        M[i, j], M[j, i] = c, -c
-    Q = np.linalg.svd(M)[2][:2]  # an orthonormal basis of the row space of L
-    plucker = tuple(Fraction(int(c.numerator), int(c.denominator)) for c in L)
-    result = ProbeResult("compatible", tuple(map(tuple, unrealify(Q))), (2,), plucker=plucker,
-                         reason=f"limit plane from t^{m}", projection=0.0)
+    basis = _plane_basis(L, len(A))
+    result = CurveProbe(label, "compatible", f"limit plane from t^{m}",
+                        plucker=tuple(Fraction(int(c.numerator), int(c.denominator)) for c in L),
+                        limit_plane=tuple(map(_unrealify_exact, basis.to_list())), projection=0.0)
     w = next((w for w in (_contract(L, tau) for tau in tangents) if any(w)), None)
     if w is None:
         return result
     # -iota_w L / |L|^2 is the orthogonal projection of tau onto the limit plane
     norm2 = sum((c * c for c in L), QQ.zero)
     d = [-c / norm2 for c in _contract(L, w)]
-    proj = float(np.linalg.norm(Q @ T.T, 2))
+    proj = _projection(basis, tangents)
     witness = {
         "curve": label,
         "mu": _limit_mu(A, B, d),
-        "direction": tuple(complex(x) for x in unrealify(np.array(d, dtype=float))),
+        "direction": tuple(map(complex, _unrealify_exact(d))),
         "projection": proj,
     }
     return replace(result, verdict="fail-witness", witness=witness, projection=proj,
                    reason=f"limit plane from t^{m} meets the stratum tangent")
 
 
-def limit_normal_plane(F: MixedPolynomial, curve: CurveGerm) -> ProbeResult:
+def limit_normal_plane(F: MixedPolynomial, curve: CurveGerm) -> CurveProbe:
     """The exact limit of the normal 2-plane of F along a curve as t -> 0+.
 
     "compatible", with the limit plane, when some Plucker coordinate of the
@@ -330,14 +382,8 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
 
     curves defaults to the battery seeded with DEFAULT_SEED; a caller that
     wants another seed passes default_curve_battery(base, seed=...).  Every
-    curve must start at the stratum's base point (ValueError
-    otherwise).  A curve is a "fail-witness" when its exact limit plane L
-    has iota_tau L != 0 for some stratum tangent tau, "compatible" when
-    iota_tau L = 0 for every tangent, and "inconclusive" when it lies in the
-    critical locus.  The stratum is "fail-witness" when some curve is,
-    "compatible" (evidence only) when every curve is, and "inconclusive"
-    otherwise.  projection is the largest projection norm of a unit stratum
-    tangent onto a limit plane (None when no curve has one).
+    curve must start at the stratum's base point (ValueError otherwise).
+    See CurveProbe and ProbeResult for the verdicts.
     """
     if len(stratum.base_point) != F.n_vars:
         raise ValueError("stratum arity does not match the polynomial")
@@ -345,8 +391,7 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
         curves = default_curve_battery(stratum.base_point)
     family = normal_family_symbolic(F)
     tangents = [_realify_exact([_gaussian(w) for w in v]) for v in stratum.tangent]
-    T = stratum.tangent_basis()
-    per: list[ProbeResult] = []
+    per: list[CurveProbe] = []
     for idx, curve in enumerate(curves):
         _check_curve_arity(F, curve)
         label = curve.label or f"curve[{idx}]"
@@ -355,7 +400,7 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
                            for p in (curve.base_point(), stratum.base_point))
             raise ValueError(f"curve {label!r} starts at ({start}), not at the "
                              f"stratum base point ({base})")
-        per.append(_probe_curve(family, curve, label, tangents, T))
+        per.append(_probe_curve(family, curve, label, tangents))
     witness = next((p.witness for p in per if p.witness is not None), None)
     critical = sum(p.verdict == "inconclusive" for p in per)
     if witness is not None:
@@ -366,12 +411,5 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
         verdict = "inconclusive"
         reason = f"{critical} of {len(per)} curves lie in the critical locus" if per \
             else "no probe curves"
-    return ProbeResult(
-        verdict=verdict,
-        limit_plane=None,
-        plane_dims=(),
-        reason=reason,
-        witness=witness,
-        per_curve=tuple(per),
-        projection=max((p.projection for p in per if p.projection is not None), default=None),
-    )
+    projection = max((p.projection for p in per if p.projection is not None), default=None)
+    return ProbeResult(stratum, verdict, reason, projection, witness, tuple(per))

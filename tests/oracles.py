@@ -15,6 +15,7 @@ from math import gcd
 import numpy as np
 import sympy as sp
 
+from mixedsing._numeric import realify
 from mixedsing.core import ComplexRational, MixedPolynomial
 
 
@@ -500,6 +501,22 @@ def _from_expr(expr, zs, ws) -> MixedPolynomial:
 
 
 # ---- float normal-plane tracker for limit planes along curves -------------------
+
+
+def real_span_basis(vectors, rtol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis (rows, R^{2n}) of the real span of complex vectors.
+
+    Rank is decided by singular values relative to the largest; an all-zero
+    input yields a (0, 2n) basis.  The reference for _numeric.normal_plane,
+    and the float basis the exact limit planes are checked against.
+    """
+    M = np.stack([realify(np.asarray(v, dtype=complex)) for v in vectors])
+    scale = np.abs(M).max()
+    if scale == 0.0 or not np.isfinite(scale):
+        return np.zeros((0, M.shape[1]))
+    _, s, vt = np.linalg.svd(M / scale, full_matrices=False)
+    rank = int((s > s[0] * rtol).sum()) if s.size and s[0] > 0 else 0
+    return vt[:rank]
 
 
 def grassmann_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:

@@ -2,10 +2,11 @@
 
 bench/spans.TRACED wraps functions by (module, attribute), and
 Tracer.installed() looks each one up with no default, so a renamed or
-deleted function breaks every traced run.  bench/worker.py and bench/run.py
-call the package through its top-level exports, and bench/run.py reads
-analyze reports by key.  These tests read bench/ as it stands and check
-that every such name and key still resolves.
+deleted function breaks every traced run, and its counters read fields
+off the returned objects.  bench/worker.py and bench/run.py call the
+package through its top-level exports, and bench/run.py reads analyze
+reports by key.  These tests read bench/ as it stands and check that every
+such name, field and key still resolves.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import mixedsing
 import mixedsing.cli  # noqa: F401  (loads every module TRACED names)
-from mixedsing.fixtures import fixture_names
+from mixedsing.fixtures import fixture_names, load_all
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -73,6 +74,30 @@ def test_tracer_installs_and_restores():
             assert _resolve(mod_name, attr) is not original, f"{mod_name}.{attr} not wrapped"
     for (mod_name, attr), original in originals.items():
         assert _resolve(mod_name, attr) is original, f"{mod_name}.{attr} not restored"
+
+
+def test_traced_runs_carry_their_counts(capsys):
+    """analyze on every fixture and disc on every pair fixture exit 0 under
+    the installed tracer, and every span whose TRACED entry has a counter
+    carries its counts, so a renamed result field fails here and not only
+    in a traced bench run."""
+    counted = {f"{m.rsplit('.', 1)[1]}.{a}" for m, a, _layer, counter in spans.TRACED if counter}
+    fixtures = load_all()
+    runs = [("analyze", fx.name) for fx in fixtures]
+    runs += [("disc", fx.name) for fx in fixtures if fx.pair is not None]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for argv in runs:
+            assert mixedsing.cli.main(list(argv)) == 0, (argv, capsys.readouterr().out)
+            capsys.readouterr()
+    assert None not in tracer.spans  # every span was closed
+    for span in tracer.spans:
+        if span["name"] in counted:
+            assert span["counts"], span["name"]
+    assert {s["name"] for s in tracer.spans} >= {
+        "thomprobe.thom_test", "polar.solve_polar", "discgeom.isolated_value_verdict",
+        "discgeom.line_components", "core.from_pair", "parsing.parse",
+    }
 
 
 def test_bench_scripts_call_exported_names():

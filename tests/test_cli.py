@@ -107,7 +107,7 @@ def test_fixture_expectations(name, capsys):
     """Every expect line in the corpus holds against a fresh analyze run."""
     code, report = run_json(capsys, "analyze", name)
     assert code == 0
-    assert report["schema"] == 7
+    assert report["schema"] == 8
     failures = []
     for key, want in load_fixture(name).expect.items():
         got = expected_value(report, key)
@@ -141,7 +141,7 @@ def test_every_fixture_gives_a_report_or_an_input_error(command, capsys):
     for name in ALL_FIXTURES:
         code, rep = run_json(capsys, command, name)
         codes[name] = code
-        assert rep["schema"] == 7
+        assert rep["schema"] == 8
         if code == 2:
             assert rep["error"]["type"] == "parse", rep
     assert codes == {name: 2 if (command, name) in REFUSED else 0 for name in ALL_FIXTURES}
@@ -313,8 +313,10 @@ class TestSubcommands:
         assert code == 0
         probe = rep["thom_probes"][0]
         assert probe["verdict"] == "fail-witness"
-        assert probe["stratum"] == "y-axis"
+        assert probe["stratum"]["label"] == "y-axis"
         assert probe["witness"]["projection"] > 0.9
+        assert len(probe["per_curve"]) == 9  # the seeded battery of two variables
+        assert probe["per_curve"][0]["witness"] == probe["witness"]
 
     def test_list_fixtures(self, capsys):
         code, rep = run_json(capsys, "list-fixtures")
@@ -380,8 +382,10 @@ class TestErrorContract:
         assert code == 0
         probe = rep["thom_probes"][0]
         assert probe["verdict"] == "fail-witness"
-        assert [c["verdict"] for c in probe["curves"]] == ["fail-witness", "inconclusive"]
-        assert probe["curves"][1]["projection"] is None and probe["worst_projection"] > 0.9
+        assert [c["verdict"] for c in probe["per_curve"]] == ["fail-witness", "inconclusive"]
+        assert probe["per_curve"][1]["projection"] is None and probe["projection"] > 0.9
+        assert probe["per_curve"][0]["limit_plane"] == [["1", "0"], ["0", "i"]]
+        assert probe["per_curve"][1]["limit_plane"] is None
 
     def test_curve_without_stratum_names_the_flag(self, capsys):
         code, rep = run_json(
@@ -447,6 +451,17 @@ class TestErrorContract:
             main(list(argv))
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "thom-probe"])
+    def test_probe_flags_have_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, help_text in (("--stratum STRATUM", "stratum 'base = (...);"),
+                                ("--curve CURVE", "probe curve components"),
+                                ("--seed SEED", "seeds the Thom curve battery")):
+            assert f"{flag} {help_text}" in text, flag
 
     @pytest.mark.parametrize("command", ["milnor-scan", "shear"])
     def test_scan_and_shear_commands_are_gone(self, capsys, command):

@@ -1,10 +1,11 @@
 """Report bytes pinned against checked-in golden files.
 
-The files under tests/golden/ hold the input, polar, discriminant and
-verdict sections of `analyze` for every fixture, and the whole `disc` report
-for the pair fixtures and one Gaussian three-variable pair.  A change that
-moves a verdict, a line, a Groebner basis or a float digit shows up here as
-a byte difference.
+The files under tests/golden/ hold the input, polar, discriminant,
+thom_probes and verdict sections of `analyze` for every fixture, and the
+whole `disc` report for the pair fixtures and two more pairs.  A change
+that moves a verdict, a line, a Groebner basis, a limit plane or a float
+digit shows up here as a byte difference, and so does a float that depends
+on the BLAS kernel when the tests run under another OPENBLAS_CORETYPE.
 
 Regenerate (only when a report change is intended) with
 
@@ -29,7 +30,7 @@ ANALYZE_FIXTURES = (
     "xy-xbar",
     "xz2y-xbar",
 )
-ANALYZE_SECTIONS = ("input", "polar", "discriminant", "verdict")
+ANALYZE_SECTIONS = ("input", "polar", "discriminant", "thom_probes", "verdict")
 
 DISC_CASES = {
     "separate-x2-y3": ("separate-x2-y3",),

@@ -1,5 +1,6 @@
 """Normal families, exact limit planes along curves, and the stratified probe."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,11 +19,10 @@ from mixedsing import (
     parse,
     thom_test,
 )
-from mixedsing._numeric import RANK_RTOL, compile_frame, normal_plane, real_span_basis
-from mixedsing._numeric import realify, unrealify
+from mixedsing._numeric import RANK_RTOL, compile_frame, normal_plane, realify, unrealify
 from mixedsing.fixtures import load_all, load_fixture
 from oracles import curve_at, grassmann_distance, least_squares_mu, random_mixed
-from oracles import track_normal_plane
+from oracles import real_span_basis, track_normal_plane
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -53,6 +53,11 @@ def wedge(u, v):
     v = [c.re for c in v] + [c.im for c in v]
     return tuple(u[i] * v[j] - u[j] * v[i]
                  for i, j in itertools.combinations(range(len(u)), 2))
+
+
+def orthonormal(vectors):
+    """A float orthonormal row basis of the real span of exact complex vectors."""
+    return real_span_basis([[complex(w) for w in v] for v in vectors])
 
 
 def proportional(L, M):
@@ -258,9 +263,8 @@ class TestLimitPlane:
         assert probe.reason == "limit plane from t^3"
         assert probe.plane_dims == (2,)
         assert proportional(probe.plucker, wedge((cr(1), cr(0)), (cr(0), cr(0, 1))))
-        Q = np.stack([realify(np.asarray(v)) for v in probe.limit_plane])
         ref = np.stack([realify(np.array([1, 0j])), realify(np.array([0, 1j]))])
-        assert grassmann_distance(Q, ref) <= 1e-12
+        assert grassmann_distance(orthonormal(probe.limit_plane), ref) <= 1e-12
 
     def test_degenerate_frame_is_inconclusive(self):
         probe = limit_normal_plane(XYXBAR, curve([], [(1, 1)]))
@@ -334,7 +338,7 @@ class TestThomTest:
         T = np.stack([realify(np.array(v, dtype=complex)) for v in Z_AXIS_3.tangent])
         for probe in result.per_curve:
             assert probe.limit_plane is not None
-            Q = np.stack([realify(np.asarray(v)) for v in probe.limit_plane])
+            Q = orthonormal(probe.limit_plane)
             # projection of each tangent direction onto the limit plane
             assert np.linalg.norm(Q @ T.T, 2) <= 1e-6
 
@@ -418,6 +422,67 @@ TRANSFORMS = {
 }
 
 
+@functools.cache
+def exact_plane_probes():
+    """(fixture name, stratum, curve probe) over every fixture stratum's own
+    curves and its batteries of seeds 1 and 2."""
+    out = []
+    for fx in load_all():
+        for stratum in fx.strata:
+            for curves in (fx.curves, *(default_curve_battery(stratum.base_point, seed=seed)
+                                        for seed in (1, 2))):
+                if curves:
+                    out += [(fx.name, stratum, p)
+                            for p in thom_test(fx.expression, stratum, curves=curves).per_curve]
+    return out
+
+
+def is_rref(rows):
+    """Nonzero rows in reduced row echelon form: each leads with a 1, the
+    pivots increase, and every other row is 0 in a pivot's column."""
+    pivots = [next((k for k, x in enumerate(r) if x), None) for r in rows]
+    return None not in pivots and pivots == sorted(set(pivots)) and all(
+        rows[a][p] == (a == b) for b, p in enumerate(pivots) for a in range(len(rows)))
+
+
+class TestExactPlane:
+    def test_rref_check(self):
+        assert is_rref([[1, 0, 2], [0, 1, 3]])
+        assert not is_rref([[1, 1, 2], [0, 1, 3]])
+        assert not is_rref([[0, 1, 3], [1, 0, 2]])
+        assert not is_rref([[2, 0, 2], [0, 1, 3]])
+        assert not is_rref([[1, 0, 2], [0, 0, 0]])
+
+    def test_limit_plane_is_the_rref_basis(self):
+        planes = [p.limit_plane for _, _, p in exact_plane_probes() if p.limit_plane is not None]
+        for plane in planes:
+            assert len(plane) == 2
+            assert is_rref([[c.re for c in v] + [c.im for c in v] for v in plane]), plane
+        # no curve here is critical: polar-k2, polar-k3 and xz2y-xbar have one
+        # curve and two 27-curve batteries, separate-x2-y3 two 9-curve
+        # batteries, x2zy2-ybar two of 27, xy-xbar one curve and two of 9
+        assert len(planes) == 3 * (1 + 2 * 27) + 2 * 9 + 2 * 27 + (1 + 2 * 9)
+
+    def test_basis_wedge_is_the_plucker_vector(self):
+        for name, _, p in exact_plane_probes():
+            assert (p.limit_plane is None) == (p.plucker is None) == (p.plane_dims == ())
+            if p.limit_plane is not None:
+                assert proportional(wedge(*p.limit_plane), p.plucker), (name, p.curve)
+
+    def test_witness_projection_matches_the_float_bases(self):
+        """The exact 2x2 eigenvalue formula against the spectral norm of
+        Q T^T for float orthonormal bases Q of the plane, T of the tangents."""
+        compared = 0
+        for name, stratum, p in exact_plane_probes():
+            if p.verdict != "fail-witness":
+                continue
+            want = np.linalg.norm(orthonormal(p.limit_plane) @ orthonormal(stratum.tangent).T, 2)
+            assert abs(p.projection - want) <= 1e-12, (name, p.curve)
+            assert p.witness["projection"] == p.projection
+            compared += 1
+        assert compared == 136
+
+
 class TestExactLimit:
     def test_xy_xbar_battery_fails_with_the_hand_derived_plane(self):
         """Along (w1 t^a, 1 + w2 t^b) the frame's Plucker vector starts at
@@ -461,7 +526,7 @@ class TestExactLimit:
                     if Q is None or min(ratios) < 1e-6:
                         continue
                     exact = limit_normal_plane(fx.expression, c)
-                    E = np.stack([realify(np.asarray(v)) for v in exact.limit_plane])
+                    E = orthonormal(exact.limit_plane)
                     assert grassmann_distance(Q, E) <= 1e-6, (fx.name, c.label)
                     compared += 1
         assert compared >= 40
