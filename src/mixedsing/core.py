@@ -9,19 +9,22 @@ Treating z and zbar as independent coordinates makes F a polynomial map
 R^{2n} -> R^2, and the two Wirtinger gradients (d/dz_j and d/dzbar_j)
 carry all first-order real information.
 
-Polynomials live in sympy's sparse polynomial ring over the Gaussian
-rationals QQ_I, in 2n generators z1..zn, z1~..zn~, and ring arithmetic does
-the symbolic work.  The three hot operations avoid sympy's per-coefficient
-conversions: powers clear denominators once and follow sympy's own power
-dispatch on plain (re, im) integer pairs, Wirtinger gradients scale
-coefficient parts by exponents directly, and f * conj(g) is an outer product
-of cleared-denominator integer pairs.  Each returns exactly the element
-sympy's generic path would.
+A polynomial is stored cleared: one positive common denominator d and a
+dict {monom: (re, im)} of Gaussian integers, monom being the 2n exponents
+of z1..zn, z1~..zn~, so that each coefficient is (re + im*i) / d.  The
+store is canonical (d and all parts have gcd 1, no zero pair), so == and
+hash compare stored values.  All arithmetic runs on Python ints: sums over
+the lcm of the denominators, products and powers (square, cube,
+multinomial, square-and-multiply) on the pairs, Wirtinger gradients by
+scaling parts with exponents, and f * conj(g) as an outer product.  The
+dict's order is never read: the term view sorts by descending graded-lex
+order on (nu, mu), and the printer reads the term view.
 
-Scalars are ring elements too.  ComplexRational is the public exact value
-and carries no arithmetic: _gaussian maps an int, Fraction or
-ComplexRational into QQ_I, and _from_gaussian maps a QQ_I element back out.
-The ExponentPair/ComplexRational term view is built through it on demand.
+Scalars are ComplexRational values, which carry no arithmetic: _gaussian
+admits an int, Fraction or ComplexRational, and the ExponentPair/
+ComplexRational term view is built on demand.  The module also holds the
+one exact Gauss-Jordan routine over Q (_rref) that the polar solver and
+the Thom probes share.
 
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
@@ -35,14 +38,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-
-import sympy as sp
-from sympy.ntheory.multinomial import multinomial_coefficients
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyRing, ring
 
 __all__ = [
     "ComplexRational",
@@ -56,7 +54,8 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class ComplexRational:
     """A Gaussian rational re + im*i with auto-reduced Fraction parts: a
-    plain value with no arithmetic (exact scalar work runs in QQ_I)."""
+    plain value with no arithmetic (exact scalar work runs on Fractions and
+    cleared integer pairs)."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -94,60 +93,86 @@ class ComplexRational:
 CR_I = ComplexRational(Fraction(0), Fraction(1))
 
 
-def _gaussian(x):
-    """An int, Fraction or ComplexRational as an element of QQ_I."""
+def _gaussian(x) -> ComplexRational:
+    """An int, Fraction or ComplexRational as a ComplexRational: the one way
+    a scalar enters exact arithmetic (TypeError for anything else)."""
     if isinstance(x, ComplexRational):
-        re, im = x.re, x.im
-        q = QQ.dtype
-        return QQ_I.dtype.new(q(re.numerator, re.denominator), q(im.numerator, im.denominator))
+        return x
     if isinstance(x, (int, Fraction)):
-        return QQ_I.dtype.new(QQ.dtype(x.numerator, x.denominator), QQ.zero)
+        return ComplexRational._trusted(Fraction(x), Fraction(0))
     raise TypeError(f"expected int, Fraction or ComplexRational, got {type(x).__name__}")
 
 
-def _from_gaussian(c) -> ComplexRational:
-    """A QQ_I element as a ComplexRational."""
-    return ComplexRational._trusted(
-        Fraction(int(c.x.numerator), int(c.x.denominator)),
-        Fraction(int(c.y.numerator), int(c.y.denominator)),
-    )
+def _grlex(m: tuple[int, ...]) -> tuple:
+    """The graded-lex key of an exponent tuple: total degree, then lex."""
+    return sum(m), m
 
 
 @cache
-def _ring(n_vars: int) -> PolyRing:
-    """QQ_I[z1..zn, z1~..zn~] in graded-lex order, the canonical term order."""
-    names = [f"z{j + 1}" for j in range(n_vars)] + [f"z{j + 1}~" for j in range(n_vars)]
-    return ring([sp.Symbol(s) for s in names], QQ_I, order=grlex)[0]
+def _monomial_ops(k: int):
+    """(mul, div, lcm) on exponent tuples of length k, unrolled as sympy's
+    MonomialOps writes them; about three times as fast as loops over zip in
+    the kernels' inner loops.  div(a, b) is None when b does not divide a."""
+    js = range(k)
+
+    def tup(fmt: str) -> str:
+        return "(" + "".join(fmt.format(j=j) + ", " for j in js) + ")"
+
+    head = f"(A, B):\n    {tup('a{j}')} = A\n    {tup('b{j}')} = B\n"
+    namespace: dict = {}
+    exec(
+        f"def mul{head}    return {tup('a{j} + b{j}')}\n"
+        f"def div{head}    if {' or '.join(f'a{j} < b{j}' for j in js)}:\n        return None\n"
+        f"    return {tup('a{j} - b{j}')}\n"
+        f"def lcm{head}    return {tup('a{j} if a{j} >= b{j} else b{j}')}\n",
+        namespace,
+    )
+    return namespace["mul"], namespace["div"], namespace["lcm"]
 
 
-def _cleared(poly) -> tuple[int, dict]:
-    """(d, {monom: (re, im)}): d is the lcm of every coefficient part's
-    denominator and re + im*i = d * c is a Gaussian integer, in the
-    element's own order."""
-    d = math.lcm(*(q.denominator for c in poly.values() for q in (c.x, c.y)))
-    return d, {
-        m: (c.x.numerator * (d // c.x.denominator), c.y.numerator * (d // c.y.denominator))
-        for m, c in poly.items()
-    }
+def _reduced(d: int, pairs: dict) -> tuple[int, dict]:
+    """(d, pairs) with d and every part divided by their gcd."""
+    if d == 1:
+        return d, pairs
+    g = math.gcd(d, *chain.from_iterable(pairs.values()))
+    if g == 1:
+        return d, pairs
+    return d // g, {m: (x // g, y // g) for m, (x, y) in pairs.items()}
 
 
-def _uncleared(ring, d: int, pairs: dict):
-    """The inverse of _cleared: the element of ring with coefficient
-    (re + im*i) / d at each monomial of {monom: (re, im)}."""
-    new, q = QQ_I.dtype.new, QQ.dtype
-    return ring.dtype({m: new(q(x, d), q(y, d)) for m, (x, y) in pairs.items()})
+def _cleared(F: "MixedPolynomial") -> tuple[int, dict]:
+    """F's canonical store (d, {monom: (re, im)}), each coefficient being
+    (re + im*i) / d; read-only, and its dict order means nothing."""
+    return F._d, F._p
 
 
-# Gaussian-integer kernels on {monom: (re, im)} dicts.  Each mirrors the sympy
-# PolyElement routine it replaces, loop for loop, so the result has the same
-# terms in the same dict order; only the coefficient type differs.
+def _from_cleared(n_vars: int, d: int, pairs: dict) -> "MixedPolynomial":
+    """The n_vars-variable polynomial with coefficient (re + im*i) / d at
+    each monom of pairs, which holds no zero pair; takes ownership of pairs."""
+    return MixedPolynomial._new(n_vars, *_reduced(d, pairs))
+
+
+def _monic(F: "MixedPolynomial") -> "MixedPolynomial":
+    """A nonzero F divided by its leading coefficient in the term order."""
+    p = F._p
+    x, y = p[max(p, key=_grlex)]
+    # (a + b*i) / (x + y*i) = (a + b*i) * (x - y*i) / (x^2 + y^2)
+    return _from_cleared(
+        F._n, x * x + y * y, {m: (a * x + b * y, b * x - a * y) for m, (a, b) in p.items()}
+    )
+
+
+# Gaussian-integer kernels on {monom: (re, im)} dicts.  Powers follow sympy's
+# PolyElement.__pow__ dispatch; the results' dict order is arbitrary.
 
 _ZERO = (0, 0)
 
 
-def _mul_pairs(ring, p: dict, q: dict) -> dict:
-    """p * q, as PolyElement.__mul__."""
-    mul = ring.monomial_mul
+def _mul_pairs(p: dict, q: dict) -> dict:
+    """p * q."""
+    if not p or not q:
+        return {}
+    mul = _monomial_ops(len(next(iter(p))))[0]
     out: dict = {}
     get = out.get
     q_items = list(q.items())
@@ -159,10 +184,11 @@ def _mul_pairs(ring, p: dict, q: dict) -> dict:
     return {m: v for m, v in out.items() if v != _ZERO}
 
 
-def _square_pairs(ring, p: dict) -> dict:
-    """p * p, as PolyElement.square: cross terms once and doubled, then the
-    squares of the terms."""
-    mul = ring.monomial_mul
+def _square_pairs(p: dict) -> dict:
+    """p * p: cross terms once and doubled, then the squares of the terms."""
+    if not p:
+        return {}
+    mul = _monomial_ops(len(next(iter(p))))[0]
     items = list(p.items())
     out: dict = {}
     get = out.get
@@ -180,20 +206,32 @@ def _square_pairs(ring, p: dict) -> dict:
     return {m: v for m, v in out.items() if v != _ZERO}
 
 
-def _multinomial_pairs(ring, p: dict, e: int) -> dict:
-    """p ** e for 2..5 terms, as PolyElement._pow_multinomial: one term per
-    multinomial coefficient, from a table of each base term's powers."""
+def _multinomials(m: int, e: int):
+    """(k, e! / (k_1! ... k_m!)) for every k in N^m with k_1 + ... + k_m = e."""
+    if m == 1:
+        yield (e,), 1
+        return
+    for k in range(e + 1):
+        c = math.comb(e, k)
+        for rest, r in _multinomials(m - 1, e - k):
+            yield (k, *rest), c * r
+
+
+def _multinomial_pairs(p: dict, e: int) -> dict:
+    """p ** e for 2..5 terms: one term per multinomial coefficient, from a
+    table of each base term's powers."""
+    zero = (0,) * len(next(iter(p)))
     tables = []
     for m, (x, y) in p.items():
-        row, a, b = [(ring.zero_monom, 1, 0)], 1, 0
+        row, a, b = [(zero, 1, 0)], 1, 0
         for k in range(1, e + 1):
             a, b = a * x - b * y, a * y + b * x
-            row.append((ring.monomial_pow(m, k), a, b))
+            row.append((tuple(k * v for v in m), a, b))
         tables.append(row)
-    mul = ring.monomial_mul
+    mul = _monomial_ops(len(zero))[0]
     out: dict = {}
-    for exps, coeff in multinomial_coefficients(len(tables), e).items():
-        m, a, b = ring.zero_monom, coeff, 0
+    for exps, coeff in _multinomials(len(tables), e):
+        m, a, b = zero, coeff, 0
         for k, row in zip(exps, tables):
             if k:
                 mk, x, y = row[k]
@@ -208,24 +246,67 @@ def _multinomial_pairs(ring, p: dict, e: int) -> dict:
     return out
 
 
-def _power_pairs(ring, p: dict, e: int) -> dict:
-    """p ** e for e >= 2, with PolyElement.__pow__'s dispatch: square, cube,
-    multinomial up to five terms, else square-and-multiply."""
+def _power_pairs(p: dict, e: int) -> dict:
+    """p ** e for a nonzero p and e >= 2: square, cube, multinomial up to
+    five terms, else square-and-multiply."""
     if e == 2:
-        return _square_pairs(ring, p)
+        return _square_pairs(p)
     if e == 3:
-        return _mul_pairs(ring, p, _square_pairs(ring, p))
+        return _mul_pairs(p, _square_pairs(p))
     if len(p) <= 5:
-        return _multinomial_pairs(ring, p, e)
+        return _multinomial_pairs(p, e)
     acc = None
     while True:
         if e & 1:
-            acc = p if acc is None else _mul_pairs(ring, acc, p)
+            acc = p if acc is None else _mul_pairs(acc, p)
             e -= 1
             if not e:
                 return acc
-        p = _square_pairs(ring, p)
+        p = _square_pairs(p)
         e //= 2
+
+
+# exact linear algebra over Q ---------------------------------------------------
+
+
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form over Q of the matrix with these rows
+    (ints or Fractions), without its zero rows, and its pivot columns, by
+    Gauss-Jordan elimination.  The form is unique, so it is the one any
+    exact routine returns."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        pivot = M[r][c]
+        M[r] = [x / pivot for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[c]:
+                f = row[c]
+                M[i] = [x - f * y for x, y in zip(row, M[r])]
+        pivots.append(c)
+        if len(pivots) == len(M):
+            break
+    return M[:len(pivots)], pivots
+
+
+def _inverse(A) -> list[list[Fraction]]:
+    """The inverse over Q of a square matrix, from _rref of [A | I]."""
+    k = len(A)
+    R, pivots = _rref([[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(A)])
+    if pivots[k - 1] >= k:
+        raise ZeroDivisionError("singular matrix")
+    return [row[k:] for row in R]
+
+
+def _matmul(A, B) -> list[list]:
+    """The matrix product A B; zero entries are skipped, not multiplied."""
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols] for row in A]
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,7 +331,7 @@ class ExponentPair:
 
     @classmethod
     def _trusted(cls, nu: tuple[int, ...], mu: tuple[int, ...]) -> "ExponentPair":
-        """A pair from tuples already known to be valid (a ring monomial's
+        """A pair from tuples already known to be valid (a stored monomial's
         halves), skipping the constructor's checks."""
         self = object.__new__(cls)
         object.__setattr__(self, "nu", nu)
@@ -281,19 +362,19 @@ class WirtingerGradient:
 class MixedPolynomial:
     """Immutable sparse mixed polynomial.
 
-    The polynomial is one element of sympy's sparse ring over Q(i) in 2n
-    generators, z1..zn then z1~..zn~, so the ring monomial m is the exponent
-    pair (m[:n], m[n:]).  The ring never stores a zero coefficient; the zero
-    polynomial is the empty element, and n_vars is the ring's half rank.
+    Stored cleared (see the module docstring): n_vars, a positive common
+    denominator d and {monom: (re, im)}, where the monom nu + mu is the
+    exponent pair (monom[:n], monom[n:]).  The zero polynomial stores no
+    pair and d = 1.
     """
 
-    __slots__ = ("_poly", "_terms")
+    __slots__ = ("_n", "_d", "_p", "_terms")
 
     def __init__(self, n_vars: int, terms: Mapping[ExponentPair, ComplexRational] | Iterable = ()):
         if not isinstance(n_vars, int) or n_vars < 1:
             raise ValueError(f"n_vars must be a positive integer, got {n_vars!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], object] = {}
+        acc: dict[tuple[int, ...], tuple] = {}
         for pair, coeff in items:
             if not isinstance(pair, ExponentPair):
                 pair = ExponentPair(*pair)
@@ -302,16 +383,29 @@ class MixedPolynomial:
                     f"exponent pair over {pair.n_vars} variables in a {n_vars}-variable polynomial"
                 )
             monom = pair.nu + pair.mu
-            acc[monom] = acc.get(monom, QQ_I.zero) + _gaussian(coeff)
-        object.__setattr__(self, "_poly", _ring(n_vars).dtype({m: c for m, c in acc.items() if c}))
+            c = _gaussian(coeff)
+            re, im = acc.get(monom, _ZERO)
+            acc[monom] = (re + c.re, im + c.im)
+        acc = {m: c for m, c in acc.items() if c[0] or c[1]}
+        # the lcm of reduced denominators leaves parts and d with gcd 1
+        d = math.lcm(*(q.denominator for c in acc.values() for q in c))
+        pairs = {
+            m: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for m, (re, im) in acc.items()
+        }
+        self._set(n_vars, d, pairs)
+
+    def _set(self, n_vars: int, d: int, pairs: dict) -> None:
+        object.__setattr__(self, "_n", n_vars)
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_p", pairs)
         object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _from_poly(cls, poly) -> "MixedPolynomial":
-        """Wrap an element of _ring(n) without copying or re-validating it."""
+    def _new(cls, n_vars: int, d: int, pairs: dict) -> "MixedPolynomial":
+        """Wrap a canonical store without copying or re-validating it."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_poly", poly)
-        object.__setattr__(self, "_terms", None)
+        self._set(n_vars, d, pairs)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -344,58 +438,59 @@ class MixedPolynomial:
 
     @property
     def n_vars(self) -> int:
-        return self._poly.ring.ngens // 2
+        return self._n
 
     @property
     def terms(self) -> Mapping[ExponentPair, ComplexRational]:
-        """Read-only {ExponentPair: ComplexRational} view, in canonical order.
-
-        Built on first access from the ring element's graded-lex terms.
-        """
+        """Read-only {ExponentPair: ComplexRational} view, in canonical order
+        (descending graded-lex on nu + mu).  Built on first access."""
         if self._terms is None:
-            n = self.n_vars
-            view = {
-                ExponentPair._trusted(m[:n], m[n:]): _from_gaussian(c)
-                for m, c in self._poly.terms()
-            }
+            n, d, p = self._n, self._d, self._p
+            view = {}
+            for m in sorted(p, key=_grlex, reverse=True):
+                x, y = p[m]
+                view[ExponentPair._trusted(m[:n], m[n:])] = ComplexRational._trusted(
+                    Fraction(x, d), Fraction(y, d)
+                )
             object.__setattr__(self, "_terms", MappingProxyType(view))
         return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self._poly
+        return not self._p
 
     @property
     def is_holomorphic(self) -> bool:
-        n = self.n_vars
-        return not any(any(m[n:]) for m in self._poly)
+        n = self._n
+        return not any(any(m[n:]) for m in self._p)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention here."""
-        return max(map(sum, self._poly), default=-1)
+        return max(map(sum, self._p), default=-1)
 
     def variables_used(self) -> frozenset[int]:
-        n = self.n_vars
+        n = self._n
         used = set()
-        for m in self._poly:
+        for m in self._p:
             used.update(j for j in range(n) if m[j] or m[n + j])
         return frozenset(used)
 
     def constant_term(self) -> ComplexRational:
-        zeros = (0,) * self.n_vars
+        zeros = (0,) * self._n
         return self.coefficient(zeros, zeros)
 
     def coefficient(self, nu: Sequence[int], mu: Sequence[int]) -> ComplexRational:
         pair = ExponentPair(tuple(nu), tuple(mu))
-        return _from_gaussian(self._poly.get(pair.nu + pair.mu, QQ_I.zero))
+        x, y = self._p.get(pair.nu + pair.mu, _ZERO)
+        return ComplexRational._trusted(Fraction(x, self._d), Fraction(y, self._d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MixedPolynomial):
             return NotImplemented
-        return self.n_vars == other.n_vars and self._poly == other._poly
+        return self._n == other._n and self._d == other._d and self._p == other._p
 
     def __hash__(self) -> int:
-        return hash(self._poly)
+        return hash((self._n, self._d, frozenset(self._p.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -407,75 +502,89 @@ class MixedPolynomial:
     # -- ring operations -------------------------------------------------------
 
     def _operand(self, other):
-        """other as an element of this polynomial's ring, or NotImplemented."""
+        """other's store (d, pairs), or NotImplemented."""
         if isinstance(other, MixedPolynomial):
-            if self.n_vars != other.n_vars:
+            if self._n != other._n:
                 raise ValueError(
                     "mixed polynomials over different variable counts: "
-                    f"{self.n_vars} != {other.n_vars}"
+                    f"{self._n} != {other._n}"
                 )
-            return other._poly
+            return other._d, other._p
         try:
-            c = _gaussian(other)
+            c = MixedPolynomial.constant(other, self._n)
         except TypeError:
             return NotImplemented
-        return self._poly.ring.ground_new(c)
+        return c._d, c._p
+
+    def _sum(self, d2: int, p2: dict, sign: int) -> "MixedPolynomial":
+        """self + sign * (p2 / d2), over the lcm of the denominators."""
+        d1, p1 = self._d, self._p
+        d = math.lcm(d1, d2)
+        k1, k2 = d // d1, sign * (d // d2)
+        out = dict(p1) if k1 == 1 else {m: (k1 * x, k1 * y) for m, (x, y) in p1.items()}
+        get = out.get
+        for m, (x, y) in p2.items():
+            u, v = get(m, _ZERO)
+            u, v = u + k2 * x, v + k2 * y
+            if u or v:
+                out[m] = (u, v)
+            else:
+                del out[m]
+        return _from_cleared(self._n, d, out)
 
     def __add__(self, other):
         q = self._operand(other)
         if q is NotImplemented:
             return NotImplemented
-        return MixedPolynomial._from_poly(self._poly + q)
+        return self._sum(*q, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MixedPolynomial":
-        return MixedPolynomial._from_poly(-self._poly)
+        return MixedPolynomial._new(self._n, self._d, {m: (-x, -y) for m, (x, y) in self._p.items()})
 
     def __sub__(self, other):
         q = self._operand(other)
         if q is NotImplemented:
             return NotImplemented
-        return MixedPolynomial._from_poly(self._poly - q)
+        return self._sum(*q, -1)
 
     def __rsub__(self, other):
         q = self._operand(other)
         if q is NotImplemented:
             return NotImplemented
-        return MixedPolynomial._from_poly(q - self._poly)
+        return (-self)._sum(*q, 1)
 
     def __mul__(self, other):
         q = self._operand(other)
         if q is NotImplemented:
             return NotImplemented
-        return MixedPolynomial._from_poly(self._poly * q)
+        d, p = q
+        return _from_cleared(self._n, self._d * d, _mul_pairs(self._p, p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MixedPolynomial":
-        """self ** e, computed as (d*self) ** e on Gaussian-integer pairs, then
-        divided by d**e, where d clears every denominator."""
+        """self ** e, computed on the stored Gaussian-integer pairs over d**e."""
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        ring = self._poly.ring
-        if not self._poly:
+        if not self._p:
             if not e:
                 raise ValueError("0**0")
             return self
         if not e:
-            return MixedPolynomial._from_poly(ring.one)
+            return MixedPolynomial.one(self._n)
         if e == 1:
             return self
-        d, pairs = _cleared(self._poly)
-        return MixedPolynomial._from_poly(_uncleared(ring, d ** e, _power_pairs(ring, pairs, e)))
+        return _from_cleared(self._n, self._d ** e, _power_pairs(self._p, e))
 
     # -- the operations that matter --------------------------------------------
 
     def conjugate(self) -> "MixedPolynomial":
         """Complex conjugate: swaps nu <-> mu and conjugates coefficients."""
-        n = self.n_vars
-        return MixedPolynomial._from_poly(
-            self._poly.ring.dtype({m[n:] + m[:n]: c.new(c.x, -c.y) for m, c in self._poly.items()})
+        n = self._n
+        return MixedPolynomial._new(
+            n, self._d, {m[n:] + m[:n]: (x, -y) for m, (x, y) in self._p.items()}
         )
 
     def wirtinger(self) -> WirtingerGradient:
@@ -483,16 +592,14 @@ class MixedPolynomial:
 
         One pass over the terms fills all 2n partial derivatives; each
         coefficient's parts are multiplied by the exponent directly."""
-        ring = self._poly.ring
-        new = QQ_I.dtype.new
-        parts: list[dict] = [{} for _ in range(ring.ngens)]
-        for m, c in self._poly.items():
+        n, d = self._n, self._d
+        parts: list[dict] = [{} for _ in range(2 * n)]
+        for m, (x, y) in self._p.items():
             for i, e in enumerate(m):
                 if e:
-                    parts[i][m[:i] + (e - 1,) + m[i + 1:]] = new(c.x * e, c.y * e)
-        d = [MixedPolynomial._from_poly(ring.dtype(part)) for part in parts]
-        n = self.n_vars
-        return WirtingerGradient(tuple(d[:n]), tuple(d[n:]))
+                    parts[i][m[:i] + (e - 1,) + m[i + 1:]] = (x * e, y * e)
+        grads = [_from_cleared(n, d, part) for part in parts]
+        return WirtingerGradient(tuple(grads[:n]), tuple(grads[n:]))
 
     def evaluate(self, z: Sequence[complex]) -> complex:
         """Evaluate at a point; exact coefficients are complexified last."""
@@ -543,17 +650,15 @@ def from_pair(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """Build the mixed product f * conj(g) from two holomorphic inputs.
 
     f has z-monomials only and conj(g) zbar-monomials only, so no two
-    products of terms share a monomial: the product is an outer product,
-    taken on cleared-denominator Gaussian integers a = df*f_c, b = dg*g_c
-    as a*conj(b) / (df*dg)."""
+    products of terms share a monomial: the product is an outer product of
+    the stored pairs a, b, taken as a*conj(b) over the product of the
+    denominators."""
     _check_holomorphic_pair(f, g, "from_pair")
     n = f.n_vars
-    df, f_terms = _cleared(f._poly)
-    dg, g_terms = _cleared(g._poly)
-    g_items = list(g_terms.items())
+    g_items = list(g._p.items())
     out = {}
-    for mf, (ax, ay) in f_terms.items():
+    for mf, (ax, ay) in f._p.items():
         head = mf[:n]
         for mg, (bx, by) in g_items:
             out[head + mg[:n]] = (ax * bx + ay * by, ay * bx - ax * by)
-    return MixedPolynomial._from_poly(_uncleared(f._poly.ring, df * dg, out))
+    return _from_cleared(n, f._d * g._d, out)

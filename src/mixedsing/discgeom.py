@@ -32,31 +32,29 @@ line makes 0 a non-isolated critical value) and provides the shear
 but it does not repair isolation: Jac(f + g^k, g) = Jac(f, g), so Sigma, the
 critical set of the pair, does not change (see shear_search).
 
-Everything here is exact; floats never decide a verdict.  Every exact step
-runs on elements of sympy's sparse polynomial rings over QQ_I.  The one
-plane factorisation, of the Jacobian, goes through the norm over Q
+Everything here is exact; floats never decide a verdict.  Only the plane
+route needs sympy, which _sympy imports on first use (never at import):
+the Jacobian's factorisation goes through the norm over Q
 (_factor_gaussian): one factorisation over QQ and one gcd per rational
 factor, with Trager's algorithm over QQ<i> only for a rational factor that
-may split into a conjugate pair dividing it.  The Groebner bases of the
-n >= 3 verdict and of sing_decomposition (in QQ_I[x1..xn, w], grevlex)
-come from the in-package Buchberger kernel _groebner, which takes and
-returns ring elements but computes on Gaussian-integer pairs, as core's
-power kernels do.
+may split into a conjugate pair dividing it; the division tests, slope
+forms and numeric slope roots run on sympy's sparse rings over QQ_I too.
+_to_ring and _from_ring convert at that one boundary.  The Groebner bases
+of the n >= 3 verdict and of sing_decomposition (grevlex, with the
+Rabinowitsch variable w last) come from the in-package Buchberger kernel
+_groebner, which computes on core's cleared Gaussian-integer pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, reduce
+from types import SimpleNamespace
 
-import sympy as sp
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.orderings import grevlex
-from sympy.polys.rings import PolyRing, ring
-
-from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _from_gaussian, _gaussian
-from .core import _ZERO, _cleared, _ring, _uncleared
+from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _gaussian
+from .core import _ZERO, _cleared, _from_cleared, _monic, _monomial_ops
 from .parsing import format_mixed, parse
 
 __all__ = [
@@ -83,11 +81,6 @@ __all__ = [
 
 DEGREE_BOUND = 8
 
-# QQ_I[x, y, a] and QQ_I[y, x, a]: a resultant eliminates the first generator
-_XYA = ring("x y a", QQ_I)[0]
-_YXA = ring("y x a", QQ_I)[0]
-# QQ_I[a]: the slopes a of the lines {v = a*u}
-_A = ring("a", QQ_I)[0]
 # the line forms u and v of the axes {u = 0} and {v = 0}, in (u, v) = (z1, z2)
 _U, _V = (MixedPolynomial.variable(j, 2) for j in range(2))
 
@@ -104,14 +97,54 @@ class ShearSearchExhausted(RuntimeError):
     """No shear exponent in the searched range produced an isolated value."""
 
 
-# ring conversions ----------------------------------------------------------------
+# sympy, for the plane route only -------------------------------------------------
+
+
+@cache
+def _sympy() -> SimpleNamespace:
+    """sympy's polys layer, imported on first use (about 0.4 s): the domains
+    QQ and QQ_I, Poly, QQ_I[x, y, a] and QQ_I[y, x, a] (a resultant
+    eliminates the first generator), and QQ_I[a] for the slopes a of the
+    lines {v = a*u}."""
+    import sympy
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.rings import ring
+
+    return SimpleNamespace(
+        QQ=QQ, QQ_I=QQ_I, Poly=sympy.Poly,
+        XYA=ring("x y a", QQ_I)[0], YXA=ring("y x a", QQ_I)[0], A=ring("a", QQ_I)[0],
+    )
 
 
 @cache
 def _qq_i_field():
     """QQ<i>, the field sympy runs Trager's algorithm over for QQ_I; built on
-    first use (about 0.04 s), not at import."""
-    return QQ_I.as_AlgebraicField()
+    first use (about 0.04 s), not with the rings."""
+    return _sympy().QQ_I.as_AlgebraicField()
+
+
+def _to_ring(F: MixedPolynomial, R):
+    """A holomorphic F in z1..zn as an element of the sympy ring R over QQ_I,
+    whose first n generators stand for z1..zn and whose others get exponent 0."""
+    sp = _sympy()
+    new, q = sp.QQ_I.dtype.new, sp.QQ.dtype
+    n = F.n_vars
+    pad = (0,) * (R.ngens - n)
+    d, pairs = _cleared(F)
+    return R.from_dict({m[:n] + pad: new(q(x, d), q(y, d)) for m, (x, y) in pairs.items()})
+
+
+def _from_ring(p) -> MixedPolynomial:
+    """A nonzero element of a sympy ring over QQ_I in its first two
+    generators only, as a holomorphic polynomial in z1, z2 divided by its
+    leading coefficient."""
+    d = math.lcm(*(int(q.denominator) for c in p.values() for q in (c.x, c.y)))
+    pairs = {
+        e[:2] + (0, 0): (int(c.x.numerator) * (d // int(c.x.denominator)),
+                         int(c.y.numerator) * (d // int(c.y.denominator)))
+        for e, c in p.items()
+    }
+    return _monic(_from_cleared(2, d, pairs))
 
 
 def _lex_monic(p):
@@ -125,7 +158,7 @@ def _split_over_qq_i(r) -> list:
     x + y*i maps straight to [y, x] in QQ<i> and back, which skips sympy's
     per-coefficient conversion through expressions.
     """
-    K = _qq_i_field()
+    K, QQ_I = _qq_i_field(), _sympy().QQ_I
     over_k = r.ring.clone(domain=K).from_dict({m: K.new([c.y, c.x]) for m, c in r.items()})
     return [
         r.ring.from_dict({m: QQ_I(*reversed(c.to_list())) for m, c in fac.items()})
@@ -157,15 +190,15 @@ def _factor_gaussian(p) -> list:
     degree of t in every variable.  s = r exactly when r | q, so one exact
     division runs before the gcd and spares it in that case.
     """
-    R = p.ring
+    R, sp = p.ring, _sympy()
     used = [sym for sym, d in zip(R.symbols, p.degrees()) if d > 0]
     if not used:
         return []
     S = R.clone(symbols=used)
     q = _lex_monic(p.set_ring(S))
-    norm = q * S.from_dict({m: QQ_I(c.x, -c.y) for m, c in q.items()})
+    norm = q * S.from_dict({m: sp.QQ_I(c.x, -c.y) for m, c in q.items()})
     irreducible = []
-    for r, _ in norm.set_ring(S.clone(domain=QQ)).factor_list()[1]:
+    for r, _ in norm.set_ring(S.clone(domain=sp.QQ)).factor_list()[1]:
         r = _lex_monic(r.set_ring(S))
         s = _lex_monic(q.gcd(r)) if q.rem(r) else r
         if s != r or any(d % 2 for d in r.degrees()):
@@ -183,41 +216,51 @@ def _factor_gaussian(p) -> list:
     return sorted(factors, key=lambda fm: (len(d := fm[0].to_dense()), fm[1], d))
 
 
-@cache
-def _groebner_ring(n: int) -> PolyRing:
-    """QQ_I[x1..xn, w] in grevlex; w is the Rabinowitsch variable."""
-    return ring([f"x{j + 1}" for j in range(n)] + ["w"], QQ_I, order=grevlex)[0]
+def _grevlex(m: tuple[int, ...]) -> tuple:
+    """The graded reverse-lex key of an exponent tuple, as sympy's grevlex."""
+    return sum(m), tuple(-e for e in reversed(m))
 
 
-def _groebner(polys, R) -> list:
-    """The reduced Groebner basis of the ideal of polys (elements of R, a
-    ring over QQ_I), monic and sorted by leading monomial, greatest first.
+def _groebner(polys) -> list:
+    """The reduced grevlex Groebner basis of the ideal of polys, sorted by
+    leading monomial, greatest first.
 
-    It is the list sympy's own groebner(polys, R) returns, and follows the
-    same algorithm step for step: interreduce the input, admit each element
-    through update with the Gebauer-Moeller criteria (Becker-Weispfenning,
-    Groebner Bases (1993), p. 232, GROEBNERNEWS2), reduce the S-polynomial
-    of the pair with the least lcm, then interreduce the basis.  Only the
-    arithmetic differs.  Each element is a {monom: (re, im)} dict of
-    Gaussian integers from core._cleared, kept primitive (integer content
+    Each input is a {monom: (re, im)} dict of Gaussian integers over
+    exponent tuples of one length (any Q(i)-multiple of a polynomial, such
+    as core's cleared store); each basis element is a pair (n, p), the
+    monic polynomial p / n with p primitive and n its positive integer
+    leading coefficient.  The unit ideal gives [(1, {0: (1, 0)})], 0 the
+    constant monomial.
+
+    It is the basis sympy's groebner(polys, R) returns over QQ_I in
+    grevlex, and follows the same algorithm step for step: interreduce the
+    input, admit each element through update with the Gebauer-Moeller
+    criteria (Becker-Weispfenning, Groebner Bases (1993), p. 232,
+    GROEBNERNEWS2), reduce the S-polynomial of the pair with the least lcm,
+    then interreduce the basis.  Only the arithmetic and the monomial
+    operations differ.  Each element is kept primitive (integer content
     1) with a positive integer leading coefficient n; any two Q(i)-multiples
     of one polynomial get the same dict, so the interreduction's fixed-point
     test compares dicts.  Reduction is fraction-free,
     p <- (n/d)*p - (c/d)*(m/lm)*g with d = gcd(n, c), and divides out the
     content after each step that scaled p.  Leading monomials and
     coefficients are cached, and each monomial's order key is computed
-    once.  On the way out each element is divided by n, its only exact
-    division.
+    once.
 
     Equal to sympy's: an ideal has exactly one reduced Groebner basis for a
     fixed order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
     Thm. 2.7.5), and both return it sorted by its distinct leading
     monomials.  An ideal holding a nonzero constant is the unit ideal, with
-    basis [1], so the kernel answers [R.one] as soon as one appears.  So
+    basis [1], so the kernel answers it as soon as one appears.  So
     verdicts and report bytes do not depend on which of the two runs.
     """
-    key = cache(R.order)
-    mul, div, lcm = R.monomial_mul, R.monomial_div, R.monomial_lcm
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    const = (0,) * len(next(iter(polys[0])))
+    unit = [(1, {const: (1, 0)})]
+    key = cache(_grevlex)
+    mul, div, lcm = _monomial_ops(len(const))
     gcd = math.gcd
 
     def primitive(p):
@@ -311,8 +354,7 @@ def _groebner(polys, R) -> list:
         G_new.add(ih)
         return G_new, B_new
 
-    const = R.zero_monom
-    f1 = [primitive(_cleared(p)[1]) for p in polys if p]
+    f1 = [primitive(p) for p in polys]
     while True:  # interreduce the input, [BW] p. 203
         f, f1 = f1, []
         for i, (_, _, p) in enumerate(f):
@@ -320,7 +362,7 @@ def _groebner(polys, R) -> list:
             if r:
                 f1.append(primitive(r))
                 if f1[-1][0] == const:
-                    return [R.one]
+                    return unit
         if f == f1:
             break
 
@@ -334,31 +376,14 @@ def _groebner(polys, R) -> list:
         if r:
             f.append(primitive(r))
             if f[-1][0] == const:
-                return [R.one]
+                return unit
             G, CP = update(G, CP, len(f) - 1)
 
     # an element whose leading monomial another one divides reduces to 0
     remainders = (rem(f[i][2], [f[j] for j in G if j != i]) for i in G)
     basis = [primitive(r) for r in remainders if r]
     basis.sort(key=lambda t: key(t[0]), reverse=True)
-    return [_uncleared(R, n, p) for _, n, p in basis]
-
-
-def _embed(F: MixedPolynomial, R: PolyRing):
-    """A holomorphic F in z1..zn as an element of R, whose first n generators
-    stand for z1..zn and whose others get exponent 0."""
-    n = F.n_vars
-    pad = (0,) * (R.ngens - n)
-    return R.from_dict({m[:n] + pad: c for m, c in F._poly.items()})
-
-
-def _monic(p, n: int) -> MixedPolynomial:
-    """A ring element in its first n generators only, as a holomorphic
-    polynomial in z1..zn divided by its leading coefficient."""
-    pad = (0,) * n
-    return MixedPolynomial._from_poly(
-        _ring(n).from_dict({e[:n] + pad: c for e, c in p.items()}).monic()
-    )
+    return [(n, p) for _, n, p in basis]
 
 
 # jacobian and discriminant ------------------------------------------------------
@@ -397,7 +422,7 @@ class PlaneCurve:
 
 def _jac(h, P):
     """Jac(h, P): the derivative of h along the curve {P = 0}."""
-    x, y, _ = _XYA.gens
+    x, y, _ = _sympy().XYA.gens
     return h.diff(x) * P.diff(y) - h.diff(y) * P.diff(x)
 
 
@@ -424,13 +449,14 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     Hence the form is irreducible, divisible by neither u nor v, and slope
     factors that share a slope give one monic form, kept once.
     """
-    a = _XYA.gens[2]
-    R = _XYA if P.degree(0) > 0 else _YXA  # eliminate a variable P involves
+    sp = _sympy()
+    a = sp.XYA.gens[2]
+    R = sp.XYA if P.degree(0) > 0 else sp.YXA  # eliminate a variable P involves
     res = P.set_ring(R).resultant((g - a * f).set_ring(R))  # in QQ_I[s, a]
     coeffs = (res.coeff_wrt(1, k) for k in range(res.degree(1) + 1))
     m = res.exquo(reduce(lambda p, q: p.gcd(q), coeffs)).sqf_part()
     d = m.degree(1)
-    return _monic(_XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}), 2)
+    return _from_ring(sp.XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
 
 
 def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
@@ -446,13 +472,14 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
             "jacobian determinant vanishes identically; the pair has generic rank < 2"
         )
 
-    fp, gp = _embed(f, _XYA), _embed(g, _XYA)
+    XYA = _sympy().XYA
+    fp, gp = _to_ring(f, XYA), _to_ring(g, XYA)
     forms: list[MixedPolynomial] = []
     off_origin: list[MixedPolynomial] = []
     non_line: list[MixedPolynomial] = []
-    for P, _mult in _factor_gaussian(_embed(J, _XYA)):
+    for P, _mult in _factor_gaussian(_to_ring(J, XYA)):
         if P.coeff(1):
-            off_origin.append(_monic(P, 2))
+            off_origin.append(_from_ring(P))
             continue
         on_u, on_v = not fp.rem(P), not gp.rem(P)  # f = 0, g = 0 on {P = 0}
         if on_u and on_v:
@@ -462,7 +489,7 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
         elif not (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P):
             form = _slope_form(P, fp, gp)
         else:
-            non_line.append(_monic(P, 2))
+            non_line.append(_from_ring(P))
             continue
         if form not in forms:
             forms.append(form)
@@ -539,14 +566,17 @@ def line_components(curve: PlaneCurve) -> LineReport:
     for form in curve.components:
         if form in (_U, _V):
             continue
-        m = _A.from_dict({(e[1],): c for e, c in form._poly.items()}).monic()
+        sp = _sympy()
+        m = sp.A.from_dict({(e[1],): c for e, c in _to_ring(form, sp.XYA).items()}).monic()
         if m.degree() == 1:
-            cr = _from_gaussian(-m.coeff(1))
+            c = -m.coeff(1)
+            cr = ComplexRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                                 Fraction(int(c.y.numerator), int(c.y.denominator)))
             slopes.append(_slope_line(complex(cr), slope_exact=cr))
         elif m.degree() <= 4:
             minpoly = m.as_expr()
             slopes.extend(_slope_line(complex(root), exact=False, minpoly=str(minpoly))
-                          for root in sp.Poly(minpoly, domain=QQ_I).nroots(n=20))
+                          for root in sp.Poly(minpoly, domain=sp.QQ_I).nroots(n=20))
         else:
             unresolved.append(m)
     slopes.sort(key=lambda c: (c.slope.real, c.slope.imag))
@@ -580,7 +610,7 @@ class PuiseuxBranch:
     def __post_init__(self):
         if not (isinstance(self.p, int) and self.p >= 1):
             raise ValueError("p must be a positive integer")
-        terms = tuple((_from_gaussian(_gaussian(c)), e) for c, e in self.terms)
+        terms = tuple((_gaussian(c), e) for c, e in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("branch needs at least one v-term")
@@ -663,10 +693,12 @@ def _vanishes_on_critical_set(target: MixedPolynomial, minors) -> bool:
     By the Rabinowitsch trick: exactly when the minors and 1 - w*target
     generate the unit ideal, whose reduced basis from _groebner is [1].
     """
-    R = _groebner_ring(target.n_vars)
-    w = R.gens[-1]
-    polys = [_embed(m, R) for m in minors]
-    return _groebner([*polys, 1 - w * _embed(target, R)], R) == [R.one]
+    n = target.n_vars
+    polys = [{m[:n] + (0,): c for m, c in _cleared(p)[1].items()} for p in minors]
+    d, t = _cleared(target)  # 1 - w*target is a multiple of d - w*t
+    const = (0,) * (n + 1)
+    polys.append({const: (d, 0), **{m[:n] + (1,): (-x, -y) for m, (x, y) in t.items()}})
+    return _groebner(polys) == [(1, {const: (1, 0)})]
 
 
 def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVerdict:
@@ -743,10 +775,10 @@ def _reduced_basis(gens) -> tuple[MixedPolynomial, ...]:
     if not nonzero:
         return ()
     n = nonzero[0].n_vars
-    R = _groebner_ring(n)
+    pad = (0,) * n
     out = []
-    for p in _groebner([_embed(g, R) for g in nonzero], R):
-        h = _monic(p, n)
+    for d, p in _groebner([{m[:n]: c for m, c in _cleared(g)[1].items()} for g in nonzero]):
+        h = _monic(_from_cleared(n, d, {m + pad: c for m, c in p.items()}))
         if h.total_degree() == 0:
             return (MixedPolynomial.one(n),)  # unit ideal: empty set
         out.append(h)

@@ -265,9 +265,7 @@ class TubeVerdict:
     thom_route: str | None
     probe_summary: str
     routes: tuple[RouteRecord, ...]
-    polar: PolarSolution | None = None
     isolated: object = None
-    probes: tuple[ProbeResult, ...] = ()
     witness: dict | None = None
 
 
@@ -372,8 +370,6 @@ def tube_verdict(
         thom_route=thom_route,
         probe_summary=probe_summary,
         routes=tuple(routes),
-        polar=polar,
         isolated=isolated,
-        probes=tuple(probes),
         witness=witness,
     )

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CR_I, ComplexRational, ExponentPair, MixedPolynomial
+from .core import CR_I, ComplexRational, ExponentPair, MixedPolynomial, _cleared
 
 __all__ = ["ParseError", "SourceExpr", "parse_mixed", "parse", "format_mixed"]
 
@@ -143,7 +143,7 @@ class _Parser:
         while self.peek().kind == "OP" and self.peek().value == "*":
             op = self.next()
             rhs = self.unary()
-            _check_terms(op, len(value._poly) * len(rhs._poly))
+            _check_terms(op, len(_cleared(value)[1]) * len(_cleared(rhs)[1]))
             value = value * rhs
         return value
 
@@ -219,10 +219,11 @@ def _power_terms_bound(F: MixedPolynomial, e: int) -> int:
     """An upper bound on the terms of F ** e: the multinomial count
     C(e+m-1, m-1) for m terms, or the product over the generators of
     e * deg + 1 when that is smaller (dense bases in few variables)."""
-    m = len(F._poly)
+    monoms = _cleared(F)[1]
+    m = len(monoms)
     if m <= 1:
         return m
-    grid = math.prod(e * d + 1 for d in F._poly.degrees())
+    grid = math.prod(e * max(col) + 1 for col in zip(*monoms))
     return min(math.comb(e + m - 1, m - 1), grid)
 
 

@@ -28,10 +28,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
-from sympy.polys.domains import ZZ
-from sympy.polys.matrices import DomainMatrix
 
-from .core import MixedPolynomial
+from .core import MixedPolynomial, _inverse, _matmul
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "integer_kernel"]
 
@@ -135,10 +133,9 @@ def integer_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
 
 def _pinv_colmax(basis: list[list[int]]) -> list[Fraction]:
     """Column maxima of |B^T (B B^T)^{-1}|, exact; used to bound coefficients."""
-    B = DomainMatrix.from_list(basis, ZZ).to_field()
-    P = B.transpose() * (B * B.transpose()).inv()
-    return [Fraction(int(q.numerator), int(q.denominator))
-            for q in (max(abs(x) for x in col) for col in zip(*P.to_list()))]
+    Bt = list(zip(*basis))
+    P = _matmul(Bt, _inverse(_matmul(basis, Bt)))
+    return [max(abs(x) for x in col) for col in zip(*P)]
 
 
 def _candidate_key(p: tuple[int, ...], k: int):

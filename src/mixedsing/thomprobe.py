@@ -12,7 +12,7 @@ normal planes annihilate the stratum tangents.
 
 Along a polynomial curve z(t), t >= 0 real, with Gaussian rational
 coefficients, the frame is polynomial in t: substituting the curve into the
-exact halves a, b in QQ_I[t] and realifying gives rows A = a+b, B = i(a-b)
+exact halves a, b in Q(i)[t] and realifying gives rows A = a+b, B = i(a-b)
 in Q[t]^(2n).  The Plucker coordinates p_ij = A_i B_j - A_j B_i of the plane
 are then polynomials too, and the limit plane's Plucker vector L is their
 lowest-order nonzero coefficient; it exists unless every p_ij vanishes, in
@@ -25,10 +25,11 @@ irregularity along that curve.  "compatible" over a finite battery of
 curves is still only evidence.  The limit plane is reported exactly; the
 witness's mu and direction and the projection norms are floats from it.
 
-Exact scalar work runs on the ring's elements: curve coefficients and
-stratum tangents enter QQ_I through core._gaussian, and L, its contractions,
-the plane's basis and the projection's 2x2 matrix are QQ.  ComplexRational
-and Fraction appear only in the public fields (CurveGerm, Stratum, CurveProbe).
+Exact scalar work runs on Fractions.  Curve coefficients and stratum
+tangents are ComplexRational values; a series in t is a {k: Fraction} dict
+of its nonzero coefficients, and one in Q(i)[t] a pair of them (real part,
+imaginary part).  L, its contractions, the plane's basis (core._rref) and
+the projection's 2x2 matrix are Fractions too.
 """
 
 from __future__ import annotations
@@ -36,14 +37,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod, sqrt
+from math import sqrt
 
 import numpy as np
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.rings import ring
 
-from .core import ComplexRational, MixedPolynomial, _from_gaussian, _gaussian, complex_point
+from .core import ComplexRational, MixedPolynomial, _gaussian, _inverse, _matmul, _rref, complex_point
 from .parsing import format_scalar
 
 __all__ = [
@@ -60,9 +58,6 @@ __all__ = [
 
 DEFAULT_SEED = 2026  # seeds the curve battery here and the Milnor scan
 
-_TI = ring("t", QQ_I)[0]  # a curve and the frame halves along it
-_TQ = ring("t", QQ)[0]  # the realified frame and its Plucker coordinates
-
 
 @dataclass(frozen=True)
 class NormalFamily:
@@ -70,10 +65,6 @@ class NormalFamily:
 
     a: tuple[MixedPolynomial, ...]  # conj of the z-gradient, as polynomials
     b: tuple[MixedPolynomial, ...]  # the zbar-gradient
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.a)
 
 
 def normal_family_symbolic(F: MixedPolynomial) -> NormalFamily:
@@ -85,25 +76,56 @@ def normal_family_symbolic(F: MixedPolynomial) -> NormalFamily:
     )
 
 
-def _exact(x):
-    """x as a QQ_I element; a float or complex converts to its exact binary
-    value (sympy's QQ.convert would round 0.1 to 1/10)."""
+def _exact(x) -> ComplexRational:
+    """x as a ComplexRational; a float or complex converts to its exact
+    binary value (0.1 does not become 1/10)."""
     try:
         return _gaussian(x)
     except TypeError:
         (w,) = complex_point((x,))
-        return QQ_I.dtype.new(QQ(*w.real.as_integer_ratio()), QQ(*w.imag.as_integer_ratio()))
+        return ComplexRational(Fraction(w.real), Fraction(w.imag))
 
 
-def _realify_exact(v) -> list:
-    """A vector of QQ_I elements in QQ^(2n): real parts, then imaginary parts."""
-    return [c.x for c in v] + [c.y for c in v]
+def _realify_exact(v) -> list[Fraction]:
+    """A vector of ComplexRational values in Q^(2n): real parts, then
+    imaginary parts."""
+    return [c.re for c in v] + [c.im for c in v]
 
 
 def _unrealify_exact(r) -> tuple[ComplexRational, ...]:
-    """Inverse of _realify_exact, as ComplexRational values."""
+    """Inverse of _realify_exact."""
     n = len(r) // 2
-    return tuple(_from_gaussian(QQ_I.dtype.new(x, y)) for x, y in zip(r[:n], r[n:]))
+    return tuple(ComplexRational(x, y) for x, y in zip(r[:n], r[n:]))
+
+
+# series in t: {k: c} with no zero c; a pair (re, im) of them is in Q(i)[t]
+
+
+def _tsum(ps) -> dict:
+    out: dict = {}
+    for p in ps:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _tscale(p, c) -> dict:
+    return {k: c * x for k, x in p.items()} if c else {}
+
+
+def _tmul(p, q) -> dict:
+    out: dict = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def _gmul(p, q) -> tuple[dict, dict]:
+    """The product of two series in Q(i)[t]."""
+    (a, b), (c, d) = p, q
+    return (_tsum((_tmul(a, c), _tscale(_tmul(b, d), -1))),
+            _tsum((_tmul(a, d), _tmul(b, c))))
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ class CurveGerm:
 
     def __post_init__(self):
         comps = tuple(
-            tuple((_from_gaussian(_exact(c)), e) for c, e in comp) for comp in self.components
+            tuple((_exact(c), e) for c, e in comp) for comp in self.components
         )
         if any(not isinstance(e, int) or e < 0 for comp in comps for _, e in comp):
             raise ValueError("curve exponents must be nonnegative integers")
@@ -133,7 +155,7 @@ class CurveGerm:
     def base_point(self) -> tuple[ComplexRational, ...]:
         """The exact point at t = 0."""
         return tuple(
-            _from_gaussian(sum((_gaussian(c) for c, e in comp if e == 0), QQ_I.zero))
+            ComplexRational(sum(c.re for c, e in comp if e == 0), sum(c.im for c, e in comp if e == 0))
             for comp in self.components
         )
 
@@ -157,16 +179,15 @@ class Stratum:
     label: str = ""
 
     def __post_init__(self):
-        base = tuple(_from_gaussian(_exact(w)) for w in self.base_point)
+        base = tuple(_exact(w) for w in self.base_point)
         tang = tuple(tuple(_exact(w) for w in v) for v in self.tangent)
         object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "tangent", tuple(tuple(map(_from_gaussian, v)) for v in tang))
+        object.__setattr__(self, "tangent", tang)
         if not tang:
             raise ValueError("stratum needs at least one tangent vector")
         if any(len(v) != len(base) for v in tang):
             raise ValueError(f"tangent vectors must have {len(base)} coordinates")
-        rows = [_realify_exact(v) for v in tang]
-        if DomainMatrix(rows, (len(rows), 2 * len(base)), QQ).rank() != len(tang):
+        if len(_rref([_realify_exact(v) for v in tang])[1]) != len(tang):
             raise ValueError("tangent vectors must be linearly independent over R")
 
 
@@ -176,7 +197,7 @@ class CurveProbe:
 
     plucker is the plane's Plucker vector L, one coordinate per pair i < j
     of realified coordinates (lexicographic); limit_plane its unique reduced
-    row echelon basis over QQ, each realified row as n Gaussian rationals.
+    row echelon basis over Q, each realified row as n Gaussian rationals.
     verdict is "fail-witness" when iota_tau L != 0 for a stratum tangent
     tau, else "compatible"; "inconclusive", with no plane, when the curve
     lies in the critical locus.  projection is the spectral norm of the
@@ -224,37 +245,77 @@ def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
 
 def _frame_along(family: NormalFamily, curve: CurveGerm):
     """Realified frame rows A = a+b and B = i(a-b) along the curve, in Q[t]^(2n)."""
-    zs = [sum((_TI({(e,): _gaussian(c)}) for c, e in comp), _TI.zero)
+    zs = [(_tsum({e: c.re} for c, e in comp), _tsum({e: c.im} for c, e in comp))
           for comp in curve.components]
     # t is real, so conj(z(t)) conjugates the coefficients only
-    gens = zs + [_TI.from_dict({m: c.new(c.x, -c.y) for m, c in z.items()}) for z in zs]
+    gens = zs + [(re, _tscale(im, -1)) for re, im in zs]
+    powers = {}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = gens[i] if e == 1 else _gmul(power(i, e - 1), gens[i])
+        return powers[i, e]
 
     def along(p: MixedPolynomial):
-        return sum((prod((g ** e for g, e in zip(gens, m) if e), start=_TI.ground_new(c))
-                    for m, c in p._poly.items()), _TI.zero)
+        re, im = [], []
+        for pair, c in p.terms.items():
+            mono = None
+            for i, e in enumerate(pair.nu + pair.mu):
+                if e:
+                    mono = power(i, e) if mono is None else _gmul(mono, power(i, e))
+            x, y = mono or ({0: Fraction(1)}, {})
+            # (c.re + i*c.im) * (x + i*y)
+            re += (_tscale(x, c.re), _tscale(y, -c.im))
+            im += (_tscale(x, c.im), _tscale(y, c.re))
+        return _tsum(re), _tsum(im)
 
-    def parts(p):
-        return (_TQ.from_dict({m: c.x for m, c in p.items()}),
-                _TQ.from_dict({m: c.y for m, c in p.items()}))
+    def combine(x, y, sign):
+        """x + sign * y in Q(i)[t]."""
+        return tuple(_tsum((u, _tscale(v, sign))) for u, v in zip(x, y))
 
     a, b = [along(p) for p in family.a], [along(p) for p in family.b]
-    n_one = [parts(x + y) for x, y in zip(a, b)]
-    diff = [parts(x - y) for x, y in zip(a, b)]
+    n_one = [combine(x, y, 1) for x, y in zip(a, b)]
+    diff = [combine(x, y, -1) for x, y in zip(a, b)]
     return ([re for re, _ in n_one] + [im for _, im in n_one],
-            [-im for _, im in diff] + [re for re, _ in diff])
+            [_tscale(im, -1) for _, im in diff] + [re for re, _ in diff])
+
+
+def _coefficient(p, q, k):
+    """The t^k coefficient of p * q."""
+    return sum(c * q[k - e] for e, c in p.items() if k - e in q)
+
+
+def _plucker_limit(A, B):
+    """(m, L): the lowest t-order m at which some Plucker coordinate
+    p_ij = A_i B_j - A_j B_i is nonzero, and the t^m coefficients L of all
+    p_ij; None when every p_ij vanishes.  Only the orders up to m are
+    computed, not the whole products."""
+    if not any(A) or not any(B):
+        return None
+    lo = min(min(x) for x in A if x) + min(min(y) for y in B if y)
+    hi = max(max(x) for x in A if x) + max(max(y) for y in B if y)
+    pairs = list(itertools.combinations(range(len(A)), 2))
+    for m in range(lo, hi + 1):
+        L = [Fraction(_coefficient(A[i], B[j], m) - _coefficient(A[j], B[i], m)) for i, j in pairs]
+        if any(L):
+            return m, L
+    return None
 
 
 def _lowest_order(polys):
     """The lowest t-order among the nonzero polynomials, or None if all are 0."""
-    return min((min(p.itermonoms())[0] for p in polys if p), default=None)
+    return min((min(p) for p in polys if p), default=None)
 
 
 def _contract(L, v) -> list:
-    """iota_v L in QQ, with iota_v (e_i ^ e_j) = v_i e_j - v_j e_i."""
-    out = [QQ.zero] * len(v)
+    """iota_v L over Q, with iota_v (e_i ^ e_j) = v_i e_j - v_j e_i."""
+    out = [Fraction(0)] * len(v)
     for (i, j), c in zip(itertools.combinations(range(len(v)), 2), L):
-        out[j] += v[i] * c
-        out[i] -= v[j] * c
+        if c:
+            if v[i]:
+                out[j] += v[i] * c
+            if v[j]:
+                out[i] -= v[j] * c
     return out
 
 
@@ -265,38 +326,38 @@ def _limit_mu(A, B, d) -> complex:
     and B; det G > 0 for small t > 0, so alpha + i*beta points along
     adj(G) (A.d, B.d), whose lowest-order coefficient gives the limit.
     """
-    Ad, Bd = (sum((x.mul_ground(c) for x, c in zip(X, d) if c), _TQ.zero) for X in (A, B))
-    AA, AB, BB = (sum((x * y for x, y in zip(X, Y)), _TQ.zero) for X, Y in ((A, A), (A, B), (B, B)))
-    alpha, beta = BB * Ad - AB * Bd, AA * Bd - AB * Ad
-    m = (_lowest_order((alpha, beta)),)
-    mu = complex(float(alpha.get(m, QQ.zero)), float(beta.get(m, QQ.zero)))
+    Ad, Bd = (_tsum(_tscale(x, c) for x, c in zip(X, d)) for X in (A, B))
+    AA, AB, BB = (_tsum(_tmul(x, y) for x, y in zip(X, Y)) for X, Y in ((A, A), (A, B), (B, B)))
+    alpha = _tsum((_tmul(BB, Ad), _tscale(_tmul(AB, Bd), -1)))
+    beta = _tsum((_tmul(AA, Bd), _tscale(_tmul(AB, Ad), -1)))
+    m = _lowest_order((alpha, beta))
+    mu = complex(float(alpha.get(m, 0)), float(beta.get(m, 0)))
     return mu / abs(mu)
 
 
-def _plane_basis(L, dim) -> DomainMatrix:
-    """The unique reduced row echelon basis over QQ of the plane with
+def _plane_basis(L, dim) -> list[list[Fraction]]:
+    """The unique reduced row echelon basis over Q of the plane with
     Plucker vector L.  L = u ^ v is decomposable, so iota_{e_r} L is
     u_r v - v_r u; at L's first nonzero coordinate (i, j) the rows for
     r = i, j span the plane, since their wedge is L_ij L."""
     i, j = next(ij for ij, c in zip(itertools.combinations(range(dim), 2), L) if c)
-    rows = [_contract(L, [QQ.one if k == r else QQ.zero for k in range(dim)]) for r in (i, j)]
-    return DomainMatrix(rows, (2, dim), QQ).rref()[0]
+    return _rref([_contract(L, [int(k == r) for k in range(dim)]) for r in (i, j)])[0]
 
 
-def _projection(B: DomainMatrix, tangents) -> float:
+def _projection(B, tangents) -> float:
     """Spectral norm of the orthogonal projection of the span of the real
     tangent rows T onto the span of the rows of B; only the last step is float.
 
     With G = B B^T, H = T T^T and the orthonormal bases Q = G^(-1/2) B and
     P = H^(-1/2) T, the norm squared is the largest eigenvalue of
     Q P^T P Q^T = YX for X = G^(-1/2), Y = G^(-1/2) (B T^T) H^-1 (T B^T).
-    XY and YX have the same eigenvalues, so W = XY, 2x2 over QQ, has real
+    XY and YX have the same eigenvalues, so W = XY, 2x2 over Q, has real
     nonnegative ones, and the largest is (tr W + sqrt(tr^2 - 4 det W)) / 2.
     """
-    T = DomainMatrix(tangents, (len(tangents), B.shape[1]), QQ)
-    BT = B * T.transpose()
-    W = (B * B.transpose()).inv() * BT * (T * T.transpose()).inv() * BT.transpose()
-    (w00, w01), (w10, w11) = W.to_list()
+    T = tangents
+    BT = _matmul(B, list(zip(*T)))
+    G_inv, H_inv = (_inverse(_matmul(X, list(zip(*X)))) for X in (B, T))
+    (w00, w01), (w10, w11) = _matmul(_matmul(_matmul(G_inv, BT), H_inv), list(zip(*BT)))
     tr, det = w00 + w11, w00 * w11 - w01 * w10
     return sqrt((float(tr) + sqrt(float(tr * tr - 4 * det))) / 2)
 
@@ -305,22 +366,20 @@ def _probe_curve(family, curve, label, tangents=()) -> CurveProbe:
     """Exact limit plane along one curve, checked against realified stratum
     tangents: the first tau with iota_tau L != 0 makes a fail witness."""
     A, B = _frame_along(family, curve)
-    P = [A[i] * B[j] - A[j] * B[i] for i, j in itertools.combinations(range(len(A)), 2)]
-    m = _lowest_order(P)
-    if m is None:
+    limit = _plucker_limit(A, B)
+    if limit is None:
         return CurveProbe(label, "inconclusive", "frame degenerate along the whole curve: "
                           "every Plucker coordinate vanishes, so the curve lies in the "
                           "critical locus")
-    L = [p.get((m,), QQ.zero) for p in P]
+    m, L = limit
     basis = _plane_basis(L, len(A))
-    result = CurveProbe(label, "compatible", f"limit plane from t^{m}",
-                        plucker=tuple(Fraction(int(c.numerator), int(c.denominator)) for c in L),
-                        limit_plane=tuple(map(_unrealify_exact, basis.to_list())), projection=0.0)
+    result = CurveProbe(label, "compatible", f"limit plane from t^{m}", plucker=tuple(L),
+                        limit_plane=tuple(map(_unrealify_exact, basis)), projection=0.0)
     w = next((w for w in (_contract(L, tau) for tau in tangents) if any(w)), None)
     if w is None:
         return result
     # -iota_w L / |L|^2 is the orthogonal projection of tau onto the limit plane
-    norm2 = sum((c * c for c in L), QQ.zero)
+    norm2 = sum(c * c for c in L)
     d = [-c / norm2 for c in _contract(L, w)]
     proj = _projection(basis, tangents)
     witness = {
@@ -354,7 +413,7 @@ def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[Curv
     lexicographic order: the diagonal (e, ..., e), so that every coordinate
     takes every exponent, and a seeded sample of the rest.
     """
-    base = tuple(_from_gaussian(_exact(w)) for w in base_point)
+    base = tuple(_exact(w) for w in base_point)
     n = len(base)
     rng = np.random.default_rng(seed)
     if 3 ** n <= 27:
@@ -390,7 +449,7 @@ def thom_test(F: MixedPolynomial, stratum: Stratum, curves=None) -> ProbeResult:
     if curves is None:
         curves = default_curve_battery(stratum.base_point)
     family = normal_family_symbolic(F)
-    tangents = [_realify_exact([_gaussian(w) for w in v]) for v in stratum.tangent]
+    tangents = [_realify_exact(v) for v in stratum.tangent]
     per: list[CurveProbe] = []
     for idx, curve in enumerate(curves):
         _check_curve_arity(F, curve)

@@ -278,7 +278,6 @@ def expr_line_components(h: MixedPolynomial):
     of the coefficients c_j(a) of u^j in h(u, a*u); their gcd and its
     factorisation over QQ(i) come from sp.gcd and sp.factor_list.
     """
-    from mixedsing.core import _from_gaussian
     from mixedsing.discgeom import LineComponent, LineReport
 
     def halfline(slope):
@@ -306,7 +305,9 @@ def expr_line_components(h: MixedPolynomial):
             p = sp.Poly(fac, a, domain="QQ_I")
             if p.degree() == 1:
                 c1, c0 = p.rep.to_list()
-                cr = _from_gaussian(sp.QQ_I.quo(-c0, c1))
+                q = sp.QQ_I.quo(-c0, c1)
+                cr = ComplexRational(Fraction(q.x.numerator, q.x.denominator),
+                                     Fraction(q.y.numerator, q.y.denominator))
                 if cr.is_zero:
                     continue
                 has_slopes = True

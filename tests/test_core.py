@@ -1,11 +1,15 @@
 """Exact arithmetic core: scalars, terms, ring laws, Wirtinger calculus."""
 
+import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
-from sympy.polys.domains import ZZ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ_I
 from sympy.polys.domains.domain import Domain
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 
 from mixedsing import (
     ComplexRational,
@@ -16,7 +20,7 @@ from mixedsing import (
     from_pair,
     parse,
 )
-from mixedsing.core import _from_gaussian, _gaussian
+from mixedsing.core import _cleared, _gaussian
 from mixedsing.thomprobe import CurveGerm, Stratum
 from conftest import random_points
 from oracles import (
@@ -46,17 +50,18 @@ class TestComplexRational:
 
 
 class TestScalarEntry:
-    """_gaussian is the one way a scalar enters QQ_I, _from_gaussian the one
-    way back out."""
+    """_gaussian is the one way a scalar enters exact arithmetic; a constant
+    polynomial's cleared store gives it back."""
 
     def test_round_trip(self, rng):
         for _ in range(40):
             re = Fraction(int(rng.integers(-99, 100)), int(rng.choice([1, 2, 3, 4, 6, 9, 12])))
             im = Fraction(int(rng.integers(-99, 100)), int(rng.choice([1, 5, 7, 10, 25])))
             for c in (CR(re, im), CR(re), CR(0, im)):
-                assert _from_gaussian(_gaussian(c)) == c
-        assert _from_gaussian(_gaussian(Fraction(-6, 8))) == CR(Fraction(-3, 4))
-        assert _from_gaussian(_gaussian(7)) == CR(7)
+                assert _gaussian(c) == c
+                assert MixedPolynomial.constant(c, 2).constant_term() == c
+        assert _gaussian(Fraction(-6, 8)) == CR(Fraction(-3, 4))
+        assert _gaussian(7) == CR(7)
 
     def test_only_exact_scalars_enter(self):
         for bad in (0.1, 0.5j, "1"):
@@ -278,9 +283,36 @@ def _gaussian_poly(rng, n_terms, n_vars=2, holomorphic=False):
     return MixedPolynomial(n_vars, terms)
 
 
+@cache
+def _reference_ring(n_vars):
+    """sympy's QQ_I[z1..zn, z1~..zn~] in graded-lex order: the reference."""
+    names = [f"z{j + 1}" for j in range(n_vars)] + [f"z{j + 1}~" for j in range(n_vars)]
+    return ring(names, QQ_I, order=grlex)[0]
+
+
+def _to_ring(F):
+    """F as an element of the reference ring."""
+    def q(x):
+        return QQ(x.numerator, x.denominator)
+
+    return _reference_ring(F.n_vars).from_dict(
+        {p.nu + p.mu: QQ_I.dtype.new(q(c.re), q(c.im)) for p, c in F.terms.items()}
+    )
+
+
+def _from_ring(p, n_vars):
+    """An element of the reference ring as a MixedPolynomial."""
+    return MixedPolynomial(n_vars, {
+        ExponentPair(m[:n_vars], m[n_vars:]):
+            CR(Fraction(c.x.numerator, c.x.denominator), Fraction(c.y.numerator, c.y.denominator))
+        for m, c in p.items()
+    })
+
+
 class TestKernels:
     """Powers, Wirtinger gradients and from_pair run on cleared-denominator
-    integers; each must equal sympy's generic ring operation exactly."""
+    integers; each must equal sympy's generic ring operation exactly, with
+    both sides converted at the edge."""
 
     def test_power_matches_ring_power(self, rng):
         bases = [
@@ -295,31 +327,31 @@ class TestKernels:
                     with pytest.raises(ValueError, match="0\\*\\*0"):
                         F ** e
                     continue
-                assert F ** e == MixedPolynomial._from_poly(F._poly ** e), (F, e)
+                assert F ** e == _from_ring(_to_ring(F) ** e, F.n_vars), (F, e)
 
     def test_wirtinger_matches_ring_diff(self, rng):
         for k in (1, 3, 6):
             for n in (1, 2, 3):
                 F = _gaussian_poly(rng, k, n)
                 grad = F.wirtinger()
-                want = [F._poly.diff(x) for x in F._poly.ring.gens]
-                assert [p._poly for p in grad.dF + grad.dbarF] == want, F
+                want = [_to_ring(F).diff(x) for x in _reference_ring(n).gens]
+                assert [_to_ring(p) for p in grad.dF + grad.dbarF] == want, F
 
     def test_from_pair_matches_ring_product(self, rng):
         for kf, kg in ((1, 1), (2, 3), (5, 4), (0, 3)):
             f = _gaussian_poly(rng, kf, holomorphic=True)
             g = _gaussian_poly(rng, kg, holomorphic=True)
-            assert from_pair(f, g)._poly == f._poly * g.conjugate()._poly, (f, g)
+            assert _to_ring(from_pair(f, g)) == _to_ring(f) * _to_ring(g.conjugate()), (f, g)
 
     def test_wirtinger_makes_no_domain_conversion(self, rng, monkeypatch):
-        field = type(MixedPolynomial.one(1)._poly.ring.domain)
+        field = type(QQ_I)
         calls = []
         convert = field.convert
         monkeypatch.setattr(
             field, "convert", lambda self, *a, **k: calls.append(a) or convert(self, *a, **k)
         )
         F = _gaussian_poly(rng, 6, 2)
-        F._poly.diff(F._poly.ring.gens[0])
+        _to_ring(F).diff(_reference_ring(2).gens[0])
         assert calls, "the counter must see sympy's own diff convert"
         calls.clear()
         F.wirtinger()
@@ -340,21 +372,21 @@ class TestKernels:
     def test_power_cases_match_ring_power(self, text):
         F = parse(text, ("x", "y"))
         for e in (*range(10), 16):
-            assert F ** e == MixedPolynomial._from_poly(F._poly ** e), (text, e)
+            assert F ** e == _from_ring(_to_ring(F) ** e, 2), (text, e)
 
     def test_power_cancellation_leaves_no_zero_key(self):
         F = parse("x^2 + 2*x*y - 2*y^2", ("x", "y"))
-        assert (2, 2, 0, 0) not in (F ** 2)._poly
-        assert (F ** 2)._poly == F._poly ** 2
+        assert (2, 2, 0, 0) not in _cleared(F ** 2)[1]
+        assert _to_ring(F ** 2) == _to_ring(F) ** 2
 
     def test_power_boundary_and_every_exponent(self, rng):
         for k in (2, 5, 6):
             F = _gaussian_poly(rng, k, n_vars=1)
             for e in (*range(10), 16):
-                got, want = (F ** e)._poly, F._poly ** e
-                assert got == want, (F, e)
-                # the same terms in sympy's own dict order
-                assert list(got) == list(want), (F, e)
+                got, want = F ** e, _to_ring(F) ** e
+                assert _to_ring(got) == want, (F, e)
+                # the term view in sympy's own graded-lex term order
+                assert [p.nu + p.mu for p in got.terms] == [m for m, _ in want.terms()], (F, e)
 
     def test_power_makes_no_domain_conversion(self, rng, monkeypatch):
         calls = []
@@ -363,8 +395,8 @@ class TestKernels:
             Domain, "convert", lambda self, *a, **k: calls.append(a) or convert(self, *a, **k)
         )
         F = parse("2*x + y~ - 3*i", ("x", "y"))
-        integer = F._poly.ring.clone(domain=ZZ_I)
-        integer({m: ZZ_I.new(c.x.numerator, c.y.numerator) for m, c in F._poly.items()}) ** 5
+        integer = _reference_ring(2).clone(domain=ZZ_I)
+        integer({m: ZZ_I.new(x, y) for m, (x, y) in _cleared(F)[1].items()}) ** 5
         assert calls, "the counter must see sympy's own ZZ_I power convert"
         bases = (F, _gaussian_poly(rng, 1), _gaussian_poly(rng, 4), _gaussian_poly(rng, 7))
         calls.clear()
@@ -376,11 +408,25 @@ class TestKernels:
     def test_term_view_matches_validated_pairs(self, rng):
         F = _gaussian_poly(rng, 7, 3)
         n = F.n_vars
-        want = [ExponentPair(tuple(m[:n]), tuple(m[n:])) for m, _ in F._poly.terms()]
+        want = [ExponentPair(tuple(m[:n]), tuple(m[n:])) for m, _ in _to_ring(F).terms()]
         got = list(F.terms)
         assert got == want
         assert [hash(p) for p in got] == [hash(p) for p in want]
         assert all(type(p.nu) is tuple and type(p.mu) is tuple for p in got)
+
+    def test_store_is_canonical(self, rng):
+        """d > 0 and gcd(d, every part) = 1 after every operation, so equal
+        values have equal stores; 1/2 + 1/2 and 2 * (x/2) clear to d = 1."""
+        x = parse("x", ("x", "y"))
+        assert _cleared(parse("1/2 + 1/2", ("x", "y"))) == (1, {(0, 0, 0, 0): (1, 0)})
+        assert _cleared(2 * parse("1/2*x", ("x", "y"))) == _cleared(x)
+        assert _cleared(parse("(1+i)*x", ("x", "y")) * parse("1/2 - 1/2*i", ("x", "y"))) == _cleared(x)
+        for _ in range(40):
+            F, G = _gaussian_poly(rng, 3), _gaussian_poly(rng, 4)
+            for H in (F + G, F - G, F * G, F ** 3, -F, F.conjugate(), *F.wirtinger().dF):
+                d, pairs = _cleared(H)
+                assert d > 0 and math.gcd(d, *(v for xy in pairs.values() for v in xy)) == 1
+                assert _cleared(_from_ring(_to_ring(H), 2)) == (d, pairs)
 
 
 def test_complex_point_validation():

@@ -16,6 +16,8 @@ import pytest
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.domains.algebraicfield import AlgebraicField
 from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import ring
 
 from mixedsing import (
     ComplexRational,
@@ -40,13 +42,10 @@ from mixedsing.discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
     ShearSearchExhausted,
-    _A,
-    _XYA,
-    _embed,
     _factor_gaussian,
     _groebner,
-    _groebner_ring,
     _jacobian_minors,
+    _to_ring,
     _vanishes_on_critical_set,
 )
 from oracles import (
@@ -221,6 +220,11 @@ class TestGermLocalLines:
         assert len({c.minpoly for c in got}) == 1 and "a**4" in got.components[0].minpoly
 
 
+# sympy's rings QQ_I[x, y, a] and QQ_I[a], the references' own
+_XYA = ring("x y a", QQ_I)[0]
+_A = ring("a", QQ_I)[0]
+
+
 class TestFactorGaussian:
     """_factor_gaussian against sympy's own factor_list over QQ_I."""
 
@@ -237,7 +241,7 @@ class TestFactorGaussian:
             )
             J = jacobian_det(f, g)
             if not J.is_zero:
-                jacobians.append(_embed(J, _XYA))
+                jacobians.append(_to_ring(J, _XYA))
         for J in jacobians:
             assert _factor_gaussian(J) == J.factor_list()[1], J
 
@@ -585,9 +589,27 @@ def random_element(rng, R, n, max_deg=5, terms=(2, 4)):
     return R.from_dict(out)
 
 
+def _groebner_ring(n):
+    """QQ_I[x1..xn, w] in grevlex; w is the Rabinowitsch variable."""
+    return ring([f"x{j + 1}" for j in range(n)] + ["w"], QQ_I, order=grevlex)[0]
+
+
+def _kernel_basis(ideal, R):
+    """_groebner on ring elements of R: each element enters as its
+    Gaussian-integer pairs over one denominator, and each (n, p) of the
+    basis comes back as the ring element p / n."""
+    def cleared(p):
+        d = math.lcm(*(q.denominator for c in p.values() for q in (c.x, c.y)))
+        return {m: (c.x.numerator * (d // c.x.denominator), c.y.numerator * (d // c.y.denominator))
+                for m, c in p.items()}
+
+    return [R.from_dict({m: QQ_I(QQ(x, n), QQ(y, n)) for m, (x, y) in p.items()})
+            for n, p in _groebner([cleared(p) for p in ideal])]
+
+
 class TestGroebnerKernel:
     """_groebner against sympy's groebnertools, the reference it replaces,
-    by == on ring elements."""
+    by == on ring elements, converted at the kernel's edge."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_seeded_ideals_plain_and_rabinowitsch(self, rng, n):
@@ -603,7 +625,7 @@ class TestGroebnerKernel:
             t = P[0] * P[1] if k % 2 else random_element(rng, R, n, max_deg=2, terms=(1, 2))
             for ideal in (P, [*P, 1 - w * t]):
                 want = groebner(ideal, R)
-                assert _groebner(ideal, R) == want, ideal
+                assert _kernel_basis(ideal, R) == want, ideal
             saturated.append(want == [R.one])
         # both answers of the containment check occur
         assert all(saturated[1::2]) and not all(saturated[::2])
@@ -625,10 +647,11 @@ class TestGroebnerKernel:
             [1 - w * x, x],  # Rabinowitsch on a generator: the unit ideal
         ]
         for ideal in cases:
-            assert _groebner(ideal, R) == groebner(ideal, R), ideal
-        assert _groebner(reduced, R) == reduced
-        assert _groebner([R(QQ_I(5, 2))], R) == [R.one]
-        assert _groebner([R.zero], R) == []
+            assert _kernel_basis(ideal, R) == groebner(ideal, R), ideal
+        assert _kernel_basis(reduced, R) == reduced
+        assert _kernel_basis([R(QQ_I(5, 2))], R) == [R.one]
+        assert _kernel_basis([R.zero], R) == []
+        assert _groebner([{(0, 0): (3, 4)}]) == [(1, {(0, 0): (1, 0)})]
 
 
 class TestShear:
