@@ -8,6 +8,10 @@ The normal 2-plane of a mixed polynomial at z is the real span of the frame
 the Milnor certificate and scan with one rank rule: singular value s_i
 counts when s_i > s_0 * RANK_RTOL.  The Thom probes need none of this:
 they take limit planes exactly (thomprobe).
+
+This is the one module of the package that imports numpy at module top.
+milnorprobe imports it inside the Milnor scan, so numpy loads only when the
+scan runs.
 """
 
 from __future__ import annotations

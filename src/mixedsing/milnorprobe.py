@@ -24,16 +24,17 @@ samples per shell and the seed.
 tube_verdict combines the exact routes (separate variables, polar weights,
 discriminant lines) with the Thom probes, whose fail witnesses are exact,
 into a single classification that never overclaims.
+
+Every analyze imports this module for tube_verdict, and no command runs the
+scan, so numpy and _numeric are imported inside milnor_scan and its helpers
+only: the exact paths never load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import discgeom
-from ._numeric import compile_frame, compile_hessian, compile_poly, normal_plane, realify, unrealify
 from .core import MixedPolynomial
 from .polar import PolarSolution, solve_polar
 from .thomprobe import DEFAULT_SEED, ProbeResult
@@ -77,6 +78,10 @@ class ScanResult:
 def _batch_residual(frame, Z: np.ndarray) -> np.ndarray:
     """The Milnor certificate over rows of Z (N, n), values in [0, 1];
     degenerate rows, which certify nothing, -> 2."""
+    import numpy as np
+
+    from ._numeric import normal_plane, realify
+
     plane = normal_plane(*frame(Z))
     radial = realify(Z)
     radial = radial / np.linalg.norm(radial, axis=1, keepdims=True)
@@ -88,6 +93,10 @@ def _fibre_distance(pair, frame, ev):
 
     frame and ev are the scan's evaluators of F, reused when there is no pair.
     """
+    import numpy as np
+
+    from ._numeric import compile_poly
+
     if pair is not None:
         f, g = pair
         ef, eg = compile_poly(f), compile_poly(g)
@@ -124,6 +133,10 @@ def _project_to_milnor_set(frame, hessian, X: np.ndarray, r: float, steps: int) 
     frame, the Hessian and pinv only on the rows still moving; no row takes
     more than steps iterations.
     """
+    import numpy as np
+
+    from ._numeric import realify, unrealify
+
     S, n = X.shape[0], X.shape[1] // 2
     eye = np.eye(n)
     X = X.copy()
@@ -188,6 +201,10 @@ def milnor_scan(
     nearest the fibre, by distance to 12 significant digits, then by sample
     order.  Deterministic for a fixed seed.
     """
+    import numpy as np
+
+    from ._numeric import compile_frame, compile_hessian, compile_poly
+
     n = F.n_vars
     rng = np.random.default_rng(seed)
     frame = compile_frame(F)

@@ -17,25 +17,22 @@ Detection is exact: the admissible (p, k) form a sublattice of Z^{n+1}
 reduction.  A coordinate vanishing on the whole lattice certifies "none";
 otherwise weights exist, and the canonical one is searched in the balls
 sum|p_j| <= S, S = 1, 2, 4, ...  Each ball is covered by a box of lattice
-coefficients, walked as numpy integer arrays (int64 below 2^62, Python ints
-above, never floats); a box over the fixed budget answers "unknown".
+coefficients, walked on Python ints (never floats); a box over the fixed
+budget answers "unknown".
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-
-import numpy as np
 
 from .core import MixedPolynomial, _inverse, _matmul
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "integer_kernel"]
 
 _ENUM_CAP = 5_000_000
-_CHUNK_ROWS = 1 << 13
-_INT64_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -148,42 +145,47 @@ def _search_box(basis, boxes, n: int, bound: int):
 
     A point is admissible when every p_j != 0, k != 0 and
     sum|p| <= bound; it is then divided by the gcd of its entries and ranked
-    by _candidate_key.  The box is walked in chunks of at most _CHUNK_ROWS
-    coefficient rows.  Entries stay int64 while neither a lattice point
-    (|entry| <= rank * max(boxes) * max|basis entry|) nor a kept sum|p|
-    (<= n * bound) can reach 2^62, and are Python ints otherwise; no float
-    is involved.
+    by _candidate_key.  The walk is on Python ints.  itertools.product runs
+    over the first r - 1 coefficients; each p_j the last row leaves fixed
+    must then be nonzero, and what their sum|p| leaves of the bound, the
+    slack, caps every other |p_j|.  Those p_j are linear in the last
+    coefficient, so it runs over one exact integer interval only.
     """
-    r = len(basis)
-    biggest = max(abs(x) for v in basis for x in v)
-    fits = max(r * max(boxes) * biggest, n * bound) < _INT64_LIMIT
-    dtype = np.int64 if fits else object
-    B = np.array(basis, dtype=dtype)
-    offsets = np.array(boxes, dtype=np.int64)
-    sizes = 2 * offsets + 1
-    total = int(np.prod(sizes))
+    *head, last = basis
+    rows = [[tuple(c * x for x in v) for c in range(-b, b + 1)]
+            for v, b in zip(head, boxes)]
+    fixed = [j for j in range(n) if not last[j]]
+    moving = [(j, last[j]) for j in range(n) if last[j]]
     best: tuple | None = None
     best_pk: tuple[tuple[int, ...], int] | None = None
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        C = np.stack(np.unravel_index(idx, sizes), axis=1) - offsets
-        V = C.astype(dtype) @ B
-        # |p_j| <= bound first, so the sums of |p| below stay within n * bound
-        keep = (V[:, :n] != 0).all(axis=1) & (np.abs(V[:, :n]) <= bound).all(axis=1)
-        V = V[keep & (V[:, n] != 0)]
-        V = V[np.abs(V[:, :n]).sum(axis=1) <= bound]
-        if not len(V):
+    for vecs in itertools.product(*rows):
+        acc = [sum(col) for col in zip(*vecs)] if vecs else [0] * (n + 1)
+        slack = bound - sum(abs(acc[j]) for j in fixed)
+        if slack < 0 or not all(acc[j] for j in fixed):
             continue
-        V = V // np.gcd.reduce(np.abs(V), axis=1)[:, None]
-        p, k = V[:, :n], V[:, n]
-        # _candidate_key's columns, last to first: np.lexsort sorts by its last key first
-        order = np.lexsort(
-            [-p[:, j] for j in range(n - 1, -1, -1)] + [k <= 0, np.abs(k), np.abs(p).sum(axis=1)]
-        )
-        pk = (tuple(int(x) for x in p[order[0]]), int(k[order[0]]))
-        key = _candidate_key(*pk)
-        if best is None or key < best:
-            best, best_pk = key, pk
+        c_lo, c_hi = -boxes[-1], boxes[-1]
+        for j, b in moving:
+            # -slack <= acc[j] + c * b <= slack
+            a = acc[j]
+            if b > 0:
+                c_lo, c_hi = max(c_lo, -((slack + a) // b)), min(c_hi, (slack - a) // b)
+            else:
+                c_lo, c_hi = max(c_lo, -((slack - a) // -b)), min(c_hi, (slack + a) // -b)
+        pairs = list(zip(acc, last[:n]))
+        for c in range(c_lo, c_hi + 1):
+            k = acc[n] + c * last[n]
+            p = [a + c * b for a, b in pairs]
+            s = sum(map(abs, p))
+            if not k or s > bound or not all(p):
+                continue
+            g = gcd(*p, k)
+            # sum|p| after the division, the key's first entry, settles most points
+            if best is not None and s // g > best[0]:
+                continue
+            pk = (tuple(x // g for x in p), k // g)
+            key = _candidate_key(*pk)
+            if best is None or key < best:
+                best, best_pk = key, pk
     return best_pk
 
 

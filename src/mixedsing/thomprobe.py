@@ -35,11 +35,10 @@ the projection's 2x2 matrix are Fractions too.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import sqrt
-
-import numpy as np
 
 from .core import ComplexRational, MixedPolynomial, _gaussian, _inverse, _matmul, _rref, complex_point
 from .parsing import format_scalar
@@ -407,28 +406,32 @@ def default_curve_battery(base_point, *, seed: int = DEFAULT_SEED) -> tuple[Curv
     """Monomial curves base + (w_1 t^{a_1}, ..., w_n t^{a_n}), a in {1, 2, 3}^n.
 
     Each direction w = ((1 - s^2) + 2is) / (1 + s^2) is an exact point of
-    the unit circle, with s = p/q, p in [-9, 9] and q in [1, 9] drawn from a
-    seeded generator.  The battery is the whole exponent grid when it has at
+    the unit circle, with s = p/q, p in [-9, 9] and q in [1, 9] drawn from
+    random.Random(seed); seed must be a non-negative int (ValueError
+    otherwise).  The battery is the whole exponent grid when it has at
     most 27 points (n <= 3).  Otherwise it is 27 distinct grid points in
     lexicographic order: the diagonal (e, ..., e), so that every coordinate
     takes every exponent, and a seeded sample of the rest.
     """
+    # random.Random seeds from abs(seed) and hashes other objects, so -5
+    # would draw the battery of 5 and 1.5 some unrelated one
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"the battery seed must be a non-negative integer, got {seed!r}")
     base = tuple(_exact(w) for w in base_point)
     n = len(base)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if 3 ** n <= 27:
         grids = list(itertools.product((1, 2, 3), repeat=n))
     else:
         chosen = {(e,) * n for e in (1, 2, 3)}
         while len(chosen) < 27:
-            chosen.add(tuple(int(e) for e in rng.integers(1, 4, size=n)))
+            chosen.add(tuple(rng.randint(1, 3) for _ in range(n)))
         grids = sorted(chosen)
     curves = []
     for exps in grids:
-        ps, qs = rng.integers(-9, 10, size=n), rng.integers(1, 10, size=n)
         comps = []
         for j in range(n):
-            s = Fraction(int(ps[j]), int(qs[j]))
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             r = 1 + s * s
             w = ComplexRational((1 - s * s) / r, 2 * s / r)
             comps.append(((w, exps[j]),) + (((base[j], 0),) if base[j] else ()))

@@ -1,7 +1,9 @@
-"""sympy stays off the import path: only the plane route loads it.
+"""sympy and numpy stay off the import path.
 
-The suite itself imports sympy as its reference, so each check runs in a
-fresh interpreter and reads sys.modules there.
+Only the plane route loads sympy, to factor a plane Jacobian, and only the
+Milnor scan loads numpy; no command runs the scan.  The suite itself imports
+both as references, so each check runs in a fresh interpreter and reads
+sys.modules there.
 """
 
 import os
@@ -13,40 +15,66 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+FIXTURES = ("polar-k2", "polar-k3", "separate-x2-y3", "shear-x-xy2", "x2zy2-ybar",
+            "xy-xbar", "xz2y-xbar")
 # the fixtures whose analyze factors no plane Jacobian
 SYMPY_FREE = ("polar-k2", "polar-k3", "x2zy2-ybar", "xz2y-xbar")
 
 
-def loads_sympy(code: str) -> bool:
-    """Whether sympy is in sys.modules after code runs in a fresh interpreter."""
+def loads(package: str, code: str) -> bool:
+    """Whether package is in sys.modules after code runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    script = f"{code}\nimport sys\nprint('sympy' in sys.modules)"
+    script = f"{code}\nimport sys\nprint({package!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     return {"True": True, "False": False}[out.split()[-1]]
 
 
-def cli_loads_sympy(*argv: str) -> bool:
-    return loads_sympy(f"from mixedsing.cli import main\nassert main({list(argv)!r}) == 0")
+def cli_loads(package: str, *argv: str) -> bool:
+    return loads(package, f"from mixedsing.cli import main\nassert main({list(argv)!r}) == 0")
 
 
 @pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
 def test_import_leaves_sympy_out(module):
-    assert not loads_sympy(f"import {module}")
+    assert not loads("sympy", f"import {module}")
+
+
+@pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
+def test_import_leaves_numpy_out(module):
+    assert not loads("numpy", f"import {module}")
 
 
 @pytest.mark.parametrize("fixture", SYMPY_FREE)
 def test_analyze_without_a_plane_jacobian_leaves_sympy_out(fixture):
-    assert not cli_loads_sympy("analyze", fixture)
+    assert not cli_loads("sympy", "analyze", fixture)
 
 
 def test_groebner_route_leaves_sympy_out():
     """disc on a three-variable pair runs the containment check and
     sing_decomposition, both on the in-package Groebner kernel."""
-    assert not cli_loads_sympy("disc", "x2zy2-ybar")
+    assert not cli_loads("sympy", "disc", "x2zy2-ybar")
 
 
 def test_plane_discriminant_loads_sympy():
     """The lazy boundary is reached, and the plane route still works."""
-    assert cli_loads_sympy("analyze", "separate-x2-y3")
+    assert cli_loads("sympy", "analyze", "separate-x2-y3")
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_analyze_leaves_numpy_out(fixture):
+    assert not cli_loads("numpy", "analyze", fixture)
+
+
+@pytest.mark.parametrize("argv", [("disc", "x2zy2-ybar"), ("polar", "polar-k2"),
+                                  ("thom-probe", "xy-xbar")])
+def test_exact_commands_leave_numpy_out(argv):
+    assert not cli_loads("numpy", *argv)
+
+
+def test_milnor_scan_loads_numpy():
+    """The lazy boundary is reached, and the scan still works."""
+    assert loads("numpy", "from mixedsing import milnor_scan\n"
+                          "from mixedsing.fixtures import load_fixture\n"
+                          "r = milnor_scan(load_fixture('xy-xbar').expression, (0.1,), 8)\n"
+                          "assert len(r.shells) == 1")

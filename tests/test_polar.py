@@ -161,7 +161,8 @@ def test_candidate_key_tie_breaks():
 
 
 def test_box_search_matches_recursive_reference(rng):
-    """The chunked numpy walk equals the recursive walk on random lattices."""
+    """The product walk with an exact last-coefficient interval equals the
+    recursive walk on random lattices."""
     for _ in range(300):
         n = int(rng.integers(1, 4))
         r = int(rng.integers(1, n + 2))
@@ -172,6 +173,23 @@ def test_box_search_matches_recursive_reference(rng):
         bound = int(rng.integers(1, 12))
         args = (basis, boxes, n, bound)
         assert _search_box(*args) == recursive_box_search(*args, True), args
+
+
+@pytest.mark.parametrize("args, want", [
+    # rank 1: the product over the head rows is empty
+    (([[2, -1, 3]], [5], 2, 6), ((2, -1), 3)),
+    # the last row leaves p_1 = 3 c_0 fixed: |c_0| = 2 overshoots the bound
+    # and empties the interval, and c_0 = 0 is not admissible
+    (([[3, 1, 1], [0, 1, 2]], [2, 3], 2, 4), ((3, 1), 1)),
+    (([[3, 1, 1], [0, 1, 2]], [2, 3], 2, 2), None),
+    # negative last-row entries
+    (([[0, 1, 1], [-2, -3, 4]], [3, 3], 2, 7), ((-2, -1), 6)),
+    # |p_j| <= 20 would let c_1 reach -2 and ((1, 2), 1); the box stops it at -1
+    (([[-1, 0, 1], [-1, -1, 0]], [1, 1], 2, 20), ((-2, -1), 1)),
+    (([[-1, 0, 1], [-1, -1, 0]], [1, 5], 2, 20), ((1, 2), 1)),
+])
+def test_box_search_edge_cases(args, want):
+    assert _search_box(*args) == recursive_box_search(*args, True) == want
 
 
 def _domain_matrix_pinv_colmax(basis):
@@ -199,7 +217,7 @@ def test_box_sides_match_fraction_reference(rng):
 
 
 def test_large_lattice_entries_stay_exact(monkeypatch):
-    """Basis entries near 2^62 take the Python-int path and match the reference."""
+    """Basis entries near 2^62 and k beyond int64 stay exact and match the reference."""
     one = ComplexRational(Fraction(1), Fraction(0))
     e = 2**62
     F = MixedPolynomial(3, {

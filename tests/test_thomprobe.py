@@ -386,6 +386,12 @@ class TestDefaultBattery:
         b = default_curve_battery((0, 1), seed=2)
         assert [c.components for c in a] != [c.components for c in b]
 
+    @pytest.mark.parametrize("seed", [-5, -1, 1.5, 2.0, "7", None])
+    def test_negative_or_non_integer_seed_rejected(self, seed):
+        """random.Random would seed -5 as 5 and hash the others."""
+        with pytest.raises(ValueError, match="non-negative integer"):
+            default_curve_battery((0, 1), seed=seed)
+
 
 def fixture_batteries():
     """(fixture, F, stratum, curves) for every fixture stratum and its battery."""
