@@ -18,7 +18,9 @@ the lcm of the denominators, products and powers (square, cube,
 multinomial, square-and-multiply) on the pairs, Wirtinger gradients by
 scaling parts with exponents, and f * conj(g) as an outer product.  The
 dict's order is never read: the term view sorts by descending graded-lex
-order on (nu, mu), and the printer reads the term view.
+order on (nu, mu), and the printer reads the term view.  The Thom probes
+use the same store for polynomials in the curve parameter t: they
+substitute probe curves, and form the frame's Gram products, on its pairs.
 
 Scalars are ComplexRational values, which carry no arithmetic: _gaussian
 admits an int, Fraction or ComplexRational, and the ExponentPair/

@@ -25,11 +25,12 @@ irregularity along that curve.  "compatible" over a finite battery of
 curves is still only evidence.  The limit plane is reported exactly; the
 witness's mu and direction and the projection norms are floats from it.
 
-Exact scalar work runs on Fractions.  Curve coefficients and stratum
-tangents are ComplexRational values; a series in t is a {k: Fraction} dict
-of its nonzero coefficients, and one in Q(i)[t] a pair of them (real part,
-imaginary part).  L, its contractions, the plane's basis (core._rref) and
-the projection's 2x2 matrix are Fractions too.
+Polynomials in t are one-variable MixedPolynomials on core's cleared
+store, so substitution, the frame's realification and the Gram products of
+the witness's mu run on its Gaussian-integer arithmetic.  Curve
+coefficients and stratum tangents are ComplexRational values; L, its
+contractions, the plane's basis (core._rref) and the projection's 2x2
+matrix are Fractions.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import sqrt
 
-from .core import ComplexRational, MixedPolynomial, _gaussian, _inverse, _matmul, _rref, complex_point
+from .core import (
+    CR_I, ComplexRational, MixedPolynomial, _cleared, _from_cleared, _gaussian, _inverse, _matmul,
+    _rref, complex_point,
+)
 from .parsing import format_scalar
 
 __all__ = [
@@ -95,36 +99,6 @@ def _unrealify_exact(r) -> tuple[ComplexRational, ...]:
     """Inverse of _realify_exact."""
     n = len(r) // 2
     return tuple(ComplexRational(x, y) for x, y in zip(r[:n], r[n:]))
-
-
-# series in t: {k: c} with no zero c; a pair (re, im) of them is in Q(i)[t]
-
-
-def _tsum(ps) -> dict:
-    out: dict = {}
-    for p in ps:
-        for k, c in p.items():
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _tscale(p, c) -> dict:
-    return {k: c * x for k, x in p.items()} if c else {}
-
-
-def _tmul(p, q) -> dict:
-    out: dict = {}
-    for i, a in p.items():
-        for j, b in q.items():
-            out[i + j] = out.get(i + j, 0) + a * b
-    return {k: c for k, c in out.items() if c}
-
-
-def _gmul(p, q) -> tuple[dict, dict]:
-    """The product of two series in Q(i)[t]."""
-    (a, b), (c, d) = p, q
-    return (_tsum((_tmul(a, c), _tscale(_tmul(b, d), -1))),
-            _tsum((_tmul(a, d), _tmul(b, c))))
 
 
 @dataclass(frozen=True)
@@ -243,45 +217,50 @@ def _check_curve_arity(F: MixedPolynomial, curve: CurveGerm) -> None:
 
 
 def _frame_along(family: NormalFamily, curve: CurveGerm):
-    """Realified frame rows A = a+b and B = i(a-b) along the curve, in Q[t]^(2n)."""
-    zs = [(_tsum({e: c.re} for c, e in comp), _tsum({e: c.im} for c, e in comp))
-          for comp in curve.components]
-    # t is real, so conj(z(t)) conjugates the coefficients only
-    gens = zs + [(re, _tscale(im, -1)) for re, im in zs]
-    powers = {}
+    """Realified frame rows A = a+b and B = i(a-b) along the curve: 2n real
+    polynomials in t each, as one-variable MixedPolynomials."""
+    # a component may repeat an exponent, so its terms accumulate
+    zs = [MixedPolynomial(1, [(((e,), (0,)), c) for c, e in comp]) for comp in curve.components]
+    # t is real, so conj(z(t)) conjugates the stored coefficients only
+    gens = zs + [_from_cleared(1, d, {m: (x, -y) for m, (x, y) in p.items()})
+                 for d, p in map(_cleared, zs)]
+    powers, zero = {}, MixedPolynomial.zero(1)
 
-    def power(i, e):
-        if (i, e) not in powers:
-            powers[i, e] = gens[i] if e == 1 else _gmul(power(i, e - 1), gens[i])
-        return powers[i, e]
-
-    def along(p: MixedPolynomial):
-        re, im = [], []
-        for pair, c in p.terms.items():
-            mono = None
-            for i, e in enumerate(pair.nu + pair.mu):
+    def along(F: MixedPolynomial) -> MixedPolynomial:
+        d, pairs = _cleared(F)
+        out = zero
+        for m, c in pairs.items():
+            mono = _from_cleared(1, d, {(0, 0): c})
+            for i, e in enumerate(m):
                 if e:
-                    mono = power(i, e) if mono is None else _gmul(mono, power(i, e))
-            x, y = mono or ({0: Fraction(1)}, {})
-            # (c.re + i*c.im) * (x + i*y)
-            re += (_tscale(x, c.re), _tscale(y, -c.im))
-            im += (_tscale(x, c.im), _tscale(y, c.re))
-        return _tsum(re), _tsum(im)
+                    if (i, e) not in powers:
+                        powers[i, e] = gens[i] ** e
+                    mono = mono * powers[i, e]
+            out = out + mono
+        return out
 
-    def combine(x, y, sign):
-        """x + sign * y in Q(i)[t]."""
-        return tuple(_tsum((u, _tscale(v, sign))) for u, v in zip(x, y))
+    def realify(polys) -> list[MixedPolynomial]:
+        """The polys along the curve, realified: the real parts, then the
+        imaginary parts, each split off a store over its denominator."""
+        stores = [_cleared(along(F)) for F in polys]
+        return [_from_cleared(1, d, {m: (c[k], 0) for m, c in p.items() if c[k]})
+                for k in (0, 1) for d, p in stores]
 
-    a, b = [along(p) for p in family.a], [along(p) for p in family.b]
-    n_one = [combine(x, y, 1) for x, y in zip(a, b)]
-    diff = [combine(x, y, -1) for x, y in zip(a, b)]
-    return ([re for re, _ in n_one] + [im for _, im in n_one],
-            [_tscale(im, -1) for _, im in diff] + [re for re, _ in diff])
+    pairs, unit = list(zip(family.a, family.b)), MixedPolynomial.constant(CR_I, curve.n_vars)
+    return realify(a + b for a, b in pairs), realify(unit * (a - b) for a, b in pairs)
 
 
-def _coefficient(p, q, k):
-    """The t^k coefficient of p * q."""
-    return sum(c * q[k - e] for e, c in p.items() if k - e in q)
+def _orders(X) -> list[int]:
+    """The t-exponents of every term of the polynomials X."""
+    return [m[0] for x in X for m in _cleared(x)[1]]
+
+
+def _coefficient(p, q, k) -> Fraction:
+    """The t^k coefficient of p * q, from the cleared stores p and q of two
+    real polynomials in t."""
+    (dp, P), (dq, Q) = p, q
+    return Fraction(sum(x * Q[k - e, 0][0] for (e, _), (x, _) in P.items() if (k - e, 0) in Q),
+                    dp * dq)
 
 
 def _plucker_limit(A, B):
@@ -289,21 +268,16 @@ def _plucker_limit(A, B):
     p_ij = A_i B_j - A_j B_i is nonzero, and the t^m coefficients L of all
     p_ij; None when every p_ij vanishes.  Only the orders up to m are
     computed, not the whole products."""
-    if not any(A) or not any(B):
+    oa, ob = _orders(A), _orders(B)
+    if not oa or not ob:
         return None
-    lo = min(min(x) for x in A if x) + min(min(y) for y in B if y)
-    hi = max(max(x) for x in A if x) + max(max(y) for y in B if y)
+    A, B = [_cleared(x) for x in A], [_cleared(y) for y in B]
     pairs = list(itertools.combinations(range(len(A)), 2))
-    for m in range(lo, hi + 1):
-        L = [Fraction(_coefficient(A[i], B[j], m) - _coefficient(A[j], B[i], m)) for i, j in pairs]
+    for m in range(min(oa) + min(ob), max(oa) + max(ob) + 1):
+        L = [_coefficient(A[i], B[j], m) - _coefficient(A[j], B[i], m) for i, j in pairs]
         if any(L):
             return m, L
     return None
-
-
-def _lowest_order(polys):
-    """The lowest t-order among the nonzero polynomials, or None if all are 0."""
-    return min((min(p) for p in polys if p), default=None)
 
 
 def _contract(L, v) -> list:
@@ -323,14 +297,15 @@ def _limit_mu(A, B, d) -> complex:
 
     The fit is (alpha, beta) = G^-1 (A.d, B.d) with G the Gram matrix of A
     and B; det G > 0 for small t > 0, so alpha + i*beta points along
-    adj(G) (A.d, B.d), whose lowest-order coefficient gives the limit.
+    adj(G) (A.d, B.d), whose lowest-order coefficient gives the limit.  G's
+    entries and adj(G) (A.d, B.d) are polynomials in t like A and B.
     """
-    Ad, Bd = (_tsum(_tscale(x, c) for x, c in zip(X, d)) for X in (A, B))
-    AA, AB, BB = (_tsum(_tmul(x, y) for x, y in zip(X, Y)) for X, Y in ((A, A), (A, B), (B, B)))
-    alpha = _tsum((_tmul(BB, Ad), _tscale(_tmul(AB, Bd), -1)))
-    beta = _tsum((_tmul(AA, Bd), _tscale(_tmul(AB, Ad), -1)))
-    m = _lowest_order((alpha, beta))
-    mu = complex(float(alpha.get(m, 0)), float(beta.get(m, 0)))
+    zero = MixedPolynomial.zero(1)
+    Ad, Bd = (sum((x * c for x, c in zip(X, d) if c), zero) for X in (A, B))
+    AA, AB, BB = (sum((x * y for x, y in zip(X, Y)), zero) for X, Y in ((A, A), (A, B), (B, B)))
+    alpha, beta = BB * Ad - AB * Bd, AA * Bd - AB * Ad
+    m = min(_orders((alpha, beta)))
+    mu = complex(*(float(p.coefficient((m,), (0,)).re) for p in (alpha, beta)))
     return mu / abs(mu)
 
 

@@ -4,8 +4,8 @@ The files under tests/golden/ hold the input, polar, discriminant,
 thom_probes and verdict sections of `analyze` for every fixture, and the
 whole `disc` report for the pair fixtures and two more pairs.  A change
 that moves a verdict, a line, a Groebner basis, a limit plane or a float
-digit shows up here as a byte difference, and so does a float that depends
-on the BLAS kernel when the tests run under another OPENBLAS_CORETYPE.
+digit shows up here as a byte difference, and so does a byte that depends
+on dict or set order when the tests run under another PYTHONHASHSEED.
 
 Regenerate (only when a report change is intended) with
 

@@ -21,6 +21,7 @@ from mixedsing import (
 )
 from mixedsing._numeric import RANK_RTOL, compile_frame, normal_plane, realify, unrealify
 from mixedsing.fixtures import load_all, load_fixture
+from mixedsing.thomprobe import _frame_along, _plucker_limit
 from oracles import curve_at, grassmann_distance, least_squares_mu, random_mixed
 from oracles import real_span_basis, track_normal_plane
 
@@ -317,6 +318,15 @@ class TestThomTest:
             assert sorted(p.verdict for p in result.per_curve) == ["fail-witness", "inconclusive"]
             assert result.projection > 0.9
 
+    def test_repeated_exponent_probes_like_the_merged_curve(self):
+        """A component's terms accumulate: t + 2t is the curve 3t."""
+        split = curve([(1, 1), (2, 1)], [(1, 0), (1, 1)], label="3t, 1 + t")
+        merged = curve([(3, 1)], [(1, 0), (1, 1)], label="3t, 1 + t")
+        assert limit_normal_plane(XYXBAR, split) == limit_normal_plane(XYXBAR, merged)
+        result = thom_test(XYXBAR, Y_AXIS_2, curves=(split,))
+        assert result.verdict == "fail-witness"
+        assert result == thom_test(XYXBAR, Y_AXIS_2, curves=(merged,))
+
     def test_critical_locus_everywhere(self):
         # x*x~ has a rank-1 frame at every point, so every curve is critical
         result = thom_test(parse("x*x~", XY), Y_AXIS_2)
@@ -391,6 +401,77 @@ class TestDefaultBattery:
         """random.Random would seed -5 as 5 and hash the others."""
         with pytest.raises(ValueError, match="non-negative integer"):
             default_curve_battery((0, 1), seed=seed)
+
+
+def random_gaussian_curve(rng, n: int) -> CurveGerm:
+    """A curve with a nonzero Gaussian-rational base point in each coordinate
+    and one to three further terms, exponents in 1..3 (repeats allowed)."""
+    def q():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    return CurveGerm(tuple(
+        ((ComplexRational(q() or Fraction(1), q()), 0),)
+        + tuple((ComplexRational(q(), q()), int(rng.integers(1, 4)))
+                for _ in range(int(rng.integers(1, 4))))
+        for _ in range(n)))
+
+
+@functools.cache
+def random_frames():
+    """(F, curve, A, B) for 60 seeded random F with conjugate terms, n = 1..3."""
+    rng = np.random.default_rng(2607)
+    out = []
+    while len(out) < 60:
+        n = int(rng.integers(1, 4))
+        F = random_mixed(rng, n_vars=n)
+        if F.is_holomorphic:
+            continue
+        c = random_gaussian_curve(rng, n)
+        out.append((F, c, *_frame_along(normal_family_symbolic(F), c)))
+    return out
+
+
+class TestFrameSubstitution:
+    """The frame rows along a curve, checked by float evaluation and eager
+    products rather than against another substitution."""
+
+    def test_rows_are_real_polynomials_in_t(self):
+        for F, _, A, B in random_frames():
+            assert len(A) == len(B) == 2 * F.n_vars
+            for row in A + B:
+                assert row.n_vars == 1 and row.is_holomorphic
+                assert all(c.im == 0 for c in row.terms.values())
+
+    @pytest.mark.parametrize("t0", [Fraction(1, 3), Fraction(2, 7)])
+    def test_rows_evaluate_to_the_realified_frame(self, t0):
+        """A(t0) and B(t0) against a + b and i(a - b) evaluated at z(t0)."""
+        for F, c, A, B in random_frames():
+            family = normal_family_symbolic(F)
+            z = curve_at(c, float(t0))
+            a, b = (np.array([p.evaluate(z) for p in half]) for half in (family.a, family.b))
+            for rows, want in ((A, realify(a + b)), (B, realify(1j * (a - b)))):
+                got = np.array([row.evaluate((float(t0),)) for row in rows])
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), (F, c)
+
+    def test_plucker_limit_is_the_lowest_coefficient_of_the_eager_products(self):
+        """_plucker_limit against the fully expanded A_i B_j - A_j B_i; the
+        last two curves are critical, with a zero and a rank-1 frame."""
+        x_plus_xbar = parse("x + x~", ("x",))
+        critical = [(XYXBAR, curve([], [(1, 0), (1, 1)])), (x_plus_xbar, curve([(1, 1)]))]
+        frames = list(random_frames())
+        frames += [(F, c, *_frame_along(normal_family_symbolic(F), c)) for F, c in critical]
+        limits = []
+        for F, c, A, B in frames:
+            P = [A[i] * B[j] - A[j] * B[i] for i, j in itertools.combinations(range(len(A)), 2)]
+            orders = [pair.nu[0] for p in P for pair in p.terms]
+            want = None
+            if orders:
+                m = min(orders)
+                want = m, [p.coefficient((m,), (0,)).re for p in P]
+            limits.append(_plucker_limit(A, B))
+            assert limits[-1] == want, (F, c)
+        assert limits[-2:] == [None, None]
+        assert sum(x is not None for x in limits) >= 50
 
 
 def fixture_batteries():
