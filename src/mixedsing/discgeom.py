@@ -32,17 +32,21 @@ line makes 0 a non-isolated critical value) and provides the shear
 but it does not repair isolation: Jac(f + g^k, g) = Jac(f, g), so Sigma, the
 critical set of the pair, does not change (see shear_search).
 
-Everything here is exact; floats never decide a verdict.  Only the plane
-route needs sympy, which _sympy imports on first use (never at import):
-the Jacobian's factorisation goes through the norm over Q
-(_factor_gaussian): one factorisation over QQ and one gcd per rational
-factor, with Trager's algorithm over QQ<i> only for a rational factor that
-may split into a conjugate pair dividing it; the division tests, slope
-forms and numeric slope roots run on sympy's sparse rings over QQ_I too.
-_to_ring and _from_ring convert at that one boundary.  The Groebner bases
-of the n >= 3 verdict and of sing_decomposition (grevlex, with the
-Rabinowitsch variable w last) come from the in-package Buchberger kernel
-_groebner, which computes on core's cleared Gaussian-integer pairs.
+Everything here is exact; floats never decide a verdict.  The Jacobian
+splits on core's store as J = c * x^a * y^b * R with x, y not dividing R,
+and the axis factors x and y are classified there in closed form
+(_axis_line_form), as are the slopes of degree-1 line forms.  Only a
+non-constant R, or a line form of degree >= 2, needs sympy, which _sympy
+imports on first use (never at import): R's factorisation goes through the
+norm over Q (_factor_gaussian): one factorisation over QQ and one gcd per
+rational factor, with Trager's algorithm over QQ<i> only for a rational
+factor that may split into a conjugate pair dividing it; the division
+tests, slope forms and numeric slope roots of R's factors run on sympy's
+sparse rings over QQ_I too.  _to_ring and _from_ring convert at that one
+boundary.  The Groebner bases of the n >= 3 verdict and of
+sing_decomposition (grevlex, with the Rabinowitsch variable w last) come
+from the in-package Buchberger kernel _groebner, which computes on core's
+cleared Gaussian-integer pairs.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class ShearSearchExhausted(RuntimeError):
 
 @cache
 def _sympy() -> SimpleNamespace:
-    """sympy's polys layer, imported on first use (about 0.4 s): the domains
+    """sympy's polys layer, imported on first use (about 0.3 s): the domains
     QQ and QQ_I, Poly, QQ_I[x, y, a] and QQ_I[y, x, a] (a resultant
     eliminates the first generator), and QQ_I[a] for the slopes a of the
     lines {v = a*u}."""
@@ -459,8 +463,43 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     return _from_ring(sp.XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
 
 
+def _on_axis(h: MixedPolynomial, j: int) -> MixedPolynomial:
+    """A plane h on the source axis {z_j = 0}: its terms free of z_j."""
+    d, pairs = _cleared(h)
+    return _from_cleared(2, d, {m: c for m, c in pairs.items() if not m[j]})
+
+
+def _axis_line_form(f0: MixedPolynomial, g0: MixedPolynomial) -> MixedPolynomial | None:
+    """The line form of an axis factor P = z_j of the Jacobian that is a
+    slope factor, None when it is not one; f0 and g0 are f and g on
+    {P = 0} (_on_axis), both nonzero, so P divides neither f nor g.
+
+    This is _slope_form's form in closed form.  Proof, for P = x (for y,
+    Jac(h, y) = h_x, and the same steps hold with x and y swapped): P | h
+    exactly when h(0, y) = 0, that is when every term of h has x-exponent
+    >= 1.  Jac(h, x) = -h_y and restricting to x = 0 commutes with d/dy, so
+    P | f*Jac(g, P) - g*Jac(f, P) says g0*f0' - f0*g0' = 0, that is
+    (g0/f0)' = 0: g0 = a0*f0 for a constant a0, not 0 as g0 is not.  Then
+    Res_x(x, g - a*f) = g0 - a*f0 = f0 * (a0 - a), whose content in y is f0
+    up to a unit, so m(a) = a - a0 and the form is u * m(v/u) = v - a0*u,
+    made monic as _slope_form makes its forms.  f0 and g0 are proportional
+    exactly when they agree made monic, and then a0 = cg / cf, the ratio of
+    their leading coefficients, so cf*v - cg*u is the form up to the unit cf.
+    """
+    if _monic(f0) != _monic(g0):
+        return None
+    cf, cg = (next(iter(h.terms.values())) for h in (f0, g0))
+    return _monic(cf * _V - cg * _U)
+
+
 def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
-    """The lines through 0 in the discriminant germ of (f, g): (C^2, 0) -> (C^2, 0)."""
+    """The lines through 0 in the discriminant germ of (f, g): (C^2, 0) -> (C^2, 0).
+
+    The Jacobian splits on core's store as J = c * x^a * y^b * R, where
+    neither x nor y divides R.  The axis factors x and y (when a, b > 0) are
+    classified in closed form (_axis_line_form); only the factors of a
+    non-constant R go through sympy.  Each factor is classified once.
+    """
     _check_holomorphic_pair(f, g, "discriminant_curve")
     if f.n_vars != 2:
         raise ValueError("discriminant_curve handles plane pairs (n = 2) only")
@@ -472,27 +511,40 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
             "jacobian determinant vanishes identically; the pair has generic rank < 2"
         )
 
-    XYA = _sympy().XYA
-    fp, gp = _to_ring(f, XYA), _to_ring(g, XYA)
     forms: list[MixedPolynomial] = []
     off_origin: list[MixedPolynomial] = []
     non_line: list[MixedPolynomial] = []
-    for P, _mult in _factor_gaussian(_to_ring(J, XYA)):
-        if P.coeff(1):
-            off_origin.append(_from_ring(P))
-            continue
-        on_u, on_v = not fp.rem(P), not gp.rem(P)  # f = 0, g = 0 on {P = 0}
+
+    def record(P, on_u, on_v, slope_form):
+        """File P, a factor through the source origin: on_u and on_v say
+        whether f and g vanish on {P = 0}, and slope_form() is P's line form
+        when P is a slope factor, None when it is not one."""
         if on_u and on_v:
-            continue  # the factor maps to the origin
-        if on_u or on_v:
-            form = _U if on_u else _V  # the line {u = 0} or {v = 0}
-        elif not (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P):
-            form = _slope_form(P, fp, gp)
-        else:
-            non_line.append(_from_ring(P))
-            continue
-        if form not in forms:
+            return  # the factor maps to the origin
+        form = _U if on_u else _V if on_v else slope_form()  # {u = 0}, {v = 0}, a slope
+        if form is None:
+            non_line.append(P)
+        elif form not in forms:
             forms.append(form)
+
+    d, pairs = _cleared(J)
+    a, b = (min(m[j] for m in pairs) for j in (0, 1))  # J = c * x^a * y^b * R
+    for j, e in enumerate((a, b)):
+        if e:  # the axis z_j divides J; as a polynomial it is u or v
+            f0, g0 = _on_axis(f, j), _on_axis(g, j)
+            record((_U, _V)[j], f0.is_zero, g0.is_zero, lambda: _axis_line_form(f0, g0))
+
+    if len(pairs) > 1:  # R is not constant
+        R = _from_cleared(2, d, {(m[0] - a, m[1] - b, 0, 0): c for m, c in pairs.items()})
+        XYA = _sympy().XYA
+        fp, gp = _to_ring(f, XYA), _to_ring(g, XYA)
+        for P, _mult in _factor_gaussian(_to_ring(R, XYA)):
+            if P.coeff(1):
+                off_origin.append(_from_ring(P))
+                continue
+            record(_from_ring(P), not fp.rem(P), not gp.rem(P),
+                   lambda: None if (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P)
+                   else _slope_form(P, fp, gp))
 
     forms.sort(key=format_mixed)
     return PlaneCurve(
@@ -557,8 +609,9 @@ def line_components(curve: PlaneCurve) -> LineReport:
     u is {u = 0} (axis-v) and v is {v = 0} (axis-u).  Any other form
     u^d * m(v/u) is the lines {v = a*u} for the roots of the monic
     m(a) = form(1, a), irreducible with m(0) != 0 (see _slope_form): an
-    exact slope for degree 1, numeric roots and the minimal polynomial for
-    degrees 2..4, and an unresolved slope factor above.
+    exact slope for degree 1, read off core's store (_linear_slope), and
+    through sympy numeric roots and the minimal polynomial for degrees 2..4,
+    and an unresolved slope factor above.
     """
     axes = [LineComponent(kind=kind) for kind, form in (("axis-u", _V), ("axis-v", _U))
             if form in curve.components]
@@ -566,14 +619,13 @@ def line_components(curve: PlaneCurve) -> LineReport:
     for form in curve.components:
         if form in (_U, _V):
             continue
+        if form.total_degree() == 1:
+            cr = _linear_slope(form)
+            slopes.append(_slope_line(complex(cr), slope_exact=cr))
+            continue
         sp = _sympy()
         m = sp.A.from_dict({(e[1],): c for e, c in _to_ring(form, sp.XYA).items()}).monic()
-        if m.degree() == 1:
-            c = -m.coeff(1)
-            cr = ComplexRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
-                                 Fraction(int(c.y.numerator), int(c.y.denominator)))
-            slopes.append(_slope_line(complex(cr), slope_exact=cr))
-        elif m.degree() <= 4:
+        if m.degree() <= 4:
             minpoly = m.as_expr()
             slopes.extend(_slope_line(complex(root), exact=False, minpoly=str(minpoly))
                           for root in sp.Poly(minpoly, domain=sp.QQ_I).nroots(n=20))
@@ -586,6 +638,16 @@ def line_components(curve: PlaneCurve) -> LineReport:
         has_slope_lines=bool(slopes or unresolved),
         unresolved_slope_factors=tuple(str(m.as_expr()) for m in unresolved),
     )
+
+
+def _linear_slope(form: MixedPolynomial) -> ComplexRational:
+    """The slope -alpha/beta of the line {alpha*u + beta*v = 0}, both
+    coefficients nonzero, read off the cleared store (the denominator
+    cancels): -alpha * conj(beta) / |beta|^2."""
+    pairs = _cleared(form)[1]
+    (ax, ay), (bx, by) = pairs[1, 0, 0, 0], pairs[0, 1, 0, 0]
+    n = bx * bx + by * by
+    return ComplexRational(Fraction(-(ax * bx + ay * by), n), Fraction(ax * by - ay * bx, n))
 
 
 def _slope_line(slope: complex, **exactness) -> LineComponent:

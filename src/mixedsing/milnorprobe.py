@@ -75,7 +75,7 @@ class ScanResult:
     params: dict = field(default_factory=dict)
 
 
-def _batch_residual(frame, Z: np.ndarray) -> np.ndarray:
+def _batch_residual(frame, Z):
     """The Milnor certificate over rows of Z (N, n), values in [0, 1];
     degenerate rows, which certify nothing, -> 2."""
     import numpy as np
@@ -121,7 +121,7 @@ def _fibre_distance(pair, frame, ev):
     return distance
 
 
-def _project_to_milnor_set(frame, hessian, X: np.ndarray, r: float, steps: int) -> np.ndarray:
+def _project_to_milnor_set(frame, hessian, X, r: float, steps: int):
     """Damped minimum-norm Gauss-Newton from rows of X (S, 2n) on |x| = r.
 
     Unknowns are z and mu = s + it; the equations are

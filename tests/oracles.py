@@ -446,6 +446,28 @@ def recursive_box_search(basis, boxes, n, bound, require_nonzero_k):
 # ---- germ-local elimination reference for plane discriminants -------------------
 
 
+def _jacobian_factor_images(f: MixedPolynomial, g: MixedPolynomial):
+    """(P, elim) for each Gaussian-irreducible factor P of the plane pair's
+    Jacobian, by sp.factor_list: elim is the reduced basis, in (u, v) alone,
+    of the lex elimination ideal of (P, f - u, g - v), or None when P
+    misses the source origin.  Both are sympy expressions, in the symbols
+    z1, z2 of mixed_symbols(2) and in u, v."""
+    zs, ws = mixed_symbols(2)
+    x, y = zs
+    u, v = sp.symbols("u v")
+    fs, gs = to_sympy(f, zs, ws), to_sympy(g, zs, ws)
+    jac = sp.expand(sp.diff(fs, x) * sp.diff(gs, y) - sp.diff(fs, y) * sp.diff(gs, x))
+    _, factors = sp.factor_list(jac, x, y, gaussian=True)
+    for P, _mult in factors:
+        if not P.free_symbols & {x, y}:
+            continue
+        if P.subs({x: 0, y: 0}) != 0:
+            yield P, None
+            continue
+        G = sp.groebner([fs - u, gs - v, P], x, y, u, v, order="lex", domain="QQ_I")
+        yield P, [e for e in G.exprs if not e.free_symbols & {x, y}]
+
+
 def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """The discriminant germ at 0 of a plane pair, by lex elimination.
 
@@ -456,21 +478,42 @@ def elimination_discriminant(f: MixedPolynomial, g: MixedPolynomial) -> MixedPol
     Returns h, the product of the kept curves in (u, v) = (z1, z2): 1 when
     there is none.
     """
-    zs, ws = mixed_symbols(2)
-    x, y = zs
-    u, v = sp.symbols("u v")
-    fs, gs = to_sympy(f, zs, ws), to_sympy(g, zs, ws)
-    jac = sp.expand(sp.diff(fs, x) * sp.diff(gs, y) - sp.diff(fs, y) * sp.diff(gs, x))
-    _, factors = sp.factor_list(jac, x, y, gaussian=True)
     h = sp.Integer(1)
-    for P, _mult in factors:
-        if not P.free_symbols & {x, y} or P.subs({x: 0, y: 0}) != 0:
-            continue
-        G = sp.groebner([fs - u, gs - v, P], x, y, u, v, order="lex", domain="QQ_I")
-        elim = [e for e in G.exprs if not e.free_symbols & {x, y}]
-        if len(elim) == 1:
+    for _P, elim in _jacobian_factor_images(f, g):
+        if elim is not None and len(elim) == 1:
             h *= elim[0]
-    return _from_expr(h, (u, v), ws)
+    return _from_expr(h, sp.symbols("u v"), mixed_symbols(2)[1])
+
+
+def jacobian_factor_classes(f: MixedPolynomial, g: MixedPolynomial) -> dict:
+    """The Jacobian factors of a plane pair by class, each divided by its
+    graded-lex leading coefficient as discriminant_curve reports them:
+    "off-origin" misses the source origin; through it, "origin" maps to the
+    point 0, "axis" onto {u = 0} or {v = 0}, "slope" onto lines through 0
+    other than the axes, and "non-line" onto a curve holding no line.
+
+    The image of {P = 0} is the curve of the elimination ideal's generator,
+    which is irreducible (the ideal is prime, as Q(i)[x, y, u, v] modulo
+    (P, f - u, g - v) is Q(i)[x, y]/(P)); an irreducible plane curve is a
+    union of lines through 0 exactly when its equation is homogeneous.
+    """
+    zs, ws = mixed_symbols(2)
+    u, v = sp.symbols("u v")
+    classes = {k: [] for k in ("off-origin", "origin", "axis", "slope", "non-line")}
+    for P, elim in _jacobian_factor_images(f, g):
+        if elim is None:
+            kind = "off-origin"
+        elif len(elim) != 1:
+            kind = "origin"
+        else:
+            image = sp.Poly(elim[0], u, v)
+            if not image.is_homogeneous:
+                kind = "non-line"
+            else:
+                kind = "axis" if image.monoms() in ([(1, 0)], [(0, 1)]) else "slope"
+        p = sp.Poly(P, *zs, domain="QQ_I")
+        classes[kind].append(_from_expr(sp.expand(P / p.LC(order="grlex")), zs, ws))
+    return classes
 
 
 def line_forms(h: MixedPolynomial) -> tuple[MixedPolynomial, ...]:

@@ -53,6 +53,7 @@ from oracles import (
     expr_line_components,
     expr_reduced_basis,
     expr_vanishes_on_critical_set,
+    jacobian_factor_classes,
     line_forms,
     numeric_branch_singular,
 )
@@ -62,6 +63,7 @@ XY = ("x", "y")
 XYZ = ("x", "y", "z")
 COEFFS = ["1", "2", "3", "-1", "-2", "1/2", "i", "2*i", "(1+i)", "(1-2*i)"]
 PLANE_MONOMIALS = ["x", "y", "x^2", "x*y", "y^2"]
+AXES = {parse("x", XY), parse("y", XY)}  # the source axes as Jacobian factors
 SPACE_MONOMIALS = ["x", "y", "z", "x^2", "x*y", "y*z", "z^2", "x*z", "y^2", "x*y*z"]
 
 
@@ -74,6 +76,15 @@ def binomial(rng, monomials, variables):
     m1, m2 = rng.choice(monomials, size=2, replace=False)
     c1, c2 = rng.choice(COEFFS, size=2)
     return parse(f"{c1}*{m1} + {c2}*{m2}", variables)
+
+
+def monomial(rng, variables, max_exponent=3):
+    """A seeded term c * x^a * y^b, not constant, with c drawn from COEFFS."""
+    a, b = 0, 0
+    while not a and not b:
+        a, b = rng.integers(0, max_exponent + 1, size=2)
+    x, y = variables
+    return parse(f"{rng.choice(COEFFS)}*{x}^{a}*{y}^{b}", variables)
 
 
 def forms_curve(h):
@@ -196,19 +207,38 @@ class TestGermLocalLines:
         assert len(v.lines) == 0
 
     def test_lines_match_elimination_on_seeded_binomial_pairs(self, rng):
-        reports = []
-        while len(reports) < 30:
-            f, g = (binomial(rng, PLANE_MONOMIALS, XY) for _ in range(2))
-            if jacobian_det(f, g).is_zero:
-                continue
-            got = line_components(discriminant_curve(f, g))
+        """Seeded binomial pairs, then seeded monomial pairs, whose Jacobians
+        are monomials: the line reports, the factors off the source origin
+        and the non-line factors all match the elimination."""
+        def draw(count, polynomial):
+            pairs = []
+            while len(pairs) < count:
+                f, g = polynomial(), polynomial()
+                if not jacobian_det(f, g).is_zero:
+                    pairs.append((f, g))
+            return pairs
+
+        binomials = draw(30, lambda: binomial(rng, PLANE_MONOMIALS, XY))
+        monomials = draw(12, lambda: monomial(rng, XY))
+        reports, axis_kinds = [], set()
+        for f, g in binomials + monomials:
+            disc = discriminant_curve(f, g)
+            got = line_components(disc)
             h = elimination_discriminant(f, g)
             assert got == expr_line_components(h), (f, g)
             assert got == line_components(forms_curve(h)), (f, g)
+            classes = jacobian_factor_classes(f, g)
+            assert disc.off_origin_components == tuple(
+                sorted(classes["off-origin"], key=format_mixed)), (f, g)
+            assert disc.non_line_factors == tuple(
+                sorted(classes["non-line"], key=format_mixed)), (f, g)
+            axis_kinds |= {kind for kind, factors in classes.items() if AXES & set(factors)}
             reports.append(got)
-        # both verdicts occur in the draw
+        # both verdicts occur in the draw, and x or y is a slope factor of
+        # one Jacobian and a non-line factor of another
         assert any(r.has_slope_lines for r in reports)
         assert any(not r.has_slope_lines for r in reports)
+        assert {"slope", "non-line"} <= axis_kinds
 
     def test_degree_four_minpolys_match_elimination(self):
         f, g = pair(

@@ -1,9 +1,11 @@
 """sympy and numpy stay off the import path.
 
-Only the plane route loads sympy, to factor a plane Jacobian, and only the
-Milnor scan loads numpy; no command runs the scan.  The suite itself imports
-both as references, so each check runs in a fresh interpreter and reads
-sys.modules there.
+No fixture's command loads sympy: the plane fixtures' Jacobians are monomials
+c * x^a * y^b, whose axis factors discgeom classifies on core's store.  Only
+a plane Jacobian with a factor other than x and y loads sympy, to factor it.
+Only the Milnor scan loads numpy; no command runs the scan.  The suite
+itself imports both as references, so each check runs in a fresh
+interpreter and reads sys.modules there.
 """
 
 import os
@@ -17,8 +19,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FIXTURES = ("polar-k2", "polar-k3", "separate-x2-y3", "shear-x-xy2", "x2zy2-ybar",
             "xy-xbar", "xz2y-xbar")
-# the fixtures whose analyze factors no plane Jacobian
-SYMPY_FREE = ("polar-k2", "polar-k3", "x2zy2-ybar", "xz2y-xbar")
+# the fixtures with a plane pair: their Jacobians are 6*x*y^2, 2*y and -x
+PLANE = ("separate-x2-y3", "shear-x-xy2", "xy-xbar")
 
 
 def loads(package: str, code: str) -> bool:
@@ -45,9 +47,17 @@ def test_import_leaves_numpy_out(module):
     assert not loads("numpy", f"import {module}")
 
 
-@pytest.mark.parametrize("fixture", SYMPY_FREE)
+@pytest.mark.parametrize("fixture", [f for f in FIXTURES if f not in PLANE])
 def test_analyze_without_a_plane_jacobian_leaves_sympy_out(fixture):
     assert not cli_loads("sympy", "analyze", fixture)
+
+
+@pytest.mark.parametrize("command", ["analyze", "disc"])
+@pytest.mark.parametrize("fixture", PLANE)
+def test_monomial_plane_jacobian_leaves_sympy_out(command, fixture):
+    """The axis factors of a monomial Jacobian are classified on core's
+    store, and a degree-1 line form's slope is read off it."""
+    assert not cli_loads("sympy", command, fixture)
 
 
 def test_groebner_route_leaves_sympy_out():
@@ -57,8 +67,9 @@ def test_groebner_route_leaves_sympy_out():
 
 
 def test_plane_discriminant_loads_sympy():
-    """The lazy boundary is reached, and the plane route still works."""
-    assert cli_loads("sympy", "analyze", "separate-x2-y3")
+    """The lazy boundary is reached, and the plane route still works: the
+    Jacobian x*(3*x - 8*y^3) keeps a factor other than x and y."""
+    assert cli_loads("sympy", "disc", "--pair", "x^3+y^4", "y+x^2", "--vars", "x,y")
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

@@ -1,6 +1,8 @@
 """Singular/Milnor-set residuals, shell scans, and the combined verdict."""
 
+import inspect
 import time
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mixedsing import (
     thom_test,
     tube_verdict,
 )
+from mixedsing import milnorprobe
 from mixedsing._numeric import compile_frame, compile_hessian
 from mixedsing.cli import main
 from mixedsing.fixtures import fixture_names, load_fixture
@@ -370,3 +373,13 @@ class TestTubeVerdict:
         v1 = tube_verdict(F, probes=(thom_test(F, stratum),))
         v2 = tube_verdict(F, probes=(thom_test(F, stratum),))
         assert v1.witness == v2.witness
+
+
+def test_annotations_resolve_at_module_scope():
+    """Every annotation names something the module binds at import: numpy is
+    imported inside the functions that use it, so none may name it."""
+    functions = [fn for _, fn in inspect.getmembers(milnorprobe, inspect.isfunction)
+                 if fn.__module__ == milnorprobe.__name__]
+    assert {"_batch_residual", "_project_to_milnor_set"} <= {fn.__name__ for fn in functions}
+    for fn in functions:
+        typing.get_type_hints(fn)
