@@ -17,16 +17,15 @@ hash compare stored values.  All arithmetic runs on Python ints: sums over
 the lcm of the denominators, products and powers (square, cube,
 multinomial, square-and-multiply) on the pairs, Wirtinger gradients by
 scaling parts with exponents, and f * conj(g) as an outer product.  The
-dict's order is never read: the term view sorts by descending graded-lex
-order on (nu, mu), and the printer reads the term view.  The Thom probes
+dict's order is never read: the term view, the printer and evaluate walk
+the monomials in descending graded-lex order on (nu, mu).  The Thom probes
 use the same store for polynomials in the curve parameter t: they
 substitute probe curves, and form the frame's Gram products, on its pairs.
 
 Scalars are ComplexRational values, which carry no arithmetic: _gaussian
-admits an int, Fraction or ComplexRational, and the ExponentPair/
-ComplexRational term view is built on demand.  The module also holds the
-one exact Gauss-Jordan routine over Q (_rref) that the polar solver and
-the Thom probes share.
+admits an int, Fraction or ComplexRational.  The term view reads the store
+and makes each value on lookup.  The module also holds the one exact
+Gauss-Jordan routine over Q (_rref) that polar and the Thom probes share.
 
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
@@ -41,8 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ComplexRational",
@@ -361,6 +359,41 @@ class WirtingerGradient:
         return len(self.dF)
 
 
+class _Terms(Mapping):
+    """F.terms: a read-only {ExponentPair: ComplexRational} view of F's store
+    (n, d, pairs), whose len, in and keys build no Fraction."""
+
+    __slots__ = ("_n", "_d", "_p", "_order")
+
+    def __init__(self, n: int, d: int, pairs: dict):
+        self._n, self._d, self._p, self._order = n, d, pairs, None
+
+    def __len__(self) -> int:
+        return len(self._p)
+
+    def __iter__(self) -> Iterator[ExponentPair]:
+        if self._order is None:
+            self._order = sorted(self._p, key=_grlex, reverse=True)
+        n = self._n
+        return (ExponentPair._trusted(m[:n], m[n:]) for m in self._order)
+
+    def __contains__(self, pair) -> bool:
+        return isinstance(pair, ExponentPair) and pair.nu + pair.mu in self._p
+
+    def __getitem__(self, pair) -> ComplexRational:
+        if pair not in self:
+            raise KeyError(pair)
+        x, y = self._p[pair.nu + pair.mu]
+        return ComplexRational._trusted(Fraction(x, self._d), Fraction(y, self._d))
+
+
+def _scalar_store(c, n_vars: int) -> tuple[int, dict]:
+    """The canonical store (d, pairs) of the constant c (TypeError unless a scalar)."""
+    c = _gaussian(c)
+    (x, b), (y, e) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+    return _reduced(b * e, {(0,) * (2 * n_vars): (x * e, y * b)} if x or y else {})
+
+
 class MixedPolynomial:
     """Immutable sparse mixed polynomial.
 
@@ -417,12 +450,13 @@ class MixedPolynomial:
 
     @classmethod
     def zero(cls, n_vars: int) -> "MixedPolynomial":
-        return cls(n_vars)
+        return cls.constant(0, n_vars)
 
     @classmethod
     def constant(cls, c, n_vars: int) -> "MixedPolynomial":
-        zeros = (0,) * n_vars
-        return cls(n_vars, {ExponentPair(zeros, zeros): c})
+        if not isinstance(n_vars, int) or n_vars < 1:
+            raise ValueError(f"n_vars must be a positive integer, got {n_vars!r}")
+        return cls._new(n_vars, *_scalar_store(c, n_vars))
 
     @classmethod
     def one(cls, n_vars: int) -> "MixedPolynomial":
@@ -433,8 +467,7 @@ class MixedPolynomial:
         """The coordinate z_j (0-based j)."""
         if not 0 <= j < n_vars:
             raise ValueError(f"variable index {j} out of range for n_vars={n_vars}")
-        nu = tuple(1 if i == j else 0 for i in range(n_vars))
-        return cls(n_vars, {ExponentPair(nu, (0,) * n_vars): 1})
+        return cls._new(n_vars, 1, {tuple(int(i == j) for i in range(2 * n_vars)): (1, 0)})
 
     # -- structure ------------------------------------------------------------
 
@@ -444,17 +477,10 @@ class MixedPolynomial:
 
     @property
     def terms(self) -> Mapping[ExponentPair, ComplexRational]:
-        """Read-only {ExponentPair: ComplexRational} view, in canonical order
-        (descending graded-lex on nu + mu).  Built on first access."""
+        """Read-only {ExponentPair: ComplexRational} view over the store in
+        descending graded-lex order on nu + mu; values are made on access."""
         if self._terms is None:
-            n, d, p = self._n, self._d, self._p
-            view = {}
-            for m in sorted(p, key=_grlex, reverse=True):
-                x, y = p[m]
-                view[ExponentPair._trusted(m[:n], m[n:])] = ComplexRational._trusted(
-                    Fraction(x, d), Fraction(y, d)
-                )
-            object.__setattr__(self, "_terms", MappingProxyType(view))
+            object.__setattr__(self, "_terms", _Terms(self._n, self._d, self._p))
         return self._terms
 
     @property
@@ -495,9 +521,10 @@ class MixedPolynomial:
         return hash((self._n, self._d, frozenset(self._p.items())))
 
     def __repr__(self) -> str:
+        n, d, p = self._n, self._d, self._p
         body = ", ".join(
-            f"{p.nu}|{p.mu}: {c.re}{'+' if c.im >= 0 else ''}{c.im}i"
-            for p, c in self.terms.items()
+            f"{m[:n]}|{m[n:]}: {Fraction(x, d)}{'+' if y >= 0 else ''}{Fraction(y, d)}i"
+            for m in sorted(p, key=_grlex, reverse=True) for x, y in (p[m],)
         )
         return f"MixedPolynomial(n={self.n_vars}, {{{body}}})"
 
@@ -513,10 +540,9 @@ class MixedPolynomial:
                 )
             return other._d, other._p
         try:
-            c = MixedPolynomial.constant(other, self._n)
+            return _scalar_store(other, self._n)
         except TypeError:
             return NotImplemented
-        return c._d, c._p
 
     def _sum(self, d2: int, p2: dict, sign: int) -> "MixedPolynomial":
         """self + sign * (p2 / d2), over the lcm of the denominators."""
@@ -605,17 +631,19 @@ class MixedPolynomial:
 
     def evaluate(self, z: Sequence[complex]) -> complex:
         """Evaluate at a point; exact coefficients are complexified last."""
-        pt = complex_point(z, self.n_vars)
-        zb = tuple(w.conjugate() for w in pt)
+        n, d, p = self._n, self._d, self._p
+        # (index in the monomial, base) in the order z1, z1~, z2, z2~, ...,
+        # which fixes the order of the float products and so their rounding
+        bases = [(i, w) for j, v in enumerate(complex_point(z, n))
+                 for i, w in ((j, v), (n + j, v.conjugate()))]
         total = 0j
-        for p, c in self.terms.items():
-            m = 1 + 0j
-            for j in range(self.n_vars):
-                if p.nu[j]:
-                    m *= pt[j] ** p.nu[j]
-                if p.mu[j]:
-                    m *= zb[j] ** p.mu[j]
-            total += complex(c) * m
+        for m in sorted(p, key=_grlex, reverse=True):
+            w = 1 + 0j
+            for i, v in bases:
+                if m[i]:
+                    w *= v ** m[i]
+            x, y = p[m]
+            total += complex(x / d, y / d) * w
         return total
 
 

@@ -830,22 +830,21 @@ class SingDecomposition:
     simplified: dict = field(default_factory=dict)
 
 
-def _reduced_basis(gens) -> tuple[MixedPolynomial, ...]:
+def _reduced_basis(gens) -> list[str]:
     """The reduced grevlex basis from _groebner of the ideal of the nonzero
-    gens, monic and sorted by format_mixed; (1,) for the unit ideal."""
+    gens, monic, as sorted format_mixed text; ["1"] for the unit ideal."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
-        return ()
+        return []
     n = nonzero[0].n_vars
     pad = (0,) * n
     out = []
     for d, p in _groebner([{m[:n]: c for m, c in _cleared(g)[1].items()} for g in nonzero]):
         h = _monic(_from_cleared(n, d, {m + pad: c for m, c in p.items()}))
         if h.total_degree() == 0:
-            return (MixedPolynomial.one(n),)  # unit ideal: empty set
-        out.append(h)
-    out.sort(key=format_mixed)
-    return tuple(out)
+            return ["1"]  # unit ideal: empty set
+        out.append(format_mixed(h))
+    return sorted(out)
 
 
 def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposition:
@@ -856,10 +855,10 @@ def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposit
     common = (f, g)
     minors = tuple(_jacobian_minors(df, dg))
     simplified = {
-        "common_zero": [format_mixed(h) for h in _reduced_basis(common)],
-        "sing_f": [format_mixed(h) for h in _reduced_basis(df)],
-        "sing_g": [format_mixed(h) for h in _reduced_basis(dg)],
-        "off_v_minors": [format_mixed(h) for h in _reduced_basis(minors)],
+        "common_zero": _reduced_basis(common),
+        "sing_f": _reduced_basis(df),
+        "sing_g": _reduced_basis(dg),
+        "off_v_minors": _reduced_basis(minors),
     }
     return SingDecomposition(
         common_zero=common,

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CR_I, ComplexRational, ExponentPair, MixedPolynomial, _cleared
+from .core import CR_I, ComplexRational, MixedPolynomial, _cleared, _grlex
 
 __all__ = ["ParseError", "SourceExpr", "parse_mixed", "parse", "format_mixed"]
 
@@ -263,49 +263,40 @@ def parse(text: str, variables) -> MixedPolynomial:
 # formatting -------------------------------------------------------------------
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _ratio_str(x: int, d: int) -> str:
+    """x / d in lowest terms, d > 0."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
-def _imag_str(m: Fraction) -> str:
-    # m > 0 by the time we are called
-    return "i" if m == 1 else f"{_rational_str(m)}*i"
-
-
-def _coeff_str(c: ComplexRational) -> tuple[bool, str]:
-    """Render a coefficient; returns (display_negative, body)."""
-    if c.im == 0:
-        return c.re < 0, _rational_str(abs(c.re))
-    if c.re == 0:
-        return c.im < 0, _imag_str(abs(c.im))
+def _pair_str(x: int, y: int, d: int) -> tuple[bool, str]:
+    """Render the coefficient (x + y*i) / d; returns (display_negative, body)."""
+    if not y:
+        return x < 0, _ratio_str(abs(x), d)
+    imag = "i" if abs(y) == d else f"{_ratio_str(abs(y), d)}*i"
+    if not x:
+        return y < 0, imag
     # mixed coefficient: parenthesized, sign kept inside
-    re_part = _rational_str(c.re)
-    op = "+" if c.im > 0 else "-"
-    return False, f"({re_part}{op}{_imag_str(abs(c.im))})"
-
-
-def _monomial_str(pair: ExponentPair) -> str:
-    factors = []
-    for j in range(pair.n_vars):
-        if pair.nu[j]:
-            factors.append(f"z{j+1}" + (f"^{pair.nu[j]}" if pair.nu[j] > 1 else ""))
-        if pair.mu[j]:
-            factors.append(f"z{j+1}~" + (f"^{pair.mu[j]}" if pair.mu[j] > 1 else ""))
-    return "*".join(factors)
+    return False, f"({_ratio_str(x, d)}{'+' if y > 0 else '-'}{imag})"
 
 
 def format_mixed(F: MixedPolynomial) -> str:
     """Canonical textual form, round-trippable through parse with z1..zn.
 
     Terms appear in descending graded-lex order on (nu, mu); the zero
-    polynomial formats as "0 (n=K)" so the dimension survives.
+    polynomial formats as "0 (n=K)" so the dimension survives.  Each
+    coefficient is printed from the store's integer parts over d.
     """
+    n = F.n_vars
     if F.is_zero:
-        return f"0 (n={F.n_vars})"
+        return f"0 (n={n})"
+    d, p = _cleared(F)
+    # factor order z1, z1~, z2, z2~, ... as (index in the monomial, name)
+    names = [(i, f"z{j + 1}{'~' * (i >= n)}") for j in range(n) for i in (j, n + j)]
     chunks: list[str] = []
-    for pair, coeff in F.terms.items():
-        negative, body = _coeff_str(coeff)
-        mon = _monomial_str(pair)
+    for m in sorted(p, key=_grlex, reverse=True):
+        negative, body = _pair_str(*p[m], d)
+        mon = "*".join(s if m[i] == 1 else f"{s}^{m[i]}" for i, s in names if m[i])
         piece = body if not mon else f"{body}*{mon}"
         if not chunks:
             chunks.append(f"-{piece}" if negative else piece)
@@ -316,6 +307,6 @@ def format_mixed(F: MixedPolynomial) -> str:
 
 def format_scalar(c: ComplexRational) -> str:
     """One exact coefficient as expression text, e.g. "-3/2", "i", "(1+2*i)"."""
-    negative, body = _coeff_str(c)
+    (x, b), (y, e) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+    negative, body = _pair_str(x * e, y * b, b * e)
     return f"-{body}" if negative else body
-

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .core import MixedPolynomial, _inverse, _matmul
+from .core import MixedPolynomial, _cleared, _inverse, _matmul
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "integer_kernel"]
 
@@ -214,7 +214,7 @@ def solve_polar(F: MixedPolynomial) -> PolarSolution:
     if F.is_zero:
         raise ValueError("the zero polynomial has no meaningful polar weights")
     n = F.n_vars
-    diffs = sorted({tuple(a - b for a, b in zip(t.nu, t.mu)) for t in F.terms})
+    diffs = sorted({tuple(a - b for a, b in zip(m[:n], m[n:])) for m in _cleared(F)[1]})
     rows = [list(d) + [-1] for d in diffs]
     basis = integer_kernel(rows, n + 1)
     basis_t = tuple(tuple(v) for v in basis)

@@ -16,7 +16,7 @@ import numpy as np
 import sympy as sp
 
 from mixedsing._numeric import realify
-from mixedsing.core import ComplexRational, MixedPolynomial
+from mixedsing.core import ComplexRational, ExponentPair, MixedPolynomial, _cleared
 
 
 # ---- symbolic mixed calculus on independent symbols ----------------------------
@@ -95,6 +95,71 @@ def oracle_evaluate(F: MixedPolynomial, point) -> complex:
 def oracle_conjugate(F: MixedPolynomial, point) -> complex:
     """conj(F)(z) must equal conj(F(z)); evaluated through sympy."""
     return oracle_evaluate(F, point).conjugate()
+
+
+# ---- eager Fraction term view and the formatter that reads it ---------------------
+#
+# The reference for core's on-demand term view and for parsing's integer
+# printer: every coefficient is built as two reduced Fractions up front, in
+# descending graded-lex order, and printed from those Fractions.
+
+
+def reference_terms(F: MixedPolynomial) -> dict:
+    """{ExponentPair: ComplexRational} for every stored term, built eagerly."""
+    n = F.n_vars
+    d, pairs = _cleared(F)
+    view = {ExponentPair(m[:n], m[n:]): ComplexRational(Fraction(x, d), Fraction(y, d))
+            for m, (x, y) in pairs.items()}
+    return {p: view[p] for p in sorted(view, key=ExponentPair.key, reverse=True)}
+
+
+def _rational_str(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _imag_str(m: Fraction) -> str:
+    return "i" if m == 1 else f"{_rational_str(m)}*i"
+
+
+def _coeff_str(c: ComplexRational) -> tuple[bool, str]:
+    if c.im == 0:
+        return c.re < 0, _rational_str(abs(c.re))
+    if c.re == 0:
+        return c.im < 0, _imag_str(abs(c.im))
+    op = "+" if c.im > 0 else "-"
+    return False, f"({_rational_str(c.re)}{op}{_imag_str(abs(c.im))})"
+
+
+def _monomial_str(pair: ExponentPair) -> str:
+    factors = []
+    for j in range(pair.n_vars):
+        if pair.nu[j]:
+            factors.append(f"z{j+1}" + (f"^{pair.nu[j]}" if pair.nu[j] > 1 else ""))
+        if pair.mu[j]:
+            factors.append(f"z{j+1}~" + (f"^{pair.mu[j]}" if pair.mu[j] > 1 else ""))
+    return "*".join(factors)
+
+
+def reference_format(F: MixedPolynomial) -> str:
+    """format_mixed's text, printed from the eager Fraction view."""
+    if F.is_zero:
+        return f"0 (n={F.n_vars})"
+    chunks: list[str] = []
+    for pair, coeff in reference_terms(F).items():
+        negative, body = _coeff_str(coeff)
+        mon = _monomial_str(pair)
+        piece = body if not mon else f"{body}*{mon}"
+        if not chunks:
+            chunks.append(f"-{piece}" if negative else piece)
+        else:
+            chunks.append(f" {'-' if negative else '+'} {piece}")
+    return "".join(chunks)
+
+
+def reference_scalar(c: ComplexRational) -> str:
+    """format_scalar's text, printed from the Fraction parts."""
+    negative, body = _coeff_str(c)
+    return f"-{body}" if negative else body
 
 
 # ---- finite-difference real Jacobian -------------------------------------------

@@ -20,7 +20,9 @@ from mixedsing import (
     from_pair,
     parse,
 )
+from mixedsing import core, parsing, polar
 from mixedsing.core import _cleared, _gaussian
+from mixedsing.polar import solve_polar
 from mixedsing.thomprobe import CurveGerm, Stratum
 from conftest import random_points
 from oracles import (
@@ -29,6 +31,7 @@ from oracles import (
     oracle_wirtinger,
     poly_to_dict,
     random_mixed,
+    reference_terms,
 )
 
 CR = ComplexRational
@@ -427,6 +430,84 @@ class TestKernels:
                 d, pairs = _cleared(H)
                 assert d > 0 and math.gcd(d, *(v for xy in pairs.values() for v in xy)) == 1
                 assert _cleared(_from_ring(_to_ring(H), 2)) == (d, pairs)
+
+
+class TestTermView:
+    """F.terms is a read-only Mapping over the store: len, in and the keys
+    read the store alone, and a value is made when it is looked up."""
+
+    def test_mapping_contract(self, rng):
+        cases = [_gaussian_poly(rng, k, n) for k in (1, 4, 6) for n in (1, 2, 3)]
+        cases += [random_mixed(rng, allow_zero=True) for _ in range(30)]
+        for F in cases:
+            view, want = F.terms, reference_terms(F)
+            assert view is F.terms
+            assert len(view) == len(want)
+            assert list(view) == sorted(want, key=ExponentPair.key, reverse=True)
+            assert view == want and dict(view.items()) == want
+            assert all(pair in view and view[pair] == c for pair, c in want.items())
+            assert MixedPolynomial(F.n_vars, view) == F
+        F = parse("2*x*y~ - i", ("x", "y"))
+        absent = ExponentPair((1, 1), (0, 0))
+        for key in (absent, (1, 0, 0, 1), ((1, 0), (0, 1)), "x", None):
+            assert key not in F.terms and F.terms.get(key) is None
+            with pytest.raises(KeyError):
+                F.terms[key]
+        with pytest.raises(TypeError):
+            F.terms[absent] = CR(1)
+        with pytest.raises(TypeError):
+            del F.terms[ExponentPair((1, 0), (0, 1))]
+
+    def test_named_constructors_build_canonical_stores(self):
+        scalars = [0, 7, -3, True, HALF, Fraction(4, 2), CR(0), CR(0, -1),
+                   CR(Fraction(1, 6), Fraction(-5, 4)), CR(Fraction(2, 3), Fraction(4, 3))]
+        for n in (1, 3):
+            zeros = (0,) * n
+            for c in scalars:
+                got = MixedPolynomial.constant(c, n)
+                assert _cleared(got) == _cleared(MixedPolynomial(n, {ExponentPair(zeros, zeros): c}))
+                assert MixedPolynomial.one(n) + c == MixedPolynomial.one(n) + got
+            for j in range(n):
+                nu = tuple(int(i == j) for i in range(n))
+                assert _cleared(MixedPolynomial.variable(j, n)) == _cleared(
+                    MixedPolynomial(n, {ExponentPair(nu, zeros): 1}))
+            assert _cleared(MixedPolynomial.zero(n)) == (1, {})
+        for bad_n in (0, -1, "2", 1.5):
+            for make in (MixedPolynomial.zero, MixedPolynomial.one,
+                         lambda n: MixedPolynomial.constant(1, n)):
+                with pytest.raises(ValueError, match="n_vars"):
+                    make(bad_n)
+        for j, n in ((-1, 2), (2, 2), (0, 0)):
+            with pytest.raises(ValueError, match="variable index"):
+                MixedPolynomial.variable(j, n)
+        for c in (0.5, "1", None, 1j):
+            with pytest.raises(TypeError):
+                MixedPolynomial.constant(c, 2)
+            with pytest.raises(TypeError):
+                MixedPolynomial.one(2) + c
+
+    def test_store_readers_build_no_fraction(self, monkeypatch):
+        """len, the keys, format_mixed and solve_polar of a 1,296-term
+        product read the store; only a looked-up value makes Fractions."""
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        f = parse("(x + 2*y - 1/3)^7", ("x", "y"))
+        g = parse("(x - i*y + 5)^7", ("x", "y"))
+        P, one = from_pair(f, g), CR(1)
+        for module in (core, parsing, polar):
+            monkeypatch.setattr(module, "Fraction", Counted)
+        assert len(P.terms) == 36 * 36
+        keys = list(P.terms)
+        text = format_mixed(P)
+        assert solve_polar(P).status == "none"
+        assert made == []
+        assert P.terms[keys[0]] == one and len(made) == 2
+        assert text.startswith("1*z1^7*z1~^7 + ")
 
 
 def test_complex_point_validation():

@@ -1,14 +1,16 @@
 """Expression syntax and the canonical formatter."""
 
+import random
 import time
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from mixedsing import MixedPolynomial, ParseError, SourceExpr, format_mixed, format_scalar, parse, parse_mixed
-from mixedsing.core import CR_I, ComplexRational
+from mixedsing.core import CR_I, ComplexRational, ExponentPair
 from mixedsing.parsing import MAX_TERMS
-from oracles import random_mixed
+from oracles import random_mixed, reference_format, reference_scalar, reference_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -110,6 +112,45 @@ def test_format_scalar():
     assert format_scalar(CR_I) == "i"
     assert format_scalar(ComplexRational(0, -1)) == "-i"
     assert format_scalar(ComplexRational(7)) == "7"
+
+
+# parts the printer special-cases: zero, +-1 (a bare "i"), negatives, unit
+# and non-unit denominators, and numerators and denominators above 2^64
+_PARTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-7, 3),
+          Fraction(5, 6), Fraction(2**64 + 13), Fraction(-(2**70 + 1), 3),
+          Fraction(11, 2**65 + 1), Fraction(-1, 4)]
+
+
+def _random_format_case(r: random.Random, n: int) -> MixedPolynomial:
+    terms = {}
+    for _ in range(r.choice([0, 1, 2, 3, 5])):
+        nu = tuple(r.randint(0, 3) for _ in range(n))
+        mu = tuple(r.randint(0, 2) for _ in range(n))
+        terms[ExponentPair(nu, mu)] = ComplexRational(r.choice(_PARTS), r.choice(_PARTS))
+    return MixedPolynomial(n, terms)
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_integer_printer_matches_fraction_view_reference():
+    """format_mixed and format_scalar print from the store's integer parts;
+    their text equals the formatter that reads eager Fraction coefficients,
+    also on products, whose parts share one denominator."""
+    r = random.Random(29)
+    signs, zeros = set(), 0
+    for _ in range(2000):
+        n = r.randint(1, 3)
+        F = _random_format_case(r, n)
+        if r.random() < 0.2:
+            F = F * _random_format_case(r, n)
+        zeros += F.is_zero
+        assert format_mixed(F) == reference_format(F), reference_terms(F)
+        for c in reference_terms(F).values():
+            assert format_scalar(c) == reference_scalar(c), c
+            signs.add((_sign(c.re), _sign(c.im)))
+    assert zeros and len(signs) == 8  # every sign pattern of a nonzero (re, im)
 
 
 def test_format_orders_terms_by_graded_lex():
