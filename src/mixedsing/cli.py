@@ -10,7 +10,7 @@ Exit codes: 0 verdict produced, 2 parse/input error, 3 internal degeneracy,
 4 internal fault (any other exception; its traceback goes to stderr).
 
 A report holds the package's result objects as they are: _sanitize writes
-any dataclass instance as the dict of its fields, so a section spells out
+any record (core.Record) as the dict of its fields, so a section spells out
 only what it renames or leaves out.
 """
 
@@ -20,12 +20,10 @@ import argparse
 import json
 import math
 import sys
-import traceback
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .core import ComplexRational, MixedPolynomial, from_pair
+from .core import ComplexRational, MixedPolynomial, Record, from_pair
 from .discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
@@ -58,8 +56,8 @@ def _round12(x: float) -> float:
 def _sanitize(obj):
     """Make a report JSON-safe and byte-stable: floats to 12 significant
     digits and never a signed zero, complex as [re, im], exact scalars and
-    polynomials as strings, non-finite to null, and any other dataclass as
-    the dict of its fields."""
+    polynomials as strings, non-finite to null, and any other record as the
+    dict of its fields."""
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
     if isinstance(obj, float):
@@ -73,8 +71,8 @@ def _sanitize(obj):
         return str(obj)
     if isinstance(obj, MixedPolynomial):
         return format_mixed(obj)
-    if is_dataclass(obj):  # after ComplexRational, a dataclass written as text
-        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):  # after ComplexRational, a record written as text
+        return {name: _sanitize(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -362,6 +360,8 @@ def main(argv=None) -> int:
     except (ParseError, FixtureError, ValueError) as exc:
         return _error_report("parse", str(exc), out, 2)
     except Exception as exc:  # a fault in the package, not in the input
+        import traceback  # only an internal fault pays for it
+
         traceback.print_exc(file=sys.stderr)
         return _error_report("internal", f"{type(exc).__name__}: {exc}", out, 4)
 

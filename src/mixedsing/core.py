@@ -23,9 +23,11 @@ use the same store for polynomials in the curve parameter t: they
 substitute probe curves, and form the frame's Gram products, on its pairs.
 
 Scalars are ComplexRational values, which carry no arithmetic: _gaussian
-admits an int, Fraction or ComplexRational.  The term view reads the store
-and makes each value on lookup.  The module also holds the one exact
-Gauss-Jordan routine over Q (_rref) that polar and the Thom probes share.
+admits an int, Fraction or ComplexRational.  Record is the base of the
+package's frozen value types (fields, ==, hash, repr) without generated
+code.  The term view reads the store and makes each value on lookup.  The
+module also holds the one exact Gauss-Jordan routine over Q (_rref) that
+polar and the Thom probes share.
 
 All values here are immutable; arithmetic returns fresh objects in
 canonical form (zero coefficients dropped, exponents validated).  Exact
@@ -36,7 +38,6 @@ coefficients survive every symbolic operation; floats only appear when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -51,22 +52,101 @@ __all__ = [
     "from_pair",
 ]
 
-@dataclass(frozen=True, slots=True)
-class ComplexRational:
+class Record:
+    """Base of a frozen value type, as dataclass(frozen=True) would make it.
+
+    A subclass's own annotations are its fields, in order, and a value set
+    in its body is that field's default; a dict default is copied for each
+    instance.  __init__ takes the fields by position or keyword (TypeError
+    for a missing or unexpected one), then runs __post_init__ if defined.
+    == holds between instances of one class with equal fields, hash is that
+    of the field values, and repr reads Name(a=1, b='x').  Fields are set
+    once, by object.__setattr__; assigning or deleting raises AttributeError.
+    _replace(**changes), copy and pickle rebuild a value through __init__.
+    The hot types, ComplexRational and ExponentPair, keep slots and their
+    own __init__, == and hash, as the generic ones are slower.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values:
+                if name not in cls._defaults:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                default = cls._defaults[name]
+                values[name] = dict(default) if isinstance(default, dict) else default
+            object.__setattr__(self, name, values[name])
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, built by __init__."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ComplexRational(Record):
     """A Gaussian rational re + im*i with auto-reduced Fraction parts: a
     plain value with no arithmetic (exact scalar work runs on Fractions and
     cleared integer pairs)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
 
-    def __post_init__(self):
-        for name in ("re", "im"):
-            x = getattr(self, name)
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        for name, x in (("re", re), ("im", im)):
             if isinstance(x, int):
-                object.__setattr__(self, name, Fraction(x))
+                x = Fraction(x)
             elif not isinstance(x, Fraction):
                 raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+            object.__setattr__(self, name, x)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @classmethod
     def _trusted(cls, re: Fraction, im: Fraction) -> "ComplexRational":
@@ -309,21 +389,29 @@ def _matmul(A, B) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols] for row in A]
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentPair:
+class ExponentPair(Record):
     """Multi-index pair (nu, mu): exponents of z and of conj(z)."""
 
+    __slots__ = ("nu", "mu")
     nu: tuple[int, ...]
     mu: tuple[int, ...]
 
-    def __post_init__(self):
-        nu, mu = tuple(self.nu), tuple(self.mu)
+    def __init__(self, nu: tuple[int, ...], mu: tuple[int, ...]):
+        nu, mu = tuple(nu), tuple(mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "mu", mu)
         if len(nu) != len(mu):
             raise ValueError(f"nu and mu must have equal length, got {len(nu)} != {len(mu)}")
         if any(not isinstance(e, int) or e < 0 for e in nu + mu):
             raise ValueError(f"exponents must be nonnegative integers: nu={nu} mu={mu}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nu == other.nu and self.mu == other.mu
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.mu))
 
     @property
     def n_vars(self) -> int:
@@ -347,8 +435,7 @@ class ExponentPair:
         return (self.degree, self.nu + self.mu)
 
 
-@dataclass(frozen=True)
-class WirtingerGradient:
+class WirtingerGradient(Record):
     """Both Wirtinger gradients of a mixed polynomial, componentwise."""
 
     dF: tuple["MixedPolynomial", ...]

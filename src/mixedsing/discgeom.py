@@ -52,12 +52,11 @@ cleared Gaussian-integer pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from types import SimpleNamespace
 
-from .core import ComplexRational, MixedPolynomial, _check_holomorphic_pair, _gaussian
+from .core import ComplexRational, MixedPolynomial, Record, _check_holomorphic_pair, _gaussian
 from .core import _ZERO, _cleared, _from_cleared, _monic, _monomial_ops
 from .parsing import format_mixed, parse
 
@@ -403,8 +402,7 @@ def jacobian_det(f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     return df[0] * dg[1] - df[1] * dg[0]
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(Record):
     """The lines through 0 of a plane pair's discriminant germ at 0.
 
     Each of components is one distinct irreducible line form in (u, v) =
@@ -558,8 +556,7 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
 # line components -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineComponent:
+class LineComponent(Record):
     """A line through the origin contained in the discriminant curve.
 
     kind "axis-u" is the line {v = 0}, "axis-v" is {u = 0}, "slope" is
@@ -583,8 +580,7 @@ class LineComponent:
             raise ValueError("slope value present exactly for slope components")
 
 
-@dataclass(frozen=True)
-class LineReport:
+class LineReport(Record):
     """All line components plus exact existence data for slope lines.
 
     has_slope_lines is decided exactly (a line form other than u and v),
@@ -662,8 +658,7 @@ def _slope_line(slope: complex, **exactness) -> LineComponent:
 # branch criterion -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PuiseuxBranch:
+class PuiseuxBranch(Record):
     """Parametrized curve germ u = t^p, v = sum a_i t^{q_i} in target space."""
 
     p: int
@@ -722,8 +717,7 @@ def parse_branch(text: str) -> PuiseuxBranch:
 # verdicts -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsolatedVerdict:
+class IsolatedVerdict(Record):
     """Whether 0 is an isolated critical value of f * conj(g)."""
 
     status: str  # "isolated" | "not-isolated" | "unknown"
@@ -814,8 +808,7 @@ def isolated_value_verdict(f: MixedPolynomial, g: MixedPolynomial) -> IsolatedVe
 # singular locus decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingDecomposition:
+class SingDecomposition(Record):
     """Generators describing Sing(f * conj(g)) inside the zero fibre V.
 
     On V the singular set is {f = g = 0} union Sing f union Sing g; off V
@@ -827,7 +820,7 @@ class SingDecomposition:
     sing_f: tuple[MixedPolynomial, ...]
     sing_g: tuple[MixedPolynomial, ...]
     off_v_minors: tuple[MixedPolynomial, ...]
-    simplified: dict = field(default_factory=dict)
+    simplified: dict = {}
 
 
 def _reduced_basis(gens) -> list[str]:
@@ -872,8 +865,7 @@ def sing_decomposition(f: MixedPolynomial, g: MixedPolynomial) -> SingDecomposit
 # shear -----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShearResult:
+class ShearResult(Record):
     f_sheared: MixedPolynomial
     g: MixedPolynomial
     k: int

@@ -22,10 +22,9 @@ exact Gaussian rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 
-from ..core import ComplexRational, MixedPolynomial, from_pair
+from ..core import ComplexRational, MixedPolynomial, Record, from_pair
 from ..parsing import ParseError, parse
 from ..thomprobe import CurveGerm, Stratum
 
@@ -36,8 +35,7 @@ class FixtureError(ValueError):
     """Malformed fixture document."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     name: str
     description: str
     variables: tuple[str, ...]
@@ -45,7 +43,7 @@ class Fixture:
     pair: tuple[MixedPolynomial, MixedPolynomial] | None
     strata: tuple[Stratum, ...] = ()
     curves: tuple[CurveGerm, ...] = ()
-    expect: dict = field(default_factory=dict)
+    expect: dict = {}
 
 
 def _constant(text: str) -> ComplexRational:

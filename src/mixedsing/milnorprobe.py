@@ -32,10 +32,8 @@ only: the exact paths never load numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import discgeom
-from .core import MixedPolynomial
+from .core import MixedPolynomial, Record
 from .polar import PolarSolution, solve_polar
 from .thomprobe import DEFAULT_SEED, ProbeResult
 
@@ -55,15 +53,13 @@ OFF_FIBRE_TOL = 1e-6
 RATIO_FLOOR = 0.01
 
 
-@dataclass(frozen=True)
-class ShellEvidence:
+class ShellEvidence(Record):
     radius: float
     count: int
     min_distance: float | None
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Milnor-set points found off the zero fibre, shell by shell."""
 
     shells: tuple[ShellEvidence, ...]
@@ -72,7 +68,7 @@ class ScanResult:
     supports_transversality: bool
     seed: int
     samples_per_shell: int
-    params: dict = field(default_factory=dict)
+    params: dict = {}
 
 
 def _batch_residual(frame, Z):
@@ -258,15 +254,13 @@ def milnor_scan(
 # verdict routing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteRecord:
+class RouteRecord(Record):
     name: str
     conclusion: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TubeVerdict:
+class TubeVerdict(Record):
     """Joint tube/Thom classification with route provenance.
 
     tube_status in {"yes", "no", "unknown"}; thom_status in {"regular",

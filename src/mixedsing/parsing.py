@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import CR_I, ComplexRational, MixedPolynomial, _cleared, _grlex
+from .core import CR_I, ComplexRational, MixedPolynomial, Record, _cleared, _grlex
 
 __all__ = ["ParseError", "SourceExpr", "parse_mixed", "parse", "format_mixed"]
 
@@ -50,8 +49,7 @@ class ParseError(Exception):
         super().__init__(f"at position {position}: {message}")
 
 
-@dataclass(frozen=True)
-class SourceExpr:
+class SourceExpr(Record):
     """Expression text together with its declared variable names."""
 
     text: str
@@ -73,11 +71,11 @@ class SourceExpr:
                 raise ParseError(0, f"variable name {name!r} is reserved")
 
 
-@dataclass
 class _Token:
-    kind: str  # INT IDENT OP END
-    value: str
-    pos: int
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: str, pos: int):
+        self.kind, self.value, self.pos = kind, value, pos  # kind: INT IDENT OP END
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -107,12 +105,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
 class _Parser:
-    tokens: list[_Token]
-    variables: dict[str, int]
-    n_vars: int
-    pos: int = field(default=0)
+    __slots__ = ("tokens", "variables", "n_vars", "pos")
+
+    def __init__(self, tokens: list[_Token], variables: dict[str, int], n_vars: int):
+        self.tokens, self.variables, self.n_vars, self.pos = tokens, variables, n_vars, 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]

@@ -24,19 +24,17 @@ budget answers "unknown".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .core import MixedPolynomial, _cleared, _inverse, _matmul
+from .core import MixedPolynomial, Record, _cleared, _inverse, _matmul
 
 __all__ = ["PolarWeights", "PolarSolution", "solve_polar", "integer_kernel"]
 
 _ENUM_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class PolarWeights:
+class PolarWeights(Record):
     """Validated weight vector p (all nonzero, gcd 1) with nonzero polar degree k."""
 
     p: tuple[int, ...]
@@ -60,8 +58,7 @@ class PolarWeights:
             raise ValueError("polar degree k must be nonzero")
 
 
-@dataclass(frozen=True)
-class PolarSolution:
+class PolarSolution(Record):
     """Outcome of solve_polar.
 
     status is "found", "none" (certified absence) or "unknown" (the search

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import sqrt
 
 from .core import (
-    CR_I, ComplexRational, MixedPolynomial, _cleared, _from_cleared, _gaussian, _inverse, _matmul,
-    _rref, complex_point,
+    CR_I, ComplexRational, MixedPolynomial, Record, _cleared, _from_cleared, _gaussian, _inverse,
+    _matmul, _rref, complex_point,
 )
 from .parsing import format_scalar
 
@@ -62,8 +61,7 @@ __all__ = [
 DEFAULT_SEED = 2026  # seeds the curve battery here and the Milnor scan
 
 
-@dataclass(frozen=True)
-class NormalFamily:
+class NormalFamily(Record):
     """Exact halves of the normal family n_mu = mu*a + conj(mu)*b."""
 
     a: tuple[MixedPolynomial, ...]  # conj of the z-gradient, as polynomials
@@ -101,8 +99,7 @@ def _unrealify_exact(r) -> tuple[ComplexRational, ...]:
     return tuple(ComplexRational(x, y) for x, y in zip(r[:n], r[n:]))
 
 
-@dataclass(frozen=True)
-class CurveGerm:
+class CurveGerm(Record):
     """Polynomial probe curve t -> C^n in a real parameter t >= 0.
 
     Each component is a tuple of (coefficient, exponent) pairs; coefficients
@@ -143,8 +140,7 @@ class CurveGerm:
         return cls(tuple(comps), label=label)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """A candidate stratum germ: exact base point plus real-independent tangents."""
 
     base_point: tuple[ComplexRational, ...]
@@ -164,8 +160,7 @@ class Stratum:
             raise ValueError("tangent vectors must be linearly independent over R")
 
 
-@dataclass(frozen=True)
-class CurveProbe:
+class CurveProbe(Record):
     """The exact limit normal plane along one curve, checked against a stratum.
 
     plucker is the plane's Plucker vector L, one coordinate per pair i < j
@@ -193,8 +188,7 @@ class CurveProbe:
         return () if self.limit_plane is None else (2,)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """A stratified Thom test: the stratum, its verdict and each curve's probe.
 
     verdict is "fail-witness" when some curve is, "compatible" (evidence
@@ -362,8 +356,8 @@ def _probe_curve(family, curve, label, tangents=()) -> CurveProbe:
         "direction": tuple(map(complex, _unrealify_exact(d))),
         "projection": proj,
     }
-    return replace(result, verdict="fail-witness", witness=witness, projection=proj,
-                   reason=f"limit plane from t^{m} meets the stratum tangent")
+    return result._replace(verdict="fail-witness", witness=witness, projection=proj,
+                           reason=f"limit plane from t^{m} meets the stratum tangent")
 
 
 def limit_normal_plane(F: MixedPolynomial, curve: CurveGerm) -> CurveProbe:

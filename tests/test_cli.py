@@ -169,7 +169,7 @@ class TestSanitize:
         }
 
     def test_exact_scalar_stays_text(self):
-        # ComplexRational is a dataclass too; the field rule must not reach it
+        # ComplexRational is a record too; the field rule must not reach it
         assert cli._sanitize(ComplexRational(1, 2)) == "(1+2*i)"
 
     def test_floats(self):

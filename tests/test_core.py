@@ -1,6 +1,8 @@
 """Exact arithmetic core: scalars, terms, ring laws, Wirtinger calculus."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from functools import cache
 
@@ -21,7 +23,10 @@ from mixedsing import (
     parse,
 )
 from mixedsing import core, parsing, polar
-from mixedsing.core import _cleared, _gaussian
+from mixedsing.core import Record, _cleared, _gaussian
+from mixedsing.discgeom import LineComponent, LineReport, SingDecomposition
+from mixedsing.fixtures import Fixture
+from mixedsing.milnorprobe import RouteRecord, ScanResult
 from mixedsing.polar import solve_polar
 from mixedsing.thomprobe import CurveGerm, Stratum
 from conftest import random_points
@@ -96,6 +101,110 @@ class TestExponentPair:
         # graded ordering: degree dominates the lex tail
         q = ExponentPair((4, 0), (0, 0))
         assert q.key() < p.key()
+
+
+class _Point(Record):
+    x: int
+    y: int = 0
+    tags: dict = {}
+
+
+class _Twin(Record):
+    x: int
+    y: int = 0
+    tags: dict = {}
+
+
+class TestRecord:
+    """core.Record, the base of the package's frozen value types, keeps the
+    contract of dataclass(frozen=True)."""
+
+    def test_positional_and_keyword_construction(self):
+        assert _Point(1, 2, {"a": 1}) == _Point(tags={"a": 1}, y=2, x=1)
+        assert _Point(1, y=2).y == 2
+        assert RouteRecord("polar", "fired").detail == ""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),                      # x is missing
+        ((), {"y": 1}),                # x is missing
+        ((1,), {"z": 1}),              # no field z
+        ((1,), {"x": 1}),              # x twice
+        ((1, 2, {}, 4), {}),           # one argument too many
+    ])
+    def test_bad_arguments_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            _Point(*args, **kwargs)
+
+    def test_dict_defaults_are_fresh_per_instance(self):
+        a, b = _Point(1), _Point(1)
+        assert a.tags == {} and a.tags is not b.tags
+        a.tags["k"] = 1
+        assert b.tags == {} and _Point(2).tags == {}
+        for cls, name in ((ScanResult, "params"), (SingDecomposition, "simplified"),
+                          (Fixture, "expect")):
+            n_required = len(cls._fields) - len(cls._defaults)
+            first, second = (cls(*[()] * n_required) for _ in range(2))
+            assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
+
+    @pytest.mark.parametrize("value", [
+        _Point(1), RouteRecord("polar", "fired"), CR(1, 2), ExponentPair((1,), (0,)),
+    ])
+    def test_fields_cannot_be_set_or_deleted(self, value):
+        name = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 0
+
+    def test_equality_and_hash_by_value(self):
+        assert _Point(1, 2, ()) == _Point(1, 2, ()) and hash(_Point(1, 2, ())) == hash((1, 2, ()))
+        assert _Point(1, 2) == _Point(1, 2) and _Point(1, 2) != _Point(1, 3)
+        with pytest.raises(TypeError):  # a dict field is unhashable
+            hash(_Point(1, 2))
+        assert len({CR(HALF, 1), CR(Fraction(2, 4), 1), CR(1, HALF)}) == 2
+        assert len({ExponentPair((1, 0), (0, 1)), ExponentPair([1, 0], [0, 1])}) == 1
+        assert {RouteRecord("a", "b"): 1}[RouteRecord("a", "b", "")] == 1
+
+    def test_other_classes_compare_unequal(self):
+        assert _Point(1, 2, ()) != _Twin(1, 2, ())
+        assert _Point(1, 2, ()) != (1, 2, ())
+        assert CR(1) != 1 and ExponentPair((1,), (0,)) != ((1,), (0,))
+
+    def test_replace(self):
+        line = LineComponent(kind="slope", slope=1j)
+        moved = line._replace(slope=2j, exact=False)
+        assert moved == LineComponent("slope", 2j, None, False)
+        assert line.slope == 1j and line.exact
+        assert CR(1, 2)._replace(im=3) == CR(1, 3)
+        with pytest.raises(ValueError):  # __post_init__ runs again
+            line._replace(slope=None)
+        with pytest.raises(TypeError):
+            line._replace(angle=1)
+
+    def test_copy_and_pickle_keep_the_value(self):
+        for value in (_Point(1, 2, {"a": [1]}), CR(HALF, -3), ExponentPair((1, 0), (0, 2)),
+                      LineComponent(kind="axis-u")):
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_own_methods_win(self):
+        lines = LineReport((LineComponent("axis-u"), LineComponent("axis-v")), False)
+        assert len(lines) == 2 and [c.kind for c in lines] == ["axis-u", "axis-v"]
+        assert repr(CR(1)) == "ComplexRational(1, 0)"
+
+    def test_repr_text(self):
+        """The same text as a dataclass's repr, for these types."""
+        assert repr(RouteRecord("disc-lines", "isolated", "no slope line")) == (
+            "RouteRecord(name='disc-lines', conclusion='isolated', detail='no slope line')")
+        line = LineComponent(kind="slope", slope=1j, slope_exact=CR(0, 1),
+                             halfline_direction=-1j)
+        assert repr(line) == (
+            "LineComponent(kind='slope', slope=1j, slope_exact=ComplexRational(0, 1), "
+            "exact=True, minpoly=None, halfline_direction=(-0-1j))")
+        assert repr(ExponentPair((1, 0), (0, 2))) == "ExponentPair(nu=(1, 0), mu=(0, 2))"
+        assert repr(CR(HALF, -3)) == "ComplexRational(1/2, -3)"
 
 
 class TestConstruction:

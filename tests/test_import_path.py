@@ -1,4 +1,4 @@
-"""sympy and numpy stay off the import path.
+"""sympy, numpy, dataclasses, inspect and traceback stay off the import path.
 
 No fixture's command loads sympy: the plane fixtures' Jacobians are monomials
 c * x^a * y^b, whose axis factors discgeom classifies on core's store.  Only
@@ -6,6 +6,10 @@ a plane Jacobian with a factor other than x and y loads sympy, to factor it.
 Only the Milnor scan loads numpy; no command runs the scan.  The suite
 itself imports both as references, so each check runs in a fresh
 interpreter and reads sys.modules there.
+
+The package's value types subclass core.Record, which generates no code, so
+no command imports dataclasses (nor inspect, which it loads), and cli
+imports traceback only to print an internal fault.
 """
 
 import os
@@ -23,18 +27,33 @@ FIXTURES = ("polar-k2", "polar-k3", "separate-x2-y3", "shear-x-xy2", "x2zy2-ybar
 PLANE = ("separate-x2-y3", "shear-x-xy2", "xy-xbar")
 
 
-def loads(package: str, code: str) -> bool:
-    """Whether package is in sys.modules after code runs in a fresh interpreter."""
+# stdlib modules no command needs
+STDLIB_LEFT_OUT = ("dataclasses", "inspect", "traceback")
+
+
+def loaded(code: str, *modules: str) -> set[str]:
+    """Which of modules are in sys.modules after code runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    script = f"{code}\nimport sys\nprint({package!r} in sys.modules)"
+    script = f"{code}\nimport sys\nprint('loaded:', *[m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    return {"True": True, "False": False}[out.split()[-1]]
+    last = out.splitlines()[-1].split()
+    assert last[0] == "loaded:", out
+    return set(last[1:])
+
+
+def loads(package: str, code: str) -> bool:
+    """Whether package is in sys.modules after code runs in a fresh interpreter."""
+    return package in loaded(code, package)
+
+
+def cli_code(*argv: str) -> str:
+    return f"from mixedsing.cli import main\nassert main({list(argv)!r}) == 0"
 
 
 def cli_loads(package: str, *argv: str) -> bool:
-    return loads(package, f"from mixedsing.cli import main\nassert main({list(argv)!r}) == 0")
+    return loads(package, cli_code(*argv))
 
 
 @pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
@@ -89,3 +108,13 @@ def test_milnor_scan_loads_numpy():
                           "from mixedsing.fixtures import load_fixture\n"
                           "r = milnor_scan(load_fixture('xy-xbar').expression, (0.1,), 8)\n"
                           "assert len(r.shells) == 1")
+
+
+@pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
+def test_import_leaves_dataclasses_inspect_traceback_out(module):
+    assert loaded(f"import {module}", *STDLIB_LEFT_OUT) == set()
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_analyze_leaves_dataclasses_inspect_traceback_out(fixture):
+    assert loaded(cli_code("analyze", fixture), *STDLIB_LEFT_OUT) == set()
