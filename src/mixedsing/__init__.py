@@ -3,9 +3,8 @@
 Exact mixed-polynomial arithmetic, polar weighted-homogeneity detection,
 discriminant geometry for holomorphic pairs, exact limit normal planes for
 Thom probes along curves, and tube/Thom verdicts that name the route that
-decided them, with a deterministic JSON CLI.  The numeric Milnor scan
-(milnor_scan) stays in the library; no command runs it, since no verdict
-reads it.
+decided them, with a deterministic JSON CLI.  Every verdict comes from
+exact criteria, and no module imports numpy.
 """
 
 from .core import (
@@ -32,12 +31,6 @@ from .discgeom import (
     shear_search,
     sing_decomposition,
 )
-from .milnorprobe import (
-    ScanResult,
-    TubeVerdict,
-    milnor_scan,
-    tube_verdict,
-)
 from .parsing import (
     ParseError,
     SourceExpr,
@@ -58,6 +51,7 @@ from .thomprobe import (
     normal_family_symbolic,
     thom_test,
 )
+from .verdict import TubeVerdict, tube_verdict
 
 __version__ = "0.1.0"
 
@@ -100,9 +94,7 @@ __all__ = [
     "parse_branch",
     "shear_search",
     "sing_decomposition",
-    "ScanResult",
     "TubeVerdict",
-    "milnor_scan",
     "tube_verdict",
     "__version__",
 ]

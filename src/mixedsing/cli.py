@@ -32,7 +32,6 @@ from .discgeom import (
     sing_decomposition,
 )
 from .fixtures import FixtureError, _parse_stratum, _split_top, fixture_names, load_fixture
-from .milnorprobe import tube_verdict
 from .parsing import ParseError, format_mixed, format_scalar, parse
 from .polar import solve_polar
 from .thomprobe import (
@@ -42,6 +41,7 @@ from .thomprobe import (
     normal_family_symbolic,
     thom_test,
 )
+from .verdict import tube_verdict
 
 SCHEMA = 8
 

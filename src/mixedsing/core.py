@@ -530,8 +530,10 @@ class MixedPolynomial:
         self._set(n_vars, d, pairs)
         return self
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
+    def __setattr__(self, name, value=None):
         raise AttributeError("MixedPolynomial is immutable")
+
+    __delattr__ = __setattr__
 
     # -- construction helpers -------------------------------------------------
 

@@ -58,7 +58,7 @@ __all__ = [
     "thom_test",
 ]
 
-DEFAULT_SEED = 2026  # seeds the curve battery here and the Milnor scan
+DEFAULT_SEED = 2026  # seeds the curve battery
 
 
 class NormalFamily(Record):

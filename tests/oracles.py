@@ -15,7 +15,6 @@ from math import gcd
 import numpy as np
 import sympy as sp
 
-from mixedsing._numeric import realify
 from mixedsing.core import ComplexRational, ExponentPair, MixedPolynomial, _cleared
 
 
@@ -184,11 +183,11 @@ def fd_real_gradients(F: MixedPolynomial, point, h: float = 1e-5):
     return dx, dy
 
 
-# ---- pointwise singularity, Milnor and orbit residuals ----------------------------
+# ---- pointwise singularity and orbit residuals -----------------------------------
 #
-# Scalar float references for the Milnor scan's certificate and the polar
-# circle action.  Frames come from the exact normal family evaluated term by
-# term (MixedPolynomial.evaluate); nothing here goes through _numeric.
+# Scalar float references for the critical set and the polar circle action.
+# Frames come from the exact normal family evaluated term by term
+# (MixedPolynomial.evaluate).
 
 
 def _frame(F: MixedPolynomial, point):
@@ -212,19 +211,6 @@ def sing_residual(F: MixedPolynomial, point) -> float:
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     # Cauchy-Schwarz gives na*nb >= |<a,b>|; rounding can dip below by ~eps
     return max(0.0, na * nb - abs(complex(np.vdot(b, a)))) + (na - nb) ** 2
-
-
-def milnor_residual(F: MixedPolynomial, point) -> float:
-    """Distance from z/|z| to the real span of (a+b, i(a-b)), by least squares;
-    2.0 when that span has rank < 2 (s_1 <= s_0 * 1e-13)."""
-    a, b = _frame(F, point)
-    M = np.stack([_real(a + b), _real(1j * (a - b))], axis=-1)
-    r = _real(np.array([complex(v) for v in point]))
-    r = r / np.linalg.norm(r)
-    c, _, rank, _ = np.linalg.lstsq(M, r, rcond=1e-13)
-    if rank < 2:
-        return 2.0
-    return float(np.linalg.norm(r - M @ c))
 
 
 def orbit_residual(F: MixedPolynomial, weights, lam: complex, point) -> float:
@@ -616,16 +602,38 @@ def real_span_basis(vectors, rtol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (rows, R^{2n}) of the real span of complex vectors.
 
     Rank is decided by singular values relative to the largest; an all-zero
-    input yields a (0, 2n) basis.  The reference for _numeric.normal_plane,
-    and the float basis the exact limit planes are checked against.
+    input yields a (0, 2n) basis.  The float basis the exact limit planes are
+    checked against.
     """
-    M = np.stack([realify(np.asarray(v, dtype=complex)) for v in vectors])
+    M = np.stack([_real(np.asarray(v, dtype=complex)) for v in vectors])
     scale = np.abs(M).max()
     if scale == 0.0 or not np.isfinite(scale):
         return np.zeros((0, M.shape[1]))
     _, s, vt = np.linalg.svd(M / scale, full_matrices=False)
     rank = int((s > s[0] * rtol).sum()) if s.size and s[0] > 0 else 0
     return vt[:rank]
+
+
+# frame vectors are exact products evaluated in floats, so the rank cut can sit
+# near machine precision; a cut at 1e-9 would collapse the plane of an
+# asymmetric frame (|a| >> |b|)
+RANK_RTOL = 1e-13
+
+
+def frame_plane(a: np.ndarray, b: np.ndarray):
+    """The normal plane span_R{a+b, i(a-b)} of one float frame, as (s_1/s_0, Q).
+
+    Q is an orthonormal row basis (R^{2n}) of the plane.  The frame is
+    divided by max(|a|, |b|), then by its largest realified entry, before
+    the SVD; singular value s_i counts when s_i > s_0 * RANK_RTOL.  A zero
+    or non-finite frame gives (0.0, a (0, 2n) basis).
+    """
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    if scale == 0.0 or not np.isfinite(scale):
+        return 0.0, np.zeros((0, 2 * len(a)))
+    M = np.stack([_real((a + b) / scale), _real(1j * (a - b) / scale)])
+    _, s, vt = np.linalg.svd(M / np.abs(M).max(), full_matrices=False)
+    return float(s[1] / s[0]), vt[: int((s > s[0] * RANK_RTOL).sum())]
 
 
 def grassmann_distance(Q1: np.ndarray, Q2: np.ndarray) -> float:
@@ -661,10 +669,8 @@ def least_squares_mu(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> complex:
 
     Realified, w = alpha (a+b) + beta i(a-b) with mu = alpha + i*beta.
     """
-    from mixedsing._numeric import realify
-
-    M = np.stack([realify(a + b), realify(1j * (a - b))], axis=-1)
-    (alpha, beta), *_ = np.linalg.lstsq(M, realify(w), rcond=None)
+    M = np.stack([_real(a + b), _real(1j * (a - b))], axis=-1)
+    (alpha, beta), *_ = np.linalg.lstsq(M, _real(w), rcond=None)
     return complex(alpha, beta)
 
 
@@ -673,22 +679,19 @@ def track_normal_plane(F: MixedPolynomial, curve, *, t0=0.1, rho=0.5, max_shells
     """Float limit of the normal plane of F along a curve, shell by shell.
 
     Evaluates the frame at t_j = t0 * rho^j and declares convergence when the
-    Grassmann distance between consecutive rank-2 shell planes stays below
-    conv_tol for conv_run steps.  Returns (Q, ratios): the last orthonormal
-    row basis in R^(2n), or None without convergence, and s_1 / s_0 of the
-    frame at every shell visited.  Rounding moves the plane by about
-    eps / (s_1 / s_0), so Q is only as good as the smallest ratio allows.
+    Grassmann distance between consecutive rank-2 shell planes (frame_plane)
+    stays below conv_tol for conv_run steps.  Returns (Q, ratios): the last
+    orthonormal row basis in R^(2n), or None without convergence, and
+    s_1 / s_0 of the frame at every shell visited.  Rounding moves the plane
+    by about eps / (s_1 / s_0), so Q is only as good as the smallest ratio
+    allows.
     """
-    from mixedsing._numeric import compile_frame, normal_plane
-
-    frame = compile_frame(F)
     prev, run, ratios = None, 0, []
     for t in t0 * rho ** np.arange(max_shells):
-        plane = normal_plane(*frame(curve_at(curve, float(t))))
-        ratios.append(float(plane.s[1] / plane.s[0]) if plane.rank else 0.0)
-        if plane.rank < 2:
+        ratio, Q = frame_plane(*_frame(F, curve_at(curve, float(t))))
+        ratios.append(ratio)
+        if len(Q) < 2:
             return None, ratios
-        Q = plane.Vt[:2]
         run = run + 1 if prev is not None and grassmann_distance(prev, Q) < conv_tol else 0
         prev = Q
         if run >= conv_run:

@@ -25,11 +25,11 @@ from mixedsing import (
     thom_test,
     tube_verdict,
 )
-from mixedsing._numeric import compile_frame, realify
 from mixedsing.cli import main
 from mixedsing.fixtures import fixture_names
 from conftest import random_points
-from oracles import fd_real_gradients, numeric_branch_singular, orbit_residual, random_mixed
+from oracles import _frame, _real, fd_real_gradients, numeric_branch_singular, orbit_residual
+from oracles import random_mixed
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -90,11 +90,10 @@ def test_02_witness_on_three_variable_product():
     tol = 1e-8
     t0 = time.perf_counter()
     F = parse("x~*y*(x + z^2)", XYZ)
-    frame = compile_frame(F)
 
     def n_i(t):
         """The normal n_mu for mu = i, i(a - b), at (t, 1, 0)."""
-        a, b = frame(np.array((t, 1.0, 0.0)))
+        a, b = _frame(F, (t, 1.0, 0.0))
         return 1j * (a - b)
 
     # unit normal for mu = i along the ray (t, 1, 0), shrinking t
@@ -124,11 +123,11 @@ def test_03_umbrella_battery_annihilates_last_axis():
     z_axis = Stratum(base_point=(0, 0, 1), tangent=((0, 0, 1), (0, 0, 1j)),
                      label="z-axis")
     result = thom_test(F, z_axis)
-    T = np.stack([realify(np.array(v, dtype=complex)) for v in z_axis.tangent])
+    T = np.stack([_real(np.array(v, dtype=complex)) for v in z_axis.tangent])
     converged = [p for p in result.per_curve if p.limit_plane is not None]
     worst = max(
         float(np.linalg.norm(
-            np.stack([realify(np.asarray(v)) for v in p.limit_plane]) @ T.T, 2))
+            np.stack([_real(np.array(v, dtype=complex)) for v in p.limit_plane]) @ T.T, 2))
         for p in converged
     )
     elapsed = time.perf_counter() - t0

@@ -24,6 +24,23 @@ sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
 
+# Modules deleted from the package that bench/spans.TRACED still names.
+# Tracer.installed() skips a module that is not loaded, so a traced run only
+# records no span for them.  The next change to bench/ drops their entries,
+# and this set with them.
+GONE = {"mixedsing.milnorprobe"}
+
+
+def _traced():
+    """The TRACED entries of modules the package has; every module in GONE
+    must really be gone, and still be named."""
+    assert GONE <= {mod_name for mod_name, *_ in spans.TRACED}, "drop the stale GONE entry"
+    for entry in spans.TRACED:
+        if entry[0] in GONE:
+            assert importlib.util.find_spec(entry[0]) is None, f"{entry[0]} exists"
+        else:
+            yield entry
+
 
 def _resolve(mod_name, attr):
     obj = importlib.import_module(mod_name)
@@ -62,13 +79,13 @@ def _package_uses(path: Path):
 
 
 def test_traced_names_resolve():
-    for mod_name, attr, _layer, _counter in spans.TRACED:
+    for mod_name, attr, _layer, _counter in _traced():
         assert mod_name in sys.modules, f"{mod_name} is not loaded by mixedsing.cli"
         assert callable(_resolve(mod_name, attr)), f"{mod_name}.{attr}"
 
 
 def test_tracer_installs_and_restores():
-    originals = {(m, a): _resolve(m, a) for m, a, _layer, _counter in spans.TRACED}
+    originals = {(m, a): _resolve(m, a) for m, a, _layer, _counter in _traced()}
     with spans.Tracer().installed():
         for (mod_name, attr), original in originals.items():
             assert _resolve(mod_name, attr) is not original, f"{mod_name}.{attr} not wrapped"

@@ -8,7 +8,7 @@ import pytest
 from mixedsing import ComplexRational, LineComponent, cli, discgeom, from_pair
 from mixedsing.cli import main
 from mixedsing.fixtures import FixtureError, _parse_fixture, fixture_names, load_all, load_fixture
-from mixedsing.milnorprobe import RouteRecord
+from mixedsing.verdict import RouteRecord
 
 ALL_FIXTURES = (
     "polar-k2",

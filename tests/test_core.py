@@ -26,9 +26,9 @@ from mixedsing import core, parsing, polar
 from mixedsing.core import Record, _cleared, _gaussian
 from mixedsing.discgeom import LineComponent, LineReport, SingDecomposition
 from mixedsing.fixtures import Fixture
-from mixedsing.milnorprobe import RouteRecord, ScanResult
 from mixedsing.polar import solve_polar
 from mixedsing.thomprobe import CurveGerm, Stratum
+from mixedsing.verdict import RouteRecord
 from conftest import random_points
 from oracles import (
     fd_real_gradients,
@@ -140,8 +140,7 @@ class TestRecord:
         assert a.tags == {} and a.tags is not b.tags
         a.tags["k"] = 1
         assert b.tags == {} and _Point(2).tags == {}
-        for cls, name in ((ScanResult, "params"), (SingDecomposition, "simplified"),
-                          (Fixture, "expect")):
+        for cls, name in ((SingDecomposition, "simplified"), (Fixture, "expect")):
             n_required = len(cls._fields) - len(cls._defaults)
             first, second = (cls(*[()] * n_required) for _ in range(2))
             assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
@@ -228,6 +227,14 @@ class TestConstruction:
         p = MixedPolynomial.one(1)
         with pytest.raises(AttributeError):
             p.n_vars = 3
+
+    def test_slots_cannot_be_deleted(self):
+        F = parse("x+1", ("x",))
+        for name in MixedPolynomial.__slots__:
+            with pytest.raises(AttributeError):
+                delattr(F, name)
+        assert F + F == parse("2*x+2", ("x",))
+        assert format_mixed(F) == "1*z1 + 1"
 
     def test_hash_consistency(self):
         a = parse("x*y + y", ("x", "y"))

@@ -1,4 +1,5 @@
-"""Exact target-space geometry: discriminants, lines, branches, verdicts."""
+"""Exact target-space geometry: discriminants, lines, branches, verdicts,
+and the float residual that vanishes at critical points."""
 
 import math
 import operator
@@ -48,6 +49,7 @@ from mixedsing.discgeom import (
     _to_ring,
     _vanishes_on_critical_set,
 )
+from conftest import random_points
 from oracles import (
     elimination_discriminant,
     expr_line_components,
@@ -56,6 +58,8 @@ from oracles import (
     jacobian_factor_classes,
     line_forms,
     numeric_branch_singular,
+    random_mixed,
+    sing_residual,
 )
 
 UV = ("u", "v")
@@ -65,6 +69,8 @@ COEFFS = ["1", "2", "3", "-1", "-2", "1/2", "i", "2*i", "(1+i)", "(1-2*i)"]
 PLANE_MONOMIALS = ["x", "y", "x^2", "x*y", "y^2"]
 AXES = {parse("x", XY), parse("y", XY)}  # the source axes as Jacobian factors
 SPACE_MONOMIALS = ["x", "y", "z", "x^2", "x*y", "y*z", "z^2", "x*z", "y^2", "x*y*z"]
+XYXBAR = parse("x*y*x~", XY)
+Z1 = parse("x", XY)
 
 
 def pair(ftext, gtext, variables=XY):
@@ -601,6 +607,80 @@ class TestIsolatedValueVerdict:
             isolated_value_verdict(
                 *pair("y*(x + z^2)", "x", XYZ), branches=(parse_branch("u = t; v = t"),)
             )
+
+
+class TestSingResidual:
+    def test_frozen_values(self):
+        assert sing_residual(XYXBAR, (0, 1)) == 0.0
+        assert abs(sing_residual(parse("x^2", ("x",)), (1,)) - 4.0) <= 1e-12
+        want = 2.0 - np.sqrt(2.0)  # (sqrt2*1 - 1) + (sqrt2 - 1)^2
+        assert abs(sing_residual(XYXBAR, (1, 1)) - want) <= 1e-12
+
+    def test_vanishes_at_constructed_singular_points(self, rng):
+        # a == b everywhere for |x|^2 + |y|^2, so lambda = 1 solves the
+        # unimodular gradient equation at every point
+        F = parse("x*x~ + y*y~", XY)
+        for pt in random_points(rng, 2, 50):
+            assert sing_residual(F, pt) <= 1e-10
+
+    def test_positive_at_regular_points_of_z1(self, rng):
+        for pt in random_points(rng, 2, 50):
+            assert sing_residual(Z1, pt) > 1e-6
+
+    def test_nonnegative_on_random_inputs(self, rng):
+        for _ in range(50):
+            F = random_mixed(rng)
+            for pt in random_points(rng, F.n_vars, 2):
+                assert sing_residual(F, pt) >= 0.0
+
+    def test_detects_singular_ray_with_nonzero_value(self):
+        """Critical points off the zero fibre on {y = 0}, shrinking to 0."""
+        f, g = parse("x", XY), parse("x + y^2", XY)
+        F = from_pair(f, g)
+        for t in (0.5, 0.1, 0.02, 0.004, 0.0008):
+            z = (t, 0.0)
+            assert sing_residual(F, z) <= 1e-12
+            assert abs(F.evaluate(z)) > 0.0
+
+    @pytest.mark.parametrize(
+        "pair",
+        [("x", "x + x^2 + y^2"), ("x + (x + y^2)^2", "x + y^2")],
+        ids=["tangent", "sheared"],
+    )
+    def test_tangent_branch_critical_values_reach_zero(self, pair):
+        """(x, x + x^2 + y^2): on y = 0, F = |x|^2 (1 + conj(x)) is singular
+        on the circle |1 + x| = |1 + 2x| through 0, where |F| ~ |x|^2 > 0.
+        The k = 2 shear of (x, x + y^2) keeps its critical set y = 0, where
+        F = |x|^2 (1 + x) is singular on the same circle.
+        The bound is 1e-14 of the frame's scale |a|^2 + |b|^2 ~ 2|x|^2."""
+        F = from_pair(*(parse(p, XY) for p in pair))
+        for theta in (1.0, 0.1, 0.01):
+            x = -1 / 3 + np.exp(1j * theta) / 3
+            z = (x, 0.0)
+            assert sing_residual(F, z) <= 1e-14 * abs(x) ** 2
+            assert abs(F.evaluate(z)) > 0.5 * abs(x) ** 2
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the line-only rule misses tangent branches")
+    def test_tangent_branch_pair_not_isolated(self):
+        """The critical values above pile up at 0, so 0 is not isolated."""
+        verdict = isolated_value_verdict(parse("x", XY), parse("x + x^2 + y^2", XY))
+        assert verdict.status == "not-isolated"
+
+    def test_jacobian_rank_drops_where_residual_vanishes(self, rng):
+        """Points off V with tiny mixed residual sit on Sing(f, g)."""
+        f, g = parse("x", XY), parse("x + y^2", XY)
+        F = from_pair(f, g)
+        df, dg = f.wirtinger().dF, g.wirtinger().dF
+        for _ in range(100):
+            t = complex(rng.uniform(0.01, 0.5) * np.exp(2j * np.pi * rng.uniform()))
+            z = (t, 0.0)
+            assert sing_residual(F, z) < 1e-8
+            assert abs(F.evaluate(z)) > 1e-8
+            J = np.array(
+                [[p.evaluate(z) for p in df], [p.evaluate(z) for p in dg]]
+            )
+            s = np.linalg.svd(J, compute_uv=False)
+            assert s[1] < 1e-6  # rank < 2
 
 
 def random_element(rng, R, n, max_deg=5, terms=(2, 4)):

@@ -3,15 +3,16 @@
 No fixture's command loads sympy: the plane fixtures' Jacobians are monomials
 c * x^a * y^b, whose axis factors discgeom classifies on core's store.  Only
 a plane Jacobian with a factor other than x and y loads sympy, to factor it.
-Only the Milnor scan loads numpy; no command runs the scan.  The suite
-itself imports both as references, so each check runs in a fresh
-interpreter and reads sys.modules there.
+No module of the package imports numpy; a check on the source enforces it.
+The suite itself imports both as references, so each runtime check runs in
+a fresh interpreter and reads sys.modules there.
 
 The package's value types subclass core.Record, which generates no code, so
 no command imports dataclasses (nor inspect, which it loads), and cli
 imports traceback only to print an internal fault.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -102,12 +103,22 @@ def test_exact_commands_leave_numpy_out(argv):
     assert not cli_loads("numpy", *argv)
 
 
-def test_milnor_scan_loads_numpy():
-    """The lazy boundary is reached, and the scan still works."""
-    assert loads("numpy", "from mixedsing import milnor_scan\n"
-                          "from mixedsing.fixtures import load_fixture\n"
-                          "r = milnor_scan(load_fixture('xy-xbar').expression, (0.1,), 8)\n"
-                          "assert len(r.shells) == 1")
+def test_no_module_imports_numpy():
+    """Read off the source, so an import inside a function counts too."""
+    sources = sorted(Path(SRC, "mixedsing").rglob("*.py"))
+    assert Path(SRC, "mixedsing", "core.py") in sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] == "numpy"]
+    assert not found
 
 
 @pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
