@@ -34,16 +34,17 @@ critical set of the pair, does not change (see shear_search).
 
 Everything here is exact; floats never decide a verdict.  The Jacobian
 splits on core's store as J = c * x^a * y^b * R with x, y not dividing R,
-and the axis factors x and y are classified there in closed form
-(_axis_line_form), as are the slopes of degree-1 line forms.  Only a
-non-constant R, or a line form of degree >= 2, needs sympy, which _sympy
+and every factor of degree 1 (x, y, an R of degree 1 and the linear factors
+of a larger R) is classified there in closed form (_on_line, _line_form), as
+are the slopes of degree-1 line forms.  Only an R, a factor through the
+source origin or a line form of degree >= 2 needs sympy, which _sympy
 imports on first use (never at import): R's factorisation goes through the
 norm over Q (_factor_gaussian): one factorisation over QQ and one gcd per
 rational factor, with Trager's algorithm over QQ<i> only for a rational
 factor that may split into a conjugate pair dividing it; the division
-tests, slope forms and numeric slope roots of R's factors run on sympy's
-sparse rings over QQ_I too.  _to_ring and _from_ring convert at that one
-boundary.  The Groebner bases of the n >= 3 verdict and of
+tests, slope forms and numeric slope roots of factors of degree >= 2 run on
+sympy's sparse rings over QQ_I too.  _to_ring and _from_ring convert at
+that one boundary.  The Groebner bases of the n >= 3 verdict and of
 sing_decomposition (grevlex, with the Rabinowitsch variable w last) come
 from the in-package Buchberger kernel _groebner, which computes on core's
 cleared Gaussian-integer pairs.
@@ -461,28 +462,42 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     return _from_ring(sp.XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
 
 
-def _on_axis(h: MixedPolynomial, j: int) -> MixedPolynomial:
-    """A plane h on the source axis {z_j = 0}: its terms free of z_j."""
-    d, pairs = _cleared(h)
-    return _from_cleared(2, d, {m: c for m, c in pairs.items() if not m[j]})
+def _on_line(h: MixedPolynomial, P: MixedPolynomial) -> MixedPolynomial:
+    """A plane h on the source line {P = 0}, P = alpha*x + beta*y: h(beta*t,
+    -alpha*t) in one variable t, on the cleared stores.  alpha and beta are
+    the integer parts of P's store, which only rescales t."""
+    pairs = _cleared(P)[1]
+    (ax, ay), beta = pairs.get((1, 0, 0, 0), _ZERO), pairs.get((0, 1, 0, 0), _ZERO)
+    d, hp = _cleared(h)
+    out: dict = {}
+    for (i, j, _, _), (x, y) in hp.items():
+        for u, v in [beta] * i + [(-ax, -ay)] * j:  # times beta^i * (-alpha)^j
+            x, y = x * u - y * v, x * v + y * u
+        p, q = out.get((i + j, 0), _ZERO)
+        out[i + j, 0] = (p + x, q + y)
+    return _from_cleared(1, d, {k: c for k, c in out.items() if c != _ZERO})
 
 
-def _axis_line_form(f0: MixedPolynomial, g0: MixedPolynomial) -> MixedPolynomial | None:
-    """The line form of an axis factor P = z_j of the Jacobian that is a
+def _line_form(f0: MixedPolynomial, g0: MixedPolynomial) -> MixedPolynomial | None:
+    """The line form of a Jacobian factor P = alpha*x + beta*y that is a
     slope factor, None when it is not one; f0 and g0 are f and g on
-    {P = 0} (_on_axis), both nonzero, so P divides neither f nor g.
+    {P = 0} (_on_line), both nonzero, so P divides neither f nor g.
 
-    This is _slope_form's form in closed form.  Proof, for P = x (for y,
-    Jac(h, y) = h_x, and the same steps hold with x and y swapped): P | h
-    exactly when h(0, y) = 0, that is when every term of h has x-exponent
-    >= 1.  Jac(h, x) = -h_y and restricting to x = 0 commutes with d/dy, so
-    P | f*Jac(g, P) - g*Jac(f, P) says g0*f0' - f0*g0' = 0, that is
-    (g0/f0)' = 0: g0 = a0*f0 for a constant a0, not 0 as g0 is not.  Then
-    Res_x(x, g - a*f) = g0 - a*f0 = f0 * (a0 - a), whose content in y is f0
-    up to a unit, so m(a) = a - a0 and the form is u * m(v/u) = v - a0*u,
-    made monic as _slope_form makes its forms.  f0 and g0 are proportional
-    exactly when they agree made monic, and then a0 = cg / cf, the ratio of
-    their leading coefficients, so cf*v - cg*u is the form up to the unit cf.
+    This is _slope_form's form in closed form.  Proof: pick c, e with
+    alpha*c + beta*e = 1.  The change of source coordinates (x, y) =
+    (beta*t + c*w, -alpha*t + e*w) has determinant 1, so it keeps the
+    Jacobian and the image of each curve, and it takes P to w, on whose
+    zero set f and g are f0(t) and g0(t); so P's class and line form are
+    those of the factor w of the pair in (t, w).  P | h exactly when h
+    vanishes on {w = 0}, that is h(beta*t, -alpha*t) = 0.  Jac(h, w) = h_t
+    and restricting to w = 0 commutes with d/dt, so P | f*Jac(g, P) -
+    g*Jac(f, P) says f0*g0' - g0*f0' = 0, that is (g0/f0)' = 0: g0 = a0*f0
+    for a constant a0, not 0 as g0 is not.  Then Res_w(w, g - a*f) =
+    g0 - a*f0 = f0 * (a0 - a), whose content in t is f0 up to a unit, so
+    m(a) = a - a0 and the form is u * m(v/u) = v - a0*u, made monic as
+    _slope_form makes its forms.  f0 and g0 are proportional exactly when
+    they agree made monic, and then a0 = cg / cf, the ratio of their
+    leading coefficients, so cf*v - cg*u is the form up to the unit cf.
     """
     if _monic(f0) != _monic(g0):
         return None
@@ -494,9 +509,10 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
     """The lines through 0 in the discriminant germ of (f, g): (C^2, 0) -> (C^2, 0).
 
     The Jacobian splits on core's store as J = c * x^a * y^b * R, where
-    neither x nor y divides R.  The axis factors x and y (when a, b > 0) are
-    classified in closed form (_axis_line_form); only the factors of a
-    non-constant R go through sympy.  Each factor is classified once.
+    neither x nor y divides R.  Its factors are x and y (when a, b > 0) and
+    R when it has degree 1, else sympy's factors of R.  Each is classified
+    once; one of degree 1 in closed form (_on_line, _line_form), so only a
+    factor of degree >= 2 through the source origin needs sympy's rings.
     """
     _check_holomorphic_pair(f, g, "discriminant_curve")
     if f.n_vars != 2:
@@ -527,22 +543,28 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
 
     d, pairs = _cleared(J)
     a, b = (min(m[j] for m in pairs) for j in (0, 1))  # J = c * x^a * y^b * R
-    for j, e in enumerate((a, b)):
-        if e:  # the axis z_j divides J; as a polynomial it is u or v
-            f0, g0 = _on_axis(f, j), _on_axis(g, j)
-            record((_U, _V)[j], f0.is_zero, g0.is_zero, lambda: _axis_line_form(f0, g0))
-
+    factors = [P for P, e in ((_U, a), (_V, b)) if e]  # the axes x and y, monic
     if len(pairs) > 1:  # R is not constant
         R = _from_cleared(2, d, {(m[0] - a, m[1] - b, 0, 0): c for m, c in pairs.items()})
-        XYA = _sympy().XYA
-        fp, gp = _to_ring(f, XYA), _to_ring(g, XYA)
-        for P, _mult in _factor_gaussian(_to_ring(R, XYA)):
-            if P.coeff(1):
-                off_origin.append(_from_ring(P))
-                continue
-            record(_from_ring(P), not fp.rem(P), not gp.rem(P),
-                   lambda: None if (fp * _jac(gp, P) - gp * _jac(fp, P)).rem(P)
-                   else _slope_form(P, fp, gp))
+        if R.total_degree() == 1:  # irreducible as it stands
+            factors.append(_monic(R))
+        else:
+            factors += [_from_ring(P) for P, _mult in _factor_gaussian(_to_ring(R, _sympy().XYA))]
+
+    rings = ()  # f and g in sympy's ring, made for the first factor of degree >= 2
+    for P in factors:
+        if P.constant_term():
+            off_origin.append(P)
+        elif P.total_degree() == 1:
+            f0, g0 = _on_line(f, P), _on_line(g, P)
+            record(P, f0.is_zero, g0.is_zero, lambda: _line_form(f0, g0))
+        else:
+            XYA = _sympy().XYA
+            fp, gp = rings = rings or (_to_ring(f, XYA), _to_ring(g, XYA))
+            Pr = _to_ring(P, XYA)
+            record(P, not fp.rem(Pr), not gp.rem(Pr),
+                   lambda: None if (fp * _jac(gp, Pr) - gp * _jac(fp, Pr)).rem(Pr)
+                   else _slope_form(Pr, fp, gp))
 
     forms.sort(key=format_mixed)
     return PlaneCurve(

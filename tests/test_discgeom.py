@@ -39,6 +39,7 @@ from mixedsing import (
     sing_decomposition,
     tube_verdict,
 )
+from mixedsing import discgeom
 from mixedsing.discgeom import (
     DegenerateEliminationError,
     DegreeBoundError,
@@ -46,6 +47,7 @@ from mixedsing.discgeom import (
     _factor_gaussian,
     _groebner,
     _jacobian_minors,
+    _on_line,
     _to_ring,
     _vanishes_on_critical_set,
 )
@@ -259,6 +261,125 @@ class TestGermLocalLines:
 # sympy's rings QQ_I[x, y, a] and QQ_I[a], the references' own
 _XYA = ring("x y a", QQ_I)[0]
 _A = ring("a", QQ_I)[0]
+
+
+def _refuse_sympy(*args):
+    raise AssertionError("a Jacobian factor of degree 1 reached sympy")
+
+
+class TestLinearFactors:
+    """Jacobian factors of degree 1, classified in closed form on core's
+    store (_on_line), against the elimination references."""
+
+    @pytest.mark.parametrize(
+        "f,g,components,slope",
+        [
+            # J = -4*y*(x - y): y maps onto {u = 0}, x - y onto {v = 2*u}
+            ("y^2", "2*y^2 + (x-y)^2", ("u", "u - 1/2*v"), ComplexRational(Fraction(2))),
+            ("y^2", "(1+i)*y^2 + (x-i*y)^2", ("u", "u + (-1/2+1/2*i)*v"),
+             ComplexRational(Fraction(1), Fraction(1))),
+            # J = 2*(x - y), on which f vanishes: the image is {u = 0}
+            ("(x-y)^2", "x", ("u",), None),
+        ],
+    )
+    def test_hand_pairs_with_line_images(self, monkeypatch, f, g, components, slope):
+        monkeypatch.setattr(discgeom, "_sympy", _refuse_sympy)
+        v = isolated_value_verdict(*pair(f, g))
+        assert v.discriminant.components == tuple(parse(c, UV) for c in components)
+        assert v.discriminant.non_line_factors == v.discriminant.off_origin_components == ()
+        assert [c.kind for c in v.lines] == ["axis-v"] + ["slope"] * (slope is not None)
+        if slope is None:
+            assert v.status == "isolated" and v.witnesses == ()
+        else:
+            assert v.status == "not-isolated"
+            assert [(c.slope_exact, c.slope) for c in v.witnesses] == [(slope, complex(slope))]
+
+    def test_hand_pair_with_a_non_line_factor(self, monkeypatch):
+        # J = x + (2+3i)*y, on which f and g are not proportional
+        monkeypatch.setattr(discgeom, "_sympy", _refuse_sympy)
+        v = isolated_value_verdict(*pair("(1+i)*y^2 + x*y", "-x + i*y"))
+        assert v.status == "isolated" and len(v.lines) == 0
+        assert v.discriminant.non_line_factors == (parse("x + (2+3*i)*y", XY),)
+        assert v.discriminant.components == ()
+
+    def test_on_line_vanishes_exactly_when_the_line_divides(self, rng):
+        monomials = [f"x^{a}*y^{b}" for a in range(5) for b in range(5 - a)]
+        zeros = 0
+        for _ in range(80):
+            alpha, beta = rng.choice(COEFFS + ["0"], size=2)
+            if alpha == beta == "0":
+                continue
+            P = parse(f"{alpha}*x + {beta}*y", XY)
+            h = parse(" + ".join(f"{c}*{m}" for c, m in zip(
+                rng.choice(COEFFS, size=3), rng.choice(monomials, size=3, replace=False))), XY)
+            if rng.random() < 0.5:
+                h = h * P
+            got = _on_line(h, P)
+            assert got.n_vars == 1
+            assert got.is_zero == (not _to_ring(h, _XYA).rem(_to_ring(P, _XYA))), (h, P)
+            zeros += got.is_zero
+        assert 20 <= zeros <= 60
+
+    def test_seeded_linear_factors_match_elimination(self, rng, monkeypatch):
+        """Seeded pairs whose Jacobian factors all have degree <= 1: a
+        linear cofactor R, lines with non-real coefficients, and an R that
+        splits into linear factors.  A pair whose R has degree <= 1 never
+        reaches sympy, and no factor of degree 1 meets sympy's division
+        tests or resultant."""
+        def line():
+            return f"(x + {rng.choice(COEFFS)}*y)"
+
+        def c():
+            return rng.choice(COEFFS)
+
+        def binomial_text():
+            m1, m2 = rng.choice(PLANE_MONOMIALS, size=2, replace=False)
+            return f"{c()}*{m1} + {c()}*{m2}"
+
+        templates = [
+            lambda: (binomial_text(), binomial_text()),
+            lambda: (f"{c()}*y^2", f"{c()}*y^2 + {c()}*{line()}^2"),
+            lambda: (f"{c()}*x*{line()}", f"{c()}*{rng.choice(['y', line()])}*{line()}"),
+            lambda: (f"{c()}*{line()}^2", f"{c()}*{rng.choice(['x', 'y', line()])}"),
+            lambda: (f"{c()}*y^2 + {c()}*x*y", f"{c()}*x + {c()}*y"),
+            lambda: (f"{c()}*{line()}^2", f"{c()}*{line()}^3"),
+        ]
+        pairs, draws = [], 0
+        while len(pairs) < 36:
+            f, g = pair(*templates[draws % len(templates)]())
+            draws += 1
+            J = jacobian_det(f, g)
+            if J.is_zero:
+                continue
+            factors = _to_ring(J, _XYA).factor_list()[1]
+            if all(max(map(sum, P.monoms())) <= 1 for P, _ in factors):
+                # whether R, the cofactor of x^a * y^b in J, has degree <= 1
+                linear = sum(m for P, m in factors if P not in _XYA.gens) <= 1
+                pairs.append((f, g, linear))
+        curves, sympy = [], discgeom._sympy
+        with monkeypatch.context() as m:
+            m.setattr(discgeom, "_jac", _refuse_sympy)
+            m.setattr(discgeom, "_slope_form", _refuse_sympy)
+            for f, g, linear in pairs:
+                m.setattr(discgeom, "_sympy", _refuse_sympy if linear else sympy)
+                curves.append(discriminant_curve(f, g))
+        assert {linear for *_, linear in pairs} == {True, False}
+        kinds, non_real, split = set(), False, False
+        for (f, g, _), disc in zip(pairs, curves):
+            classes = jacobian_factor_classes(f, g)
+            assert disc.off_origin_components == tuple(
+                sorted(classes["off-origin"], key=format_mixed)), (f, g)
+            assert disc.non_line_factors == tuple(
+                sorted(classes["non-line"], key=format_mixed)), (f, g)
+            h = elimination_discriminant(f, g)
+            assert set(disc.components) == set(line_forms(h)), (f, g)
+            assert line_components(disc) == expr_line_components(h), (f, g)
+            kinds |= {kind for kind, factors in classes.items() if set(factors) - AXES}
+            lines = [P for kind in ("axis", "slope", "non-line") for P in classes[kind]]
+            non_real |= any(c.im for P in lines for c in P.terms.values())
+            split |= len(set(classes["origin"] + lines) - AXES) >= 2
+        assert kinds == {"off-origin", "origin", "axis", "slope", "non-line"}
+        assert non_real and split
 
 
 class TestFactorGaussian:

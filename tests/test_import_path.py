@@ -1,8 +1,10 @@
 """sympy, numpy, dataclasses, inspect and traceback stay off the import path.
 
 No fixture's command loads sympy: the plane fixtures' Jacobians are monomials
-c * x^a * y^b, whose axis factors discgeom classifies on core's store.  Only
-a plane Jacobian with a factor other than x and y loads sympy, to factor it.
+c * x^a * y^b, and discgeom classifies every Jacobian factor of degree 1 (the
+axes x and y, and a cofactor R of degree 1 in J = c * x^a * y^b * R) on
+core's store.  Only a plane Jacobian whose cofactor R has degree >= 2 loads
+sympy, to factor R and to classify its factors of degree >= 2.
 No module of the package imports numpy; a check on the source enforces it.
 The suite itself imports both as references, so each runtime check runs in
 a fresh interpreter and reads sys.modules there.
@@ -86,9 +88,20 @@ def test_groebner_route_leaves_sympy_out():
     assert not cli_loads("sympy", "disc", "x2zy2-ybar")
 
 
+# J = -4*y*(x - y) and J = 2*x - 4*y: each factor has degree 1
+LINEAR_COFACTOR_PAIRS = (("y^2", "2*y^2 + (x-y)^2"), ("x^2+y^2", "x+2*y"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "disc"])
+@pytest.mark.parametrize("f,g", LINEAR_COFACTOR_PAIRS)
+def test_linear_jacobian_factors_leave_sympy_out(command, f, g):
+    """A cofactor R of degree 1 is classified on core's store, like x and y."""
+    assert not cli_loads("sympy", command, "--pair", f, g, "--vars", "x,y")
+
+
 def test_plane_discriminant_loads_sympy():
     """The lazy boundary is reached, and the plane route still works: the
-    Jacobian x*(3*x - 8*y^3) keeps a factor other than x and y."""
+    Jacobian x*(3*x - 8*y^3) has the cubic cofactor 3*x - 8*y^3."""
     assert cli_loads("sympy", "disc", "--pair", "x^3+y^4", "y+x^2", "--vars", "x,y")
 
 
