@@ -598,6 +598,10 @@ class MixedPolynomial:
 
     def coefficient(self, nu: Sequence[int], mu: Sequence[int]) -> ComplexRational:
         pair = ExponentPair(tuple(nu), tuple(mu))
+        if pair.n_vars != self._n:
+            raise ValueError(
+                f"exponent pair over {pair.n_vars} variables in a {self._n}-variable polynomial"
+            )
         x, y = self._p.get(pair.nu + pair.mu, _ZERO)
         return ComplexRational._trusted(Fraction(x, self._d), Fraction(y, self._d))
 

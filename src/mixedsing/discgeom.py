@@ -34,20 +34,21 @@ critical set of the pair, does not change (see shear_search).
 
 Everything here is exact; floats never decide a verdict.  The Jacobian
 splits on core's store as J = c * x^a * y^b * R with x, y not dividing R,
-and every factor of degree 1 (x, y, an R of degree 1 and the linear factors
-of a larger R) is classified there in closed form (_on_line, _line_form), as
-are the slopes of degree-1 line forms.  Only an R, a factor through the
-source origin or a line form of degree >= 2 needs sympy, which _sympy
-imports on first use (never at import): R's factorisation goes through the
-norm over Q (_factor_gaussian): one factorisation over QQ and one gcd per
-rational factor, with Trager's algorithm over QQ<i> only for a rational
-factor that may split into a conjugate pair dividing it; the division
-tests, slope forms and numeric slope roots of factors of degree >= 2 run on
-sympy's sparse rings over QQ_I too.  _to_ring and _from_ring convert at
-that one boundary.  The Groebner bases of the n >= 3 verdict and of
+and every factor is classified there: the division tests are remainders on
+division by {P} (_divides), and a factor of degree 1 gets its line form in
+closed form (_on_line, _line_form), as a degree-1 line form gets its slope.
+sympy, which _sympy imports on first use (never at import), serves three
+steps only: the factorisation of an R of degree >= 2, through the norm over
+Q (_factor_gaussian): one factorisation over QQ and one gcd per rational
+factor, with Trager's algorithm over QQ<i> only for a rational factor that
+may split into a conjugate pair dividing it; the resultant of a slope
+factor of degree >= 2 (_slope_form); and the numeric roots of a slope
+polynomial of degree 2 to 4.  _to_ring and _from_ring convert at that one
+boundary.  The Groebner bases of the n >= 3 verdict and of
 sing_decomposition (grevlex, with the Rabinowitsch variable w last) come
 from the in-package Buchberger kernel _groebner, which computes on core's
-cleared Gaussian-integer pairs.
+cleared Gaussian-integer pairs; its normal form (_primitive, _sub, _rem)
+also serves _divides.
 """
 
 from __future__ import annotations
@@ -106,17 +107,17 @@ class ShearSearchExhausted(RuntimeError):
 
 @cache
 def _sympy() -> SimpleNamespace:
-    """sympy's polys layer, imported on first use (about 0.3 s): the domains
-    QQ and QQ_I, Poly, QQ_I[x, y, a] and QQ_I[y, x, a] (a resultant
-    eliminates the first generator), and QQ_I[a] for the slopes a of the
-    lines {v = a*u}."""
+    """sympy's polys layer, the package's only import of sympy, made on
+    first use (about 0.3 s): the domains QQ and QQ_I, Poly, QQ_I[x, y, a]
+    (a resultant eliminates x) and QQ_I[a] for the slopes a of the lines
+    {v = a*u}."""
     import sympy
     from sympy.polys.domains import QQ, QQ_I
     from sympy.polys.rings import ring
 
     return SimpleNamespace(
         QQ=QQ, QQ_I=QQ_I, Poly=sympy.Poly,
-        XYA=ring("x y a", QQ_I)[0], YXA=ring("y x a", QQ_I)[0], A=ring("a", QQ_I)[0],
+        XYA=ring("x y a", QQ_I)[0], A=ring("a", QQ_I)[0],
     )
 
 
@@ -171,17 +172,16 @@ def _split_over_qq_i(r) -> list:
 
 
 def _factor_gaussian(p) -> list:
-    """p.factor_list()[1] for a ring element p over QQ_I, through the norm
-    of p over Q (Trager, SYMSAC 1976; Landau, SIAM J. Comput. 14 (1985)).
+    """The distinct QQ_I-irreducible factors of a ring element p over QQ_I,
+    monic in the lex order as factor_list makes them, through the norm of p
+    over Q (Trager, SYMSAC 1976; Landau, SIAM J. Comput. 14 (1985)).
 
     Drop the generators p does not use, let q be p made monic and factor
     N = q * conj(q), which lies in Q[X], over QQ.  For each Q-irreducible
     factor r of N, s = gcd(q, r) is a QQ_I-irreducible factor of q unless
     s = r and r has an even degree in every variable; only such an r goes
-    to Trager's algorithm over QQ<i>.  Multiplicities come from repeated
-    exact division of q.  The factors are monic in the lex order and sorted
-    by sympy's key over QQ_I (dense length, multiplicity, dense
-    coefficients), as factor_list returns them.
+    to Trager's algorithm over QQ<i>.  Distinct factors r give distinct
+    factors of q, as each factor determines its r (below).
 
     Proof: let t be a QQ_I-irreducible factor of r.  lcm(t, conj t) is fixed
     by conjugation, so it is rational up to a unit and divides r; as r is
@@ -209,20 +209,87 @@ def _factor_gaussian(p) -> list:
             irreducible.append(s)
         else:
             irreducible.extend(_split_over_qq_i(r))
-    factors = []
-    for t in irreducible:
-        mult = 0
-        quo, rem = divmod(q, t)
-        while not rem:
-            q, mult = quo, mult + 1
-            quo, rem = divmod(q, t)
-        factors.append((t.set_ring(R), mult))
-    return sorted(factors, key=lambda fm: (len(d := fm[0].to_dense()), fm[1], d))
+    return [t.set_ring(R) for t in irreducible]
 
 
 def _grevlex(m: tuple[int, ...]) -> tuple:
     """The graded reverse-lex key of an exponent tuple, as sympy's grevlex."""
     return sum(m), tuple(-e for e in reversed(m))
+
+
+def _primitive(p, key) -> tuple:
+    """(lm, n, u*p) for a nonzero {monom: (re, im)} dict p of Gaussian
+    integers and the u in Q(i) that makes u*p primitive (integer content 1)
+    with leading coefficient n > 0; lm is p's leading monomial under key."""
+    lm = max(p, key=key)
+    a, b = p[lm]
+    if b:
+        p = {m: (x * a + y * b, y * a - x * b) for m, (x, y) in p.items()}
+    elif a < 0:
+        p = {m: (-x, -y) for m, (x, y) in p.items()}
+    c = math.gcd(*(v for xy in p.values() for v in xy))
+    if c > 1:
+        p = {m: (x // c, y // c) for m, (x, y) in p.items()}
+    return lm, p[lm][0], p
+
+
+def _sub(h, a, b, q, g):
+    """h - (a + b*i) * x^q * g, in place."""
+    mul = _monomial_ops(len(q))[0]
+    for m, (x, y) in g.items():
+        k = mul(m, q)
+        u, v = h.get(k, _ZERO)
+        u, v = u - a * x + b * y, v - a * y - b * x
+        if u or v:
+            h[k] = (u, v)
+        else:
+            del h[k]
+    return h
+
+
+def _rem(p, G, key) -> dict:
+    """A positive rational multiple of the full remainder of p on division
+    by G, a list of _primitive's (lm, n, g) under the order key, trying the
+    divisors in G's order as sympy's PolyElement.rem does.
+
+    The division is fraction-free, p <- (n/d)*p - (c/d)*(m/lm)*g with
+    d = gcd(n, c) for p's leading term c*m, and divides out the content
+    after each step that scaled p.
+    """
+    if not G:
+        return dict(p)
+    gcd, div = math.gcd, _monomial_ops(len(G[0][0]))[1]
+    f, r = dict(p), {}
+    while f:
+        m = max(f, key=key)
+        for lm, n, g in G:
+            q = div(m, lm)
+            if q is not None:
+                break
+        else:
+            r[m] = f.pop(m)
+            continue
+        a, b = f[m]
+        d = gcd(n, a, b)
+        s, a, b = n // d, a // d, b // d
+        if s > 1:
+            f = {k: (s * x, s * y) for k, (x, y) in f.items()}
+            r = {k: (s * x, s * y) for k, (x, y) in r.items()}
+        _sub(f, a, b, q, g)
+        if s > 1:
+            c = gcd(*(v for h in (f, r) for xy in h.values() for v in xy))
+            if c > 1:
+                f = {k: (x // c, y // c) for k, (x, y) in f.items()}
+                r = {k: (x // c, y // c) for k, (x, y) in r.items()}
+    return r
+
+
+def _divides(P: MixedPolynomial, h: MixedPolynomial) -> bool:
+    """Whether a nonzero P divides h: exactly when h's remainder on division
+    by {P} is 0, as {P} is a Groebner basis of (P) in any monomial order
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2)."""
+    key = cache(_grevlex)
+    return not _rem(_cleared(h)[1], [_primitive(_cleared(P)[1], key)], key)
 
 
 def _groebner(polys) -> list:
@@ -243,13 +310,11 @@ def _groebner(polys) -> list:
     GROEBNERNEWS2), reduce the S-polynomial of the pair with the least lcm,
     then interreduce the basis.  Only the arithmetic and the monomial
     operations differ.  Each element is kept primitive (integer content
-    1) with a positive integer leading coefficient n; any two Q(i)-multiples
-    of one polynomial get the same dict, so the interreduction's fixed-point
-    test compares dicts.  Reduction is fraction-free,
-    p <- (n/d)*p - (c/d)*(m/lm)*g with d = gcd(n, c), and divides out the
-    content after each step that scaled p.  Leading monomials and
-    coefficients are cached, and each monomial's order key is computed
-    once.
+    1) with a positive integer leading coefficient n (_primitive); any two
+    Q(i)-multiples of one polynomial get the same dict, so the
+    interreduction's fixed-point test compares dicts.  Reduction is
+    fraction-free (_rem).  Leading monomials and coefficients are cached,
+    and each monomial's order key is computed once.
 
     Equal to sympy's: an ideal has exactly one reduced Groebner basis for a
     fixed order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
@@ -265,70 +330,15 @@ def _groebner(polys) -> list:
     unit = [(1, {const: (1, 0)})]
     key = cache(_grevlex)
     mul, div, lcm = _monomial_ops(len(const))
-    gcd = math.gcd
-
-    def primitive(p):
-        """(lm, n, u*p) for the u in Q(i) that makes u*p primitive with
-        leading coefficient n > 0."""
-        lm = max(p, key=key)
-        a, b = p[lm]
-        if b:
-            p = {m: (x * a + y * b, y * a - x * b) for m, (x, y) in p.items()}
-        elif a < 0:
-            p = {m: (-x, -y) for m, (x, y) in p.items()}
-        c = gcd(*(v for xy in p.values() for v in xy))
-        if c > 1:
-            p = {m: (x // c, y // c) for m, (x, y) in p.items()}
-        return lm, p[lm][0], p
-
-    def sub(h, a, b, q, g):
-        """h - (a + b*i) * x^q * g, in place."""
-        for m, (x, y) in g.items():
-            k = mul(m, q)
-            u, v = h.get(k, _ZERO)
-            u, v = u - a * x + b * y, v - a * y - b * x
-            if u or v:
-                h[k] = (u, v)
-            else:
-                del h[k]
-        return h
-
-    def rem(p, G):
-        """A positive rational multiple of the full remainder of p on
-        division by G (a list of (lm, n, g)), trying the divisors in G's
-        order as PolyElement.rem does."""
-        f, r = dict(p), {}
-        while f:
-            m = max(f, key=key)
-            for lm, n, g in G:
-                q = div(m, lm)
-                if q is not None:
-                    break
-            else:
-                r[m] = f.pop(m)
-                continue
-            a, b = f[m]
-            d = gcd(n, a, b)
-            s, a, b = n // d, a // d, b // d
-            if s > 1:
-                f = {k: (s * x, s * y) for k, (x, y) in f.items()}
-                r = {k: (s * x, s * y) for k, (x, y) in r.items()}
-            sub(f, a, b, q, g)
-            if s > 1:
-                c = gcd(*(v for h in (f, r) for xy in h.values() for v in xy))
-                if c > 1:
-                    f = {k: (x // c, y // c) for k, (x, y) in f.items()}
-                    r = {k: (x // c, y // c) for k, (x, y) in r.items()}
-        return r
 
     def spoly(i, j):
         """A positive integer multiple of the S-polynomial of f[i], f[j]."""
         (lm1, n1, p1), (lm2, n2, p2) = f[i], f[j]
         L = lcm(lm1, lm2)
         q1, q2 = div(L, lm1), div(L, lm2)
-        c = gcd(n1, n2)
+        c = math.gcd(n1, n2)
         s1, s2 = n2 // c, n1 // c
-        return sub({mul(m, q1): (s1 * x, s1 * y) for m, (x, y) in p1.items()}, s2, 0, q2, p2)
+        return _sub({mul(m, q1): (s1 * x, s1 * y) for m, (x, y) in p1.items()}, s2, 0, q2, p2)
 
     def update(G, B, ih):
         """[BW] p. 230: admit f[ih] to G and its critical pairs to B."""
@@ -358,13 +368,13 @@ def _groebner(polys) -> list:
         G_new.add(ih)
         return G_new, B_new
 
-    f1 = [primitive(p) for p in polys]
+    f1 = [_primitive(p, key) for p in polys]
     while True:  # interreduce the input, [BW] p. 203
         f, f1 = f1, []
         for i, (_, _, p) in enumerate(f):
-            r = rem(p, f[:i])
+            r = _rem(p, f[:i], key)
             if r:
-                f1.append(primitive(r))
+                f1.append(_primitive(r, key))
                 if f1[-1][0] == const:
                     return unit
         if f == f1:
@@ -376,16 +386,16 @@ def _groebner(polys) -> list:
     while CP:
         pair = min(CP, key=lambda pr: key(lcm(f[pr[0]][0], f[pr[1]][0])))
         CP.remove(pair)
-        r = rem(spoly(*pair), [f[i] for i in sorted(G, key=lambda i: key(f[i][0]))])
+        r = _rem(spoly(*pair), [f[i] for i in sorted(G, key=lambda i: key(f[i][0]))], key)
         if r:
-            f.append(primitive(r))
+            f.append(_primitive(r, key))
             if f[-1][0] == const:
                 return unit
             G, CP = update(G, CP, len(f) - 1)
 
     # an element whose leading monomial another one divides reduces to 0
-    remainders = (rem(f[i][2], [f[j] for j in G if j != i]) for i in G)
-    basis = [primitive(r) for r in remainders if r]
+    remainders = (_rem(f[i][2], [f[j] for j in G if j != i], key) for i in G)
+    basis = [_primitive(r, key) for r in remainders if r]
     basis.sort(key=lambda t: key(t[0]), reverse=True)
     return [(n, p) for _, n, p in basis]
 
@@ -423,13 +433,7 @@ class PlaneCurve(Record):
             raise ValueError("origin_only must hold exactly without line forms and non-line factors")
 
 
-def _jac(h, P):
-    """Jac(h, P): the derivative of h along the curve {P = 0}."""
-    x, y, _ = _sympy().XYA.gens
-    return h.diff(x) * P.diff(y) - h.diff(y) * P.diff(x)
-
-
-def _slope_form(P, f, g) -> MixedPolynomial:
+def _slope_form(P: MixedPolynomial, f: MixedPolynomial, g: MixedPolynomial) -> MixedPolynomial:
     """u^d * m(v/u) for a slope factor P: the lines {v = a*u} of its image.
 
     m is the minimal polynomial over Q(i) of the slope of any one component
@@ -440,9 +444,9 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     P_1..P_r form one orbit of G = Gal(Qbar/Q(i)), and g = a_j * f on the
     irreducible {P_j = 0} for a constant a_j.  As f, g have coefficients in
     Q(i), P_j | g - a_j*f gives sigma(P_j) | g - sigma(a_j)*f: sigma in G
-    maps the slope of a component to that of its image.  With t the
-    eliminated variable (P involves it) and s the other, each root t_k(s)
-    of P lies on some {P_j = 0}, where g - a*f = (a_j - a) * f, so
+    maps the slope of a component to that of its image.  With t = x, the
+    eliminated variable, and s = y, each root t_k(s) of P lies on some
+    {P_j = 0}, where g - a*f = (a_j - a) * f, so
     Res_t(P, g - a*f) = C(s) * prod_j (a_j - a)^(n_j), n_j the t-degree of
     P_j; C(s) = lc_t(P)^e * prod_k f(t_k(s), s) is not 0, as P_j | f gives
     P | f (apply G).  G permutes the P_j and keeps n_j, so the product is
@@ -452,14 +456,16 @@ def _slope_form(P, f, g) -> MixedPolynomial:
     Hence the form is irreducible, divisible by neither u nor v, and slope
     factors that share a slope give one monic form, kept once.
     """
-    sp = _sympy()
-    a = sp.XYA.gens[2]
-    R = sp.XYA if P.degree(0) > 0 else sp.YXA  # eliminate a variable P involves
-    res = P.set_ring(R).resultant((g - a * f).set_ring(R))  # in QQ_I[s, a]
+    XYA = _sympy().XYA
+    Pr, fr, gr = (_to_ring(h, XYA) for h in (P, f, g))
+    # P involves x, the variable eliminated: P has degree >= 2 and passes
+    # through 0, and a Q(i)-irreducible factor through 0 in y alone is y up
+    # to a unit, of degree 1
+    res = Pr.resultant(gr - XYA.gens[2] * fr)  # in QQ_I[y, a]
     coeffs = (res.coeff_wrt(1, k) for k in range(res.degree(1) + 1))
     m = res.exquo(reduce(lambda p, q: p.gcd(q), coeffs)).sqf_part()
     d = m.degree(1)
-    return _from_ring(sp.XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
+    return _from_ring(XYA.from_dict({(d - e[1], e[1], 0): c for e, c in m.items()}))
 
 
 def _on_line(h: MixedPolynomial, P: MixedPolynomial) -> MixedPolynomial:
@@ -510,9 +516,13 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
 
     The Jacobian splits on core's store as J = c * x^a * y^b * R, where
     neither x nor y divides R.  Its factors are x and y (when a, b > 0) and
-    R when it has degree 1, else sympy's factors of R.  Each is classified
-    once; one of degree 1 in closed form (_on_line, _line_form), so only a
-    factor of degree >= 2 through the source origin needs sympy's rings.
+    R when it has degree 1, else sympy's factors of R.  Each factor P goes
+    through one sequence on core's store: off the source origin when
+    P(0, 0) != 0; else the origin or an axis when P divides f or g
+    (_divides); else, for degree 1, the closed line form (_on_line,
+    _line_form), and for degree >= 2 the slope test P | f*Jac(g, P) -
+    g*Jac(f, P) followed by _slope_form, the only step there that reaches
+    sympy.
     """
     _check_holomorphic_pair(f, g, "discriminant_curve")
     if f.n_vars != 2:
@@ -525,22 +535,6 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
             "jacobian determinant vanishes identically; the pair has generic rank < 2"
         )
 
-    forms: list[MixedPolynomial] = []
-    off_origin: list[MixedPolynomial] = []
-    non_line: list[MixedPolynomial] = []
-
-    def record(P, on_u, on_v, slope_form):
-        """File P, a factor through the source origin: on_u and on_v say
-        whether f and g vanish on {P = 0}, and slope_form() is P's line form
-        when P is a slope factor, None when it is not one."""
-        if on_u and on_v:
-            return  # the factor maps to the origin
-        form = _U if on_u else _V if on_v else slope_form()  # {u = 0}, {v = 0}, a slope
-        if form is None:
-            non_line.append(P)
-        elif form not in forms:
-            forms.append(form)
-
     d, pairs = _cleared(J)
     a, b = (min(m[j] for m in pairs) for j in (0, 1))  # J = c * x^a * y^b * R
     factors = [P for P, e in ((_U, a), (_V, b)) if e]  # the axes x and y, monic
@@ -549,22 +543,27 @@ def discriminant_curve(f: MixedPolynomial, g: MixedPolynomial) -> PlaneCurve:
         if R.total_degree() == 1:  # irreducible as it stands
             factors.append(_monic(R))
         else:
-            factors += [_from_ring(P) for P, _mult in _factor_gaussian(_to_ring(R, _sympy().XYA))]
+            factors += [_from_ring(P) for P in _factor_gaussian(_to_ring(R, _sympy().XYA))]
 
-    rings = ()  # f and g in sympy's ring, made for the first factor of degree >= 2
+    forms, off_origin, non_line = [], [], []
     for P in factors:
         if P.constant_term():
             off_origin.append(P)
+            continue
+        on_u, on_v = _divides(P, f), _divides(P, g)
+        if on_u and on_v:
+            continue  # the factor maps to the origin
+        if on_u or on_v:
+            form = _U if on_u else _V  # {u = 0} or {v = 0}
         elif P.total_degree() == 1:
-            f0, g0 = _on_line(f, P), _on_line(g, P)
-            record(P, f0.is_zero, g0.is_zero, lambda: _line_form(f0, g0))
-        else:
-            XYA = _sympy().XYA
-            fp, gp = rings = rings or (_to_ring(f, XYA), _to_ring(g, XYA))
-            Pr = _to_ring(P, XYA)
-            record(P, not fp.rem(Pr), not gp.rem(Pr),
-                   lambda: None if (fp * _jac(gp, Pr) - gp * _jac(fp, Pr)).rem(Pr)
-                   else _slope_form(Pr, fp, gp))
+            form = _line_form(_on_line(f, P), _on_line(g, P))
+        else:  # a slope factor when g/f is constant along {P = 0}
+            slope = _divides(P, f * jacobian_det(g, P) - g * jacobian_det(f, P))
+            form = _slope_form(P, f, g) if slope else None
+        if form is None:
+            non_line.append(P)
+        elif form not in forms:
+            forms.append(form)
 
     forms.sort(key=format_mixed)
     return PlaneCurve(

@@ -223,6 +223,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MixedPolynomial(0)
 
+    def test_coefficient_rejects_the_wrong_arity(self):
+        F = parse("x*y + 3", ("x", "y"))
+        assert F.coefficient((1, 1), (0, 0)) == CR(1)
+        for nu, mu in [((1,), (0,)), ((1, 1, 0), (0, 0, 0))]:
+            with pytest.raises(ValueError):
+                F.coefficient(nu, mu)
+
     def test_immutable(self):
         p = MixedPolynomial.one(1)
         with pytest.raises(AttributeError):

@@ -4,8 +4,10 @@ No fixture's command loads sympy: the plane fixtures' Jacobians are monomials
 c * x^a * y^b, and discgeom classifies every Jacobian factor of degree 1 (the
 axes x and y, and a cofactor R of degree 1 in J = c * x^a * y^b * R) on
 core's store.  Only a plane Jacobian whose cofactor R has degree >= 2 loads
-sympy, to factor R and to classify its factors of degree >= 2.
-No module of the package imports numpy; a check on the source enforces it.
+sympy: to factor R, and for a slope factor of degree >= 2 to take its
+resultant and the numeric roots of its slope polynomial.  Checks on the
+source enforce that no module of the package imports numpy and that sympy
+is imported only inside discgeom._sympy, the plane route's one boundary.
 The suite itself imports both as references, so each runtime check runs in
 a fresh interpreter and reads sys.modules there.
 
@@ -116,22 +118,37 @@ def test_exact_commands_leave_numpy_out(argv):
     assert not cli_loads("numpy", *argv)
 
 
+SOURCES = sorted(Path(SRC, "mixedsing").rglob("*.py"))
+
+
+def imports(path: Path, package: str) -> list[int]:
+    """The lines of path's absolute imports of package or its submodules,
+    read off the source, so an import inside a function counts too."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        lines += [node.lineno for name in names if name.partition(".")[0] == package]
+    return lines
+
+
 def test_no_module_imports_numpy():
-    """Read off the source, so an import inside a function counts too."""
-    sources = sorted(Path(SRC, "mixedsing").rglob("*.py"))
-    assert Path(SRC, "mixedsing", "core.py") in sources
-    found = []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.partition(".")[0] == "numpy"]
-    assert not found
+    assert Path(SRC, "mixedsing", "core.py") in SOURCES
+    assert not [(path.name, line) for path in SOURCES for line in imports(path, "numpy")]
+
+
+def test_sympy_is_imported_only_in_discgeom_sympy():
+    discgeom = Path(SRC, "mixedsing", "discgeom.py")
+    (boundary,) = [node for node in ast.parse(discgeom.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_sympy"]
+    found = [(path, line) for path in SOURCES for line in imports(path, "sympy")]
+    inside = [(path, line) for path, line in found
+              if path == discgeom and boundary.lineno < line <= boundary.end_lineno]
+    assert inside and inside == found, found
 
 
 @pytest.mark.parametrize("module", ["mixedsing", "mixedsing.cli"])
